@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 user error (bad arguments, unreadable files,
 validation failures), 2 internal error. All subcommands honor a global
 ``--threads`` flag; with ``--threads 1`` (the default) runs are bit
-reproducible for a fixed root seed.
+reproducible for a fixed root seed. The cap is applied through
+``threadpoolctl``; without it the CLI warns on stderr and leaves BLAS as the
+environment set it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -91,43 +94,62 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     def train_config(self) -> TrainConfig:
+        sections: dict = {name: {} for name in _SECTIONS}
+        top: dict = {}
+        for key, (section, name) in _TRAIN_FIELDS.items():
+            (top if section is None else sections[section])[name] = getattr(self, key)
+        top["hidden_sizes"] = tuple(top["hidden_sizes"])
         try:
             return TrainConfig(
-                manifold=ManifoldConfig(
-                    dim=self.manifold_dim,
-                    quality_threshold=self.quality_threshold,
-                    pool_size=self.pool_size,
-                    knn_only=self.knn_only,
-                ),
-                similarity=SimilarityConfig(
-                    orth_exponent=self.orth_exponent,
-                    inplane_exponent=self.inplane_exponent,
-                    binary=self.binary_similarity,
-                ),
-                sampler=SamplerConfig(
-                    batch_size=self.batch_size,
-                    n_seeds=self.n_seeds,
-                    augment_sigma=self.augment_sigma,
-                ),
-                loss=LossConfig(
-                    distance_scale=self.distance_scale,
-                    point_weight=self.point_weight,
-                    proxy_weight=self.proxy_weight,
-                    neighborhood_weight=self.neighborhood_weight,
-                    stopgrad_similarity=self.stopgrad_similarity,
-                ),
-                hidden_sizes=tuple(self.hidden_sizes),
-                embed_dim=self.embed_dim,
-                init_gain=self.init_gain,
-                momentum=self.momentum,
-                lr=self.lr,
-                proxy_lr_scale=self.proxy_lr_scale,
-                n_proxies=self.n_proxies,
-                epochs=self.epochs,
-                seed=self.seed,
+                **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()}, **top
             )
         except ValueError as exc:
             raise UserError(f"invalid configuration: {exc}") from None
+
+    def with_train_config(self, config: TrainConfig) -> "RunConfig":
+        """A copy whose training fields are read from ``config``."""
+        values = {}
+        for key, (section, name) in _TRAIN_FIELDS.items():
+            value = getattr(config if section is None else getattr(config, section), name)
+            values[key] = list(value) if key == "hidden_sizes" else value
+        return dataclasses.replace(self, **values)
+
+
+# The nested section of each TrainConfig, and where each training field of
+# RunConfig lives in it: (section, name), section None for TrainConfig's own
+# fields. Both RunConfig.train_config and RunConfig.with_train_config read it.
+_SECTIONS = {
+    "manifold": ManifoldConfig,
+    "similarity": SimilarityConfig,
+    "sampler": SamplerConfig,
+    "loss": LossConfig,
+}
+_TRAIN_FIELDS = {
+    "manifold_dim": ("manifold", "dim"),
+    "quality_threshold": ("manifold", "quality_threshold"),
+    "pool_size": ("manifold", "pool_size"),
+    "knn_only": ("manifold", "knn_only"),
+    "orth_exponent": ("similarity", "orth_exponent"),
+    "inplane_exponent": ("similarity", "inplane_exponent"),
+    "binary_similarity": ("similarity", "binary"),
+    "batch_size": ("sampler", "batch_size"),
+    "n_seeds": ("sampler", "n_seeds"),
+    "augment_sigma": ("sampler", "augment_sigma"),
+    "distance_scale": ("loss", "distance_scale"),
+    "point_weight": ("loss", "point_weight"),
+    "proxy_weight": ("loss", "proxy_weight"),
+    "neighborhood_weight": ("loss", "neighborhood_weight"),
+    "stopgrad_similarity": ("loss", "stopgrad_similarity"),
+    "hidden_sizes": (None, "hidden_sizes"),
+    "embed_dim": (None, "embed_dim"),
+    "init_gain": (None, "init_gain"),
+    "momentum": (None, "momentum"),
+    "lr": (None, "lr"),
+    "proxy_lr_scale": (None, "proxy_lr_scale"),
+    "n_proxies": (None, "n_proxies"),
+    "epochs": (None, "epochs"),
+    "seed": (None, "seed"),
+}
 
 
 def _parse_value(key: str, text: str, current):
@@ -207,11 +229,15 @@ def _limit_threads(threads: int) -> None:
         raise UserError("--threads must be at least 1")
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
     except ImportError:
-        # Pure-Python/numpy path is already sequential; the cap is advisory.
-        pass
+        if os.environ.get("OPENBLAS_NUM_THREADS") != str(threads):
+            print(
+                f"warning: BLAS thread cap --threads {threads} not applied: "
+                f"threadpoolctl is not installed; set OPENBLAS_NUM_THREADS={threads} instead",
+                file=sys.stderr,
+            )
+        return
+    threadpool_limits(limits=threads)
 
 
 def _load_dataset(path: str) -> data.FeatureDataset:
@@ -281,6 +307,8 @@ def cmd_train(args) -> int:
             raise UserError(str(exc)) from None
     out_dir = Path(config.out_dir) if config.out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The run's own config: on resume the checkpoint's, not the requested one.
+    config = config.with_train_config(run.config)
     (out_dir / "config.json").write_text(config.to_json() + "\n")
 
     def on_epoch_end(state: Trainer) -> None:

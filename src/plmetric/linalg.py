@@ -64,13 +64,11 @@ class OrthonormalBasis:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic orientation: largest-magnitude coordinate made positive,
-    # first occurrence winning ties.
-    out = vectors.copy()
-    for row in out:
-        lead = int(np.argmax(np.abs(row)))
-        if row[lead] < 0.0:
-            row *= -1.0
-    return out
+    # first occurrence winning ties. Rows are the last two axes, so a stack
+    # of frames is oriented row by row at once.
+    lead = np.argmax(np.abs(vectors), axis=-1)[..., None]
+    flip = np.take_along_axis(vectors, lead, axis=-1) < 0.0
+    return np.where(flip, -vectors, vectors)
 
 
 def _complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:
@@ -124,6 +122,76 @@ def _pca_vectors(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.
         kept.append(direction / np.linalg.norm(direction))
     rows = _complete_with_axes(kept, dim, n_components)
     return np.vstack(rows), centroid
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise dot products of two (k, d) stacks, each one the same BLAS dot
+    # that `a[i] @ b[i]` or np.linalg.norm of a 1-d vector runs.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _complete_with_axes_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # _complete_with_axes for a stack of frames (k, target, d) whose first
+    # counts[s] rows are kept: the same axes in the same order, across all
+    # frames at once. The row loop is the Gram-Schmidt order itself.
+    rows = rows.copy()
+    counts = counts.copy()
+    _, target, dim = rows.shape
+    for axis in range(dim):
+        open_ = np.flatnonzero(counts < target)
+        if open_.size == 0:
+            break
+        held = counts[open_]
+        cand = np.zeros((open_.size, dim))
+        cand[:, axis] = 1.0
+        for j in range(int(held.max())):
+            r = rows[open_, j]
+            cand = np.where((j < held)[:, None], cand - _dots(r, cand)[:, None] * r, cand)
+        norm = np.sqrt(_dots(cand, cand))
+        grow = norm > _COMPLETION_TOL
+        sets = open_[grow]
+        rows[sets, counts[sets]] = cand[grow] / norm[grow, None]
+        counts[sets] += 1
+    if np.any(counts < target):
+        raise RuntimeError("axis completion failed to reach the requested rank")
+    return rows
+
+
+def _pca_vectors_batch(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    # _pca_vectors for a stack of equal-size point sets: (k, n, d) in,
+    # vectors (k, m, d) and centroids (k, d) out, equal to _pca_vectors bit
+    # for bit set by set. Each product keeps the shape it has there (a
+    # matrix-vector lift, a dot-product norm), so BLAS runs the same kernel.
+    # Rank deficiency is a mask instead of a per-set break: eigenvalues are
+    # sorted, so the directions that pass the tolerance come first.
+    pts = np.asarray(points, dtype=np.float64)
+    n_sets, n, dim = pts.shape
+    centroid = pts.mean(axis=1)
+    centered = pts - centroid[:, None, :]
+    if n <= dim:
+        evals, evecs = np.linalg.eigh(np.matmul(centered, centered.transpose(0, 2, 1)))
+    else:
+        evals, evecs = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered))
+    order = np.argsort(evals, axis=1)[:, ::-1]
+    evals = np.take_along_axis(evals, order, axis=1)
+    evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
+    rank_tol = max(n, dim) * np.finfo(np.float64).eps * np.maximum(evals[:, 0], 0.0)
+    lead = evals[:, : min(n_components, n, dim)]
+    kept = (lead > rank_tol[:, None]) & (lead > 0.0)
+    vectors = np.zeros((n_sets, n_components, dim))
+    for i in range(lead.shape[1]):
+        sets = np.flatnonzero(kept[:, i])
+        if n <= dim:
+            lifted = np.matmul(centered[sets].transpose(0, 2, 1), evecs[sets, :, i, None])
+            direction = lifted[:, :, 0] / np.sqrt(evals[sets, i])[:, None]
+        else:
+            direction = evecs[sets, :, i]
+        vectors[sets, i] = direction / np.sqrt(_dots(direction, direction))[:, None]
+    counts = kept.sum(axis=1)
+    short = np.flatnonzero(counts < n_components)
+    if short.size:
+        vectors[short] = _complete_with_axes_batch(vectors[short], counts[short])
+    return vectors, centroid
 
 
 def pca_top_m(points: np.ndarray, n_components: int) -> tuple[OrthonormalBasis, np.ndarray]:

@@ -89,12 +89,18 @@ def reconstruction_quality(
     Points coinciding with the centroid score 1 by convention. Quality is 1
     for points exactly on the plane and decreases toward 0 (and below, for
     points further off-plane than their centroid distance is long).
+
+    Takes one set, (n, d) points against an (m, d) frame and a (d,)
+    centroid, or a stack of sets with matching leading axes, (k, n, d)
+    against (k, m, d) and (k, d); each set is scored with the same
+    arithmetic either way.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    diffs = pts - centroid
-    base = np.linalg.norm(diffs, axis=1)
-    _, orth = linalg.decompose_batch(diffs, vectors)
-    quality = np.ones(len(pts))
+    diffs = pts - np.expand_dims(centroid, -2)
+    base = np.linalg.norm(diffs, axis=-1)
+    coords = np.matmul(diffs, np.swapaxes(vectors, -1, -2))
+    orth = np.linalg.norm(diffs - np.matmul(coords, vectors), axis=-1)
+    quality = np.ones(base.shape)
     nz = base > 0.0
     quality[nz] = 1.0 - orth[nz] / base[nz]
     return quality
@@ -120,29 +126,19 @@ def fit_neighborhood(
     enlarged set and the candidate is kept only if every member then has
     reconstruction quality >= quality_threshold / 100. Rejected candidates
     are never revisited. With ``knn_only`` the whole pool is accepted and no
-    fit test runs.
+    fit test runs. This is the one-anchor case of the scan that
+    fit_all_neighborhoods runs.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    order = [int(i) for i in neighbor_order]
-    if len(order) < config.dim:
+    order = np.asarray(neighbor_order, dtype=np.int64)
+    if order.size < config.dim:
         raise ValueError(
-            f"need at least dim={config.dim} neighbor candidates, got {len(order)}"
+            f"need at least dim={config.dim} neighbor candidates, got {order.size}"
         )
     if anchor in order:
         raise ValueError("anchor must not appear in its own neighbor pool")
-    if config.knn_only:
-        members = [anchor] + order
-    else:
-        threshold = config.quality_threshold / 100.0
-        members = [anchor] + order[: config.dim - 1]
-        for cand in order[config.dim - 1 :]:
-            trial = members + [cand]
-            vectors, centroid = linalg._pca_vectors(embeddings[trial], config.dim)
-            quality = reconstruction_quality(embeddings[trial], vectors, centroid)
-            if np.all(quality >= threshold):
-                members = trial
-    basis, centroid = linalg.pca_top_m(embeddings[members], config.dim)
-    return LinearNeighborhood(anchor, np.asarray(members, dtype=np.int64), basis, centroid)
+    members, sizes = _scan_pools(embeddings, np.array([anchor]), order[None, :], config)
+    return _fit_planes(embeddings, members, sizes, config.dim)[0]
 
 
 def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -168,71 +164,32 @@ def _batched_accepts(
     n_components: int,
     threshold: float,
 ) -> np.ndarray:
-    # Accept test for many trial sets of equal size at once. Result is
-    # decision-identical to running linalg._pca_vectors plus
-    # reconstruction_quality per set: the batched route only covers the
-    # full-rank covariance case, whose arithmetic it mirrors operation for
-    # operation; everything else falls back to the reference code.
+    # Accept test for many trial sets of equal size at once, trial being
+    # (n_sets, size) indices. Every set, in the Gram case, the scatter case
+    # and rank deficient, is decided with the arithmetic of
+    # linalg._pca_vectors plus reconstruction_quality run on it alone.
     points = embeddings[trial]
-    n_sets, set_size, ambient = points.shape
-    centroid = points.mean(axis=1)
-    centered = points - centroid[:, None, :]
-    if set_size <= ambient:
-        mats = np.matmul(centered, centered.transpose(0, 2, 1))
-    else:
-        mats = np.matmul(centered.transpose(0, 2, 1), centered)
-    evals, evecs = np.linalg.eigh(mats)
-    order = np.argsort(evals, axis=1)[:, ::-1]
-    evals = np.take_along_axis(evals, order, axis=1)
-    evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
-    accept = np.empty(n_sets, dtype=bool)
-    if set_size <= ambient or n_components > evals.shape[1]:
-        fallback = np.ones(n_sets, dtype=bool)
-    else:
-        lead = evals[:, :n_components]
-        rank_tol = (
-            max(set_size, ambient)
-            * np.finfo(np.float64).eps
-            * np.maximum(evals[:, 0], 0.0)
-        )
-        fallback = np.any(lead <= rank_tol[:, None], axis=1) | np.any(lead <= 0.0, axis=1)
-        direct = np.flatnonzero(~fallback)
-        if direct.size:
-            columns = evecs[direct][:, :, :n_components]
-            norms = np.linalg.norm(columns, axis=1)
-            vectors = np.ascontiguousarray(
-                (columns / norms[:, None, :]).transpose(0, 2, 1)
-            )
-            diffs = centered[direct]
-            base = np.linalg.norm(diffs, axis=2)
-            coords = np.matmul(diffs, vectors.transpose(0, 2, 1))
-            resid = diffs - np.matmul(coords, vectors)
-            orth = np.linalg.norm(resid, axis=2)
-            quality = np.ones((direct.size, set_size))
-            nonzero = base > 0.0
-            quality[nonzero] = 1.0 - orth[nonzero] / base[nonzero]
-            accept[direct] = np.all(quality >= threshold, axis=1)
-    for g in np.flatnonzero(fallback):
-        pts = points[g]
-        vectors, cent = linalg._pca_vectors(pts, n_components)
-        quality = reconstruction_quality(pts, vectors, cent)
-        accept[g] = bool(np.all(quality >= threshold))
-    return accept
+    vectors, centroid = linalg._pca_vectors_batch(points, n_components)
+    quality = reconstruction_quality(points, vectors, centroid)
+    return np.all(quality >= threshold, axis=1)
 
 
 def _scan_pools(
-    embeddings: np.ndarray, pools: np.ndarray, config: ManifoldConfig
-) -> list[list[int]]:
-    # All greedy scans advanced in lockstep so the per-candidate fits can be
-    # batched across anchors. Anchors are grouped by current member count to
-    # keep every reduction the same length it has in the one-anchor loop.
-    n, _ = embeddings.shape
+    embeddings: np.ndarray, anchors: np.ndarray, pools: np.ndarray, config: ManifoldConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    # The greedy scan of many anchors, each with its own (pool_size,) pool,
+    # advanced in lockstep so the per-candidate fits batch across anchors.
+    # Anchors are grouped by current member count to keep every reduction
+    # the length it has for one anchor alone. Returns members
+    # (n, pool_size + 1), anchor first, of which row i holds sizes[i].
     plane_dim = config.dim
     threshold = config.quality_threshold / 100.0
-    pool_size = pools.shape[1]
+    n, pool_size = pools.shape
     members = np.empty((n, pool_size + 1), dtype=np.int64)
-    members[:, 0] = np.arange(n)
-    members[:, 1:plane_dim] = pools[:, : plane_dim - 1]
+    members[:, 0] = anchors
+    members[:, 1:] = pools
+    if config.knn_only:
+        return members, np.full(n, pool_size + 1, dtype=np.int64)
     sizes = np.full(n, plane_dim, dtype=np.int64)
     for ci in range(plane_dim - 1, pool_size):
         cands = pools[:, ci]
@@ -244,7 +201,30 @@ def _scan_pools(
             grown = rows[accept]
             members[grown, size] = cands[grown]
             sizes[grown] += 1
-    return [members[i, : sizes[i]].tolist() for i in range(n)]
+    return members, sizes
+
+
+def _fit_planes(
+    embeddings: np.ndarray, members: np.ndarray, sizes: np.ndarray, plane_dim: int
+) -> list[LinearNeighborhood]:
+    # Each row's final plane, linalg.pca_top_m of its first sizes[i]
+    # members bit for bit, batched over rows of equal size.
+    n, dim = len(sizes), embeddings.shape[1]
+    vectors = np.empty((n, plane_dim, dim))
+    centroids = np.empty((n, dim))
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        points = embeddings[members[rows, :size]]
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points contain non-finite entries")
+        vectors[rows], centroids[rows] = linalg._pca_vectors_batch(points, plane_dim)
+    vectors = linalg._fix_signs(vectors)
+    return [
+        LinearNeighborhood(
+            int(members[i, 0]), members[i, : sizes[i]], OrthonormalBasis(vectors[i]), centroids[i]
+        )
+        for i in range(n)
+    ]
 
 
 def fit_all_neighborhoods(
@@ -252,8 +232,11 @@ def fit_all_neighborhoods(
 ) -> list[LinearNeighborhood]:
     """Fit one LinearNeighborhood per point, pools drawn from the same set.
 
-    Matches calling fit_neighborhood per point exactly; the scans just run
-    in lockstep so their fit tests batch across anchors.
+    Matches calling fit_neighborhood per point exactly. The scans run in
+    lockstep: each candidate is tested for all anchors whose trial sets have
+    the same size in one batched PCA, whether a set has more points than
+    the ambient dim or fewer, full rank or not. Each final plane equals
+    linalg.pca_top_m of its members bit for bit.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -262,17 +245,8 @@ def fit_all_neighborhoods(
             f"need more than pool_size={config.pool_size} points, got {n}"
         )
     pools = neighbor_lists(embeddings, config.pool_size)
-    if config.knn_only:
-        return [
-            fit_neighborhood(embeddings, i, pools[i], config) for i in range(n)
-        ]
-    out = []
-    for i, mem in enumerate(_scan_pools(embeddings, pools, config)):
-        basis, centroid = linalg.pca_top_m(embeddings[mem], config.dim)
-        out.append(
-            LinearNeighborhood(i, np.asarray(mem, dtype=np.int64), basis, centroid)
-        )
-    return out
+    members, sizes = _scan_pools(embeddings, np.arange(n), pools, config)
+    return _fit_planes(embeddings, members, sizes, config.dim)
 
 
 @dataclass

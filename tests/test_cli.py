@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from plmetric import data
 from plmetric.cli import RunConfig, UserError, main
+from plmetric.trainer import TrainConfig
 
 
 def _gen(tmp_path, name="bench.plmf", **kwargs) -> str:
@@ -72,6 +74,21 @@ class TestRunConfig:
         with pytest.raises(UserError, match="unknown config key"):
             config.apply_overrides(["learning_rate=0.1"])
 
+    def test_train_config_round_trips(self):
+        # Every training field off its default, so a crossed or missing
+        # entry in either direction of the mapping shows.
+        config = RunConfig(
+            manifold_dim=2, quality_threshold=80.0, pool_size=7, knn_only=True,
+            orth_exponent=3.0, inplane_exponent=0.25, binary_similarity=True,
+            batch_size=50, n_seeds=5, augment_sigma=0.1, distance_scale=1.5,
+            point_weight=0.5, proxy_weight=2.0, neighborhood_weight=0.25,
+            stopgrad_similarity=True, hidden_sizes=[8, 4], embed_dim=6,
+            init_gain=2.0, momentum=0.9, lr=1e-3, proxy_lr_scale=10.0,
+            n_proxies=12, epochs=3, seed=9,
+        )
+        assert RunConfig().with_train_config(config.train_config()) == config
+        assert RunConfig().train_config() == TrainConfig()
+
     def test_invalid_combination_is_user_error(self):
         config = RunConfig(batch_size=10, pool_size=10)
         with pytest.raises(UserError, match="invalid configuration"):
@@ -125,6 +142,17 @@ class TestTrain:
         assert main(_train_args(dataset, full, "epochs=2") + ["--resume", ckpt]) == 0
         out = capsys.readouterr().out
         assert "epoch=1" in out
+
+    def test_resume_records_the_checkpoint_config(self, tmp_path):
+        dataset = _gen(tmp_path)
+        short = tmp_path / "short"
+        full = tmp_path / "full"
+        assert main(_train_args(dataset, short, "epochs=1")) == 0
+        ckpt = str(short / "checkpoint.plck")
+        resumed = _train_args(dataset, full, "epochs=2", "seed=7", "embed_dim=8")
+        assert main(resumed + ["--resume", ckpt]) == 0
+        recorded = json.loads((full / "config.json").read_text())
+        assert (recorded["seed"], recorded["embed_dim"], recorded["epochs"]) == (0, 6, 2)
 
 
 class TestEval:
@@ -200,3 +228,14 @@ class TestErrorPaths:
     def test_threads_must_be_positive(self, tmp_path, capsys):
         code = main(["--threads", "0", "gen", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_threads_without_threadpoolctl_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["--threads", "2", "gen", "--out", str(tmp_path / "x")]) == 0
+        err = capsys.readouterr().err
+        assert "--threads 2 not applied" in err
+        assert "OPENBLAS_NUM_THREADS=2" in err
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["--threads", "2", "gen", "--out", str(tmp_path / "y")]) == 0
+        assert capsys.readouterr().err == ""

@@ -102,6 +102,28 @@ class TestPcaTopM:
             linalg.pca_top_m(np.array([[np.nan, 0.0]]), 1)
 
 
+class TestPcaVectorsBatch:
+    @pytest.mark.parametrize("layout", ["random", "duplicate", "collinear", "identical"])
+    @pytest.mark.parametrize("n, d, m", [(4, 8, 3), (6, 6, 2), (9, 4, 3), (3, 5, 4), (1, 3, 2)])
+    def test_equals_per_set_route_bitwise(self, layout, n, d, m):
+        # Gram (n <= d) and scatter (n > d) stacks, full rank and rank
+        # deficient, against _pca_vectors run on each set alone.
+        rng = np.random.default_rng(n * 100 + d * 10 + m)
+        stack = rng.standard_normal((12, n, d))
+        if layout == "duplicate":
+            stack[:, -1] = stack[:, 0]
+        elif layout == "collinear":
+            direction = rng.standard_normal((12, 1, d))
+            stack = stack[:, :1] + rng.standard_normal((12, n, 1)) * direction
+        elif layout == "identical":
+            stack[:] = stack[:, :1]
+        vectors, centroids = linalg._pca_vectors_batch(stack, m)
+        for points, got_v, got_c in zip(stack, vectors, centroids):
+            ref_v, ref_c = linalg._pca_vectors(points, m)
+            assert np.array_equal(got_v, ref_v)
+            assert np.array_equal(got_c, ref_c)
+
+
 class TestDecompose:
     def test_axis_plane_example(self):
         basis = linalg.OrthonormalBasis(np.eye(3)[:2])

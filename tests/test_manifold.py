@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmetric import linalg, manifold
 from plmetric.manifold import LinearNeighborhood, ManifoldConfig, ProxySet
 
 from oracles import greedy_plane_scan, reconstruction_qualities
+
+# Trial sets whose worst member lands this close to the threshold are decided
+# by rounding; two eigensolvers may legitimately disagree there.
+QUALITY_MARGIN = 1e-6
 
 
 def make_planted_fixture(seed: int, n_plane: int = 8, n_off: int = 4, dim: int = 8):
@@ -192,6 +198,113 @@ class TestFitAllNeighborhoods:
                 assert np.array_equal(got.member_indices, ref.member_indices)
                 assert np.array_equal(got.basis.vectors, ref.basis.vectors)
                 assert np.array_equal(got.centroid, ref.centroid)
+
+
+def _closest_call(points, anchor, order, members, dim, threshold):
+    # Replays the reference scan and returns how close its worst member came
+    # to the threshold on any trial set.
+    current = [anchor] + list(order[: dim - 1])
+    closest = np.inf
+    for cand in order[dim - 1 :]:
+        trial = current + [cand]
+        closest = min(closest, abs(float(np.min(reconstruction_qualities(points[trial], dim))) - threshold))
+        if cand in members:
+            current = trial
+    return closest
+
+
+@st.composite
+def scan_cases(draw):
+    # Gram cases keep every trial set no larger than the ambient dim, scatter
+    # cases make most of them larger. Grid points give exact distance ties
+    # and duplicate rows; a line through part of the set gives rank-1 trial
+    # sets under a plane of dim >= 2.
+    if draw(st.booleans()):
+        d = draw(st.integers(6, 8))
+        n = draw(st.integers(d, 12))
+        plane_dim = draw(st.integers(2, 3))
+        pool = draw(st.integers(plane_dim, d - 1))
+    else:
+        d = draw(st.integers(2, 4))
+        n = draw(st.integers(d + 4, 12))
+        plane_dim = draw(st.integers(2, d))
+        pool = draw(st.integers(max(plane_dim, d), n - 1))
+    layout = draw(st.sampled_from(["normal", "grid", "line", "duplicates"]))
+    threshold = draw(st.floats(50.0, 99.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "grid":
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        points = rng.standard_normal((n, d))
+    if layout == "line":
+        k = n // 2 + 1
+        points[:k] = points[0] + rng.standard_normal((k, 1)) * rng.standard_normal(d)
+    elif layout == "duplicates":
+        points[n // 2 :] = points[: n - n // 2]
+    return points, ManifoldConfig(dim=plane_dim, quality_threshold=threshold, pool_size=pool)
+
+
+class TestScanAgainstOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(scan_cases())
+    def test_members_match_greedy_oracle(self, case):
+        points, cfg = case
+        pools = manifold.neighbor_lists(points, cfg.pool_size)
+        threshold = cfg.quality_threshold / 100.0
+        for i, nb in enumerate(manifold.fit_all_neighborhoods(points, cfg)):
+            order = [int(j) for j in pools[i]]
+            expected = greedy_plane_scan(points, i, order, cfg.dim, cfg.quality_threshold)
+            if nb.member_indices.tolist() != expected:
+                margin = _closest_call(points, i, order, set(expected), cfg.dim, threshold)
+                assert margin <= QUALITY_MARGIN, (i, nb.member_indices.tolist(), expected)
+            basis, centroid = linalg.pca_top_m(points[nb.member_indices], cfg.dim)
+            assert np.array_equal(nb.basis.vectors, basis.vectors)
+            assert np.array_equal(nb.centroid, centroid)
+
+
+class TestBatchedAccepts:
+    @staticmethod
+    def _batch(case):
+        # (embeddings, trial, plane dim): Gram sets (size <= ambient dim),
+        # sets with a duplicated row or on a line (rank below the plane dim,
+        # so the basis is completed with axes) and scatter sets.
+        rng = np.random.default_rng(31)
+        if case == "scatter":
+            emb = rng.standard_normal((40, 3))
+            return emb, np.stack([rng.choice(40, 6, replace=False) for _ in range(30)]), 2
+        emb = rng.standard_normal((40, 8))
+        if case == "gram":
+            return emb, np.stack([rng.choice(40, 5, replace=False) for _ in range(30)]), 3
+        if case == "duplicate":
+            trial = np.stack([rng.choice(40, 4, replace=False) for _ in range(30)])
+            trial[::2, -1] = trial[::2, 0]
+            return emb, trial, 3
+        emb[:20] = emb[0] + rng.standard_normal((20, 1)) * rng.standard_normal(8)
+        trial = np.stack([rng.choice(20, 4, replace=False) for _ in range(30)])
+        trial[::3, -1] = rng.choice(np.arange(20, 40), 10, replace=False)
+        return emb, trial, 2
+
+    @pytest.mark.parametrize("case", ["gram", "duplicate", "collinear", "scatter"])
+    def test_matches_per_set_route_without_calling_it(self, case, monkeypatch):
+        emb, trial, dim = self._batch(case)
+        worst = []
+        for row in trial:
+            vectors, centroid = linalg._pca_vectors(emb[row], dim)
+            worst.append(np.min(manifold.reconstruction_quality(emb[row], vectors, centroid)))
+        # A threshold equal to one set's worst quality: that set passes only
+        # if its arithmetic is reproduced to the last bit.
+        threshold = float(np.sort(worst)[len(worst) // 2])
+        expected = np.asarray(worst) >= threshold
+        assert 0 < expected.sum() < expected.size
+        if case in ("duplicate", "collinear"):
+            ranks = [np.linalg.matrix_rank(emb[r] - emb[r].mean(axis=0)) for r in trial]
+            assert min(ranks) < dim
+        calls = []
+        per_set = linalg._pca_vectors
+        monkeypatch.setattr(linalg, "_pca_vectors", lambda *a: calls.append(a) or per_set(*a))
+        got = manifold._batched_accepts(emb, trial, dim, threshold)
+        assert calls == []
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestLinearNeighborhood:
