@@ -21,9 +21,7 @@ from pathlib import Path
 
 from . import data, embedder, evaluation, trainer
 from .data import DatasetFormatError, SyntheticSpec
-from .manifold import ManifoldConfig
-from .similarity import SimilarityConfig
-from .trainer import LossConfig, SamplerConfig, TrainConfig, Trainer
+from .trainer import CONFIG_SECTIONS as _SECTIONS, TrainConfig, Trainer
 
 
 class UserError(Exception):
@@ -94,15 +92,11 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     def train_config(self) -> TrainConfig:
-        sections: dict = {name: {} for name in _SECTIONS}
-        top: dict = {}
+        nested: dict = {name: {} for name in _SECTIONS}
         for key, (section, name) in _TRAIN_FIELDS.items():
-            (top if section is None else sections[section])[name] = getattr(self, key)
-        top["hidden_sizes"] = tuple(top["hidden_sizes"])
+            (nested if section is None else nested[section])[name] = getattr(self, key)
         try:
-            return TrainConfig(
-                **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()}, **top
-            )
+            return trainer.config_from_dict(nested)
         except ValueError as exc:
             raise UserError(f"invalid configuration: {exc}") from None
 
@@ -115,40 +109,15 @@ class RunConfig:
         return dataclasses.replace(self, **values)
 
 
-# The nested section of each TrainConfig, and where each training field of
-# RunConfig lives in it: (section, name), section None for TrainConfig's own
-# fields. Both RunConfig.train_config and RunConfig.with_train_config read it.
-_SECTIONS = {
-    "manifold": ManifoldConfig,
-    "similarity": SimilarityConfig,
-    "sampler": SamplerConfig,
-    "loss": LossConfig,
-}
+# Where each training field of RunConfig lives in TrainConfig: (section, name),
+# section None for TrainConfig's own fields. The flat name is the field's own
+# but for the two below. RunConfig.train_config and with_train_config read it.
+_FLAT_NAMES = {("manifold", "dim"): "manifold_dim", ("similarity", "binary"): "binary_similarity"}
 _TRAIN_FIELDS = {
-    "manifold_dim": ("manifold", "dim"),
-    "quality_threshold": ("manifold", "quality_threshold"),
-    "pool_size": ("manifold", "pool_size"),
-    "knn_only": ("manifold", "knn_only"),
-    "orth_exponent": ("similarity", "orth_exponent"),
-    "inplane_exponent": ("similarity", "inplane_exponent"),
-    "binary_similarity": ("similarity", "binary"),
-    "batch_size": ("sampler", "batch_size"),
-    "n_seeds": ("sampler", "n_seeds"),
-    "augment_sigma": ("sampler", "augment_sigma"),
-    "distance_scale": ("loss", "distance_scale"),
-    "point_weight": ("loss", "point_weight"),
-    "proxy_weight": ("loss", "proxy_weight"),
-    "neighborhood_weight": ("loss", "neighborhood_weight"),
-    "stopgrad_similarity": ("loss", "stopgrad_similarity"),
-    "hidden_sizes": (None, "hidden_sizes"),
-    "embed_dim": (None, "embed_dim"),
-    "init_gain": (None, "init_gain"),
-    "momentum": (None, "momentum"),
-    "lr": (None, "lr"),
-    "proxy_lr_scale": (None, "proxy_lr_scale"),
-    "n_proxies": (None, "n_proxies"),
-    "epochs": (None, "epochs"),
-    "seed": (None, "seed"),
+    _FLAT_NAMES.get((section, f.name), f.name): (section, f.name)
+    for section, cls in [(None, TrainConfig), *_SECTIONS.items()]
+    for f in dataclasses.fields(cls)
+    if f.name not in _SECTIONS
 }
 
 

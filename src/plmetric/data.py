@@ -166,10 +166,10 @@ def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:
     labels = []
     for cls in range(spec.n_classes):
         raw = rng.standard_normal((spec.patch_dim, spec.ambient_dim))
-        frame, _ = linalg.reorthonormalize(raw)
+        frames, _ = linalg.reorthonormalize(raw[None])
         coords = rng.uniform(-1.0, 1.0, size=(spec.points_per_class, spec.patch_dim)) * extents
         noise = rng.standard_normal((spec.points_per_class, spec.ambient_dim)) * spec.noise_sigma
-        blocks.append(offsets[cls] + coords @ frame.vectors + noise)
+        blocks.append(offsets[cls] + coords @ frames[0] + noise)
         labels.extend([cls] * spec.points_per_class)
     return FeatureDataset(np.vstack(blocks), np.asarray(labels, dtype=np.int64))
 

@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives shared across the library.
 
-Top-m principal subspace extraction with deterministic sign and
-rank-deficiency conventions, decomposition of difference vectors into
-in-plane and orthogonal parts relative to an orthonormal frame, and
-re-orthonormalization of drifted frames.
+Each primitive runs on stacks of sets or frames, one call for many: top-m
+principal subspace extraction with deterministic sign and rank-deficiency
+conventions, the split of difference vectors into in-plane and orthogonal
+parts relative to an orthonormal frame, and Gram-Schmidt re-orthonormalization
+of drifted frames.
 """
 
 from __future__ import annotations
@@ -33,19 +34,7 @@ class OrthonormalBasis:
         vecs = np.array(self.vectors, dtype=np.float64, copy=True)
         if vecs.ndim != 2:
             raise ValueError(f"basis must be a 2-d array, got shape {vecs.shape}")
-        rank, dim = vecs.shape
-        if rank == 0 or rank > dim:
-            raise ValueError(f"invalid basis shape {vecs.shape}: need 1 <= rank <= ambient dim")
-        if not np.all(np.isfinite(vecs)):
-            raise ValueError("basis contains non-finite entries")
-        gram = vecs @ vecs.T
-        norm_err = np.max(np.abs(np.diag(gram) - 1.0))
-        if norm_err > UNIT_NORM_TOL:
-            raise ValueError(f"basis vectors are not unit length (max deviation {norm_err:.3e})")
-        off = np.abs(gram - np.diag(np.diag(gram)))
-        ortho_err = float(np.max(off)) if rank > 1 else 0.0
-        if ortho_err > ORTHOGONALITY_TOL:
-            raise ValueError(f"basis vectors are not orthogonal (max inner product {ortho_err:.3e})")
+        check_frames(vecs[None])
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
@@ -62,6 +51,29 @@ class OrthonormalBasis:
         return self.vectors.T @ self.vectors
 
 
+def frame_drift(frames: np.ndarray) -> np.ndarray:
+    """|F F^T - I| of each frame F of a (k, m, d) stack, shape (k, m, m)."""
+    return np.abs(np.matmul(frames, np.swapaxes(frames, -1, -2)) - np.eye(frames.shape[1]))
+
+
+def check_frames(frames: np.ndarray) -> None:
+    """Raise ValueError unless every frame of a (k, m, d) stack has
+    1 <= m <= d and finite rows of unit norm, orthogonal to 1e-9."""
+    _, rank, dim = frames.shape
+    if rank == 0 or rank > dim:
+        raise ValueError(f"invalid basis shape {frames.shape[1:]}: need 1 <= rank <= ambient dim")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("basis contains non-finite entries")
+    dev = frame_drift(frames)
+    diag = np.eye(rank, dtype=bool)
+    norm_err = np.max(dev[:, diag], initial=0.0)
+    if norm_err > UNIT_NORM_TOL:
+        raise ValueError(f"basis vectors are not unit length (max deviation {norm_err:.3e})")
+    ortho_err = np.max(dev[:, ~diag], initial=0.0)
+    if ortho_err > ORTHOGONALITY_TOL:
+        raise ValueError(f"basis vectors are not orthogonal (max inner product {ortho_err:.3e})")
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic orientation: largest-magnitude coordinate made positive,
     # first occurrence winning ties. Rows are the last two axes, so a stack
@@ -71,69 +83,31 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(flip, -vectors, vectors)
 
 
-def _complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:
-    # Extend a (possibly empty) orthonormal set to `target` vectors using
-    # standard axis vectors in ascending index order, skipping axes already
-    # inside the span.
-    rows = [np.asarray(r, dtype=np.float64) for r in rows]
-    for axis in range(dim):
-        if len(rows) >= target:
-            break
-        cand = np.zeros(dim)
-        cand[axis] = 1.0
-        for r in rows:
-            cand = cand - (r @ cand) * r
-        norm = np.linalg.norm(cand)
-        if norm > _COMPLETION_TOL:
-            rows.append(cand / norm)
-    if len(rows) < target:
-        raise RuntimeError("axis completion failed to reach the requested rank")
-    return rows
-
-
-def _pca_vectors(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    # Unvalidated fast path: returns (vectors (m, d), centroid (d,)) without
-    # constructing an OrthonormalBasis. Used inside hot scan loops.
-    pts = np.asarray(points, dtype=np.float64)
-    n, dim = pts.shape
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    if n <= dim:
-        # Gram route: eigenvectors of the small (n, n) matrix lift to
-        # directions via X^T u / sqrt(lambda).
-        gram = centered @ centered.T
-        evals, evecs = np.linalg.eigh(gram)
-    else:
-        scatter = centered.T @ centered
-        evals, evecs = np.linalg.eigh(scatter)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    top = float(evals[0]) if evals.size else 0.0
-    rank_tol = max(n, dim) * np.finfo(np.float64).eps * max(top, 0.0)
-    kept: list[np.ndarray] = []
-    for i in range(min(n_components, evals.size)):
-        if evals[i] <= rank_tol or evals[i] <= 0.0:
-            break
-        if n <= dim:
-            direction = centered.T @ evecs[:, i] / np.sqrt(evals[i])
-        else:
-            direction = evecs[:, i]
-        kept.append(direction / np.linalg.norm(direction))
-    rows = _complete_with_axes(kept, dim, n_components)
-    return np.vstack(rows), centroid
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Row-wise dot products of two (k, d) stacks, each one the same BLAS dot
     # that `a[i] @ b[i]` or np.linalg.norm of a 1-d vector runs.
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _gram_schmidt_step(frames: np.ndarray, counts: np.ndarray, cand: np.ndarray, floor) -> None:
+    # One modified Gram-Schmidt step across a (k, m, d) stack of frames, in
+    # place: each candidate row of the (k, d) cand loses its components
+    # along the first counts[s] rows of its frame, in order, and is appended
+    # normalized unless its remaining norm is at most floor (a scalar or
+    # per frame); counts grows with it.
+    for j in range(int(np.max(counts, initial=0))):
+        r = frames[:, j]
+        cand = np.where((j < counts)[:, None], cand - _dots(r, cand)[:, None] * r, cand)
+    norm = np.sqrt(_dots(cand, cand))
+    grow = np.flatnonzero(~(norm <= floor))
+    frames[grow, counts[grow]] = cand[grow] / norm[grow, None]
+    counts[grow] += 1
+
+
 def _complete_with_axes_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # _complete_with_axes for a stack of frames (k, target, d) whose first
-    # counts[s] rows are kept: the same axes in the same order, across all
-    # frames at once. The row loop is the Gram-Schmidt order itself.
+    # Extend each frame of a (k, target, d) stack, whose first counts[s]
+    # rows are orthonormal, to target rows with standard axis vectors in
+    # ascending index order, skipping axes already inside the span.
     rows = rows.copy()
     counts = counts.copy()
     _, target, dim = rows.shape
@@ -141,29 +115,24 @@ def _complete_with_axes_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarra
         open_ = np.flatnonzero(counts < target)
         if open_.size == 0:
             break
-        held = counts[open_]
-        cand = np.zeros((open_.size, dim))
-        cand[:, axis] = 1.0
-        for j in range(int(held.max())):
-            r = rows[open_, j]
-            cand = np.where((j < held)[:, None], cand - _dots(r, cand)[:, None] * r, cand)
-        norm = np.sqrt(_dots(cand, cand))
-        grow = norm > _COMPLETION_TOL
-        sets = open_[grow]
-        rows[sets, counts[sets]] = cand[grow] / norm[grow, None]
-        counts[sets] += 1
+        frames, held = rows[open_], counts[open_]
+        cand = np.tile(np.eye(dim)[axis], (open_.size, 1))
+        _gram_schmidt_step(frames, held, cand, _COMPLETION_TOL)
+        rows[open_], counts[open_] = frames, held
     if np.any(counts < target):
         raise RuntimeError("axis completion failed to reach the requested rank")
     return rows
 
 
 def _pca_vectors_batch(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    # _pca_vectors for a stack of equal-size point sets: (k, n, d) in,
-    # vectors (k, m, d) and centroids (k, d) out, equal to _pca_vectors bit
-    # for bit set by set. Each product keeps the shape it has there (a
-    # matrix-vector lift, a dot-product norm), so BLAS runs the same kernel.
-    # Rank deficiency is a mask instead of a per-set break: eigenvalues are
-    # sorted, so the directions that pass the tolerance come first.
+    # Unvalidated PCA of a stack of equal-size point sets: (k, n, d) in,
+    # vectors (k, m, d) and centroids (k, d) out. Sets with n <= d go through
+    # the (n, n) Gram matrix, whose eigenvectors lift to directions via
+    # X^T u / sqrt(lambda). Every set gets the bits it gets in a stack of
+    # one: each product keeps its per-set shape (a matrix-vector lift, a
+    # dot-product norm), so BLAS runs the same kernel. Rank deficiency is a
+    # mask instead of a per-set break: eigenvalues are sorted, so the
+    # directions that pass the tolerance come first.
     pts = np.asarray(points, dtype=np.float64)
     n_sets, n, dim = pts.shape
     centroid = pts.mean(axis=1)
@@ -219,74 +188,59 @@ def pca_top_m(points: np.ndarray, n_components: int) -> tuple[OrthonormalBasis, 
     dim = pts.shape[1]
     if not 1 <= n_components <= dim:
         raise ValueError(f"n_components={n_components} out of range for ambient dim {dim}")
-    vectors, centroid = _pca_vectors(pts, n_components)
-    return OrthonormalBasis(_fix_signs(vectors)), centroid
+    vectors, centroid = _pca_vectors_batch(pts[None], n_components)
+    return OrthonormalBasis(_fix_signs(vectors[0])), centroid[0]
 
 
-def decompose(diff: np.ndarray, basis: OrthonormalBasis) -> tuple[float, float]:
-    """Split a difference vector into in-plane and orthogonal magnitudes.
+def plane_split(diffs: np.ndarray, frames: np.ndarray):
+    """Split difference vectors into in-plane and orthogonal parts.
 
     Args:
-        diff: (d,) vector, typically x - centroid or x - proxy.
-        basis: frame spanning the plane.
+        diffs: (..., n, d) difference vectors, typically x - centroid or
+            x - proxy.
+        frames: (..., m, d) orthonormal frames, one per leading index.
 
     Returns:
-        (in_plane, orthogonal): norms of the projection onto the plane and of
-        the residual. Their squares sum to |diff|^2.
+        (coords, in_plane, residual, in_plane_norm, residual_norm) of shapes
+        (..., n, m), (..., n, d), (..., n, d), (..., n) and (..., n). The
+        two norms' squares sum to |diff|^2.
     """
-    diff = np.asarray(diff, dtype=np.float64)
-    if diff.shape != (basis.ambient_dim,):
-        raise ValueError(f"vector shape {diff.shape} does not match ambient dim {basis.ambient_dim}")
-    coords = basis.vectors @ diff
-    in_plane = float(np.linalg.norm(coords))
-    resid = diff - basis.vectors.T @ coords
-    orthogonal = float(np.linalg.norm(resid))
-    return in_plane, orthogonal
+    if diffs.shape[-1] != frames.shape[-1]:
+        raise ValueError(f"diffs {diffs.shape} do not match ambient dim {frames.shape[-1]}")
+    coords = np.matmul(diffs, np.swapaxes(frames, -1, -2))
+    in_plane = np.matmul(coords, frames)
+    residual = diffs - in_plane
+    in_norm, out_norm = np.linalg.norm(coords, axis=-1), np.linalg.norm(residual, axis=-1)
+    return coords, in_plane, residual, in_norm, out_norm
 
 
-def decompose_batch(diffs: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise decompose: (n, d) against a raw (m, d) frame.
+def reorthonormalize(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Restore a (k, m, d) stack of drifted frames to exact orthonormality.
 
-    Returns (in_plane, orthogonal) arrays of shape (n,).
-    """
-    diffs = np.asarray(diffs, dtype=np.float64)
-    coords = diffs @ vectors.T
-    in_plane = np.linalg.norm(coords, axis=1)
-    resid = diffs - coords @ vectors
-    orthogonal = np.linalg.norm(resid, axis=1)
-    return in_plane, orthogonal
-
-
-def reorthonormalize(vectors: np.ndarray) -> tuple[OrthonormalBasis, bool]:
-    """Restore a drifted frame to exact orthonormality.
-
-    Runs modified Gram-Schmidt over the rows in order, preserving the span
-    and orientation of well-conditioned input. Rows that collapse below the
-    independence tolerance (1e-10, relative to their norm) are dropped and
-    replaced through deterministic axis completion.
+    Runs modified Gram-Schmidt over each frame's rows in order, preserving
+    the span and orientation of well-conditioned input. Rows that collapse
+    below the independence tolerance (1e-10, relative to their norm) are
+    dropped and replaced through deterministic axis completion.
 
     Returns:
-        (basis, completed): the cleaned frame and whether any replacement
-        happened. Already-orthonormal input is returned unchanged to within
-        1e-12.
+        (frames, completed): the cleaned (k, m, d) frames and a (k,) mask of
+        the frames where any replacement happened. Already-orthonormal input
+        is returned unchanged to within 1e-12.
     """
-    vecs = np.array(vectors, dtype=np.float64, copy=True)
-    if vecs.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {vecs.shape}")
-    target, dim = vecs.shape
+    vecs = np.asarray(frames, dtype=np.float64)
+    if vecs.ndim != 3:
+        raise ValueError(f"expected a (k, m, d) stack of frames, got shape {vecs.shape}")
+    n_frames, target, dim = vecs.shape
     if target > dim:
         raise ValueError(f"cannot orthonormalize {target} vectors in dimension {dim}")
-    kept: list[np.ndarray] = []
-    completed = False
-    for row in vecs:
-        scale = max(float(np.linalg.norm(row)), 1.0)
-        for r in kept:
-            row = row - (r @ row) * r
-        norm = float(np.linalg.norm(row))
-        if norm <= INDEPENDENCE_TOL * scale:
-            completed = True
-            continue
-        kept.append(row / norm)
-    if completed:
-        kept = _complete_with_axes(kept, dim, target)
-    return OrthonormalBasis(np.vstack(kept)), completed
+    out = np.zeros(vecs.shape)
+    counts = np.zeros(n_frames, dtype=np.int64)
+    for i in range(target):
+        row = vecs[:, i]
+        scale = np.maximum(np.sqrt(_dots(row, row)), 1.0)
+        _gram_schmidt_step(out, counts, row, INDEPENDENCE_TOL * scale)
+    completed = counts < target
+    if np.any(completed):
+        out[completed] = _complete_with_axes_batch(out[completed], counts[completed])
+    check_frames(out)
+    return out, completed

@@ -98,8 +98,7 @@ def reconstruction_quality(
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     diffs = pts - np.expand_dims(centroid, -2)
     base = np.linalg.norm(diffs, axis=-1)
-    coords = np.matmul(diffs, np.swapaxes(vectors, -1, -2))
-    orth = np.linalg.norm(diffs - np.matmul(coords, vectors), axis=-1)
+    *_, orth = linalg.plane_split(diffs, vectors)
     quality = np.ones(base.shape)
     nz = base > 0.0
     quality[nz] = 1.0 - orth[nz] / base[nz]
@@ -166,8 +165,7 @@ def _batched_accepts(
 ) -> np.ndarray:
     # Accept test for many trial sets of equal size at once, trial being
     # (n_sets, size) indices. Every set, in the Gram case, the scatter case
-    # and rank deficient, is decided with the arithmetic of
-    # linalg._pca_vectors plus reconstruction_quality run on it alone.
+    # and rank deficient, gets the bits a stack holding it alone would give.
     points = embeddings[trial]
     vectors, centroid = linalg._pca_vectors_batch(points, n_components)
     quality = reconstruction_quality(points, vectors, centroid)
@@ -275,9 +273,6 @@ class ProxySet:
     def n_proxies(self) -> int:
         return self.locations.shape[0]
 
-    def frame_basis(self, j: int) -> OrthonormalBasis:
-        return OrthonormalBasis(self.frames[j])
-
     def renormalize_locations(self) -> None:
         """Project locations back to the unit sphere, skipping clean rows."""
         norms = np.linalg.norm(self.locations, axis=1)
@@ -289,21 +284,17 @@ class ProxySet:
 
     def reorthonormalize_frames(self) -> None:
         """Restore frame orthonormality, skipping frames still within tolerance."""
-        for j in range(self.n_proxies):
-            frame = self.frames[j]
-            gram = frame @ frame.T
-            if np.max(np.abs(gram - np.eye(frame.shape[0]))) <= FRAME_DRIFT_TOL:
-                continue
-            basis, _ = linalg.reorthonormalize(frame)
-            self.frames[j] = basis.vectors
+        # A non-finite frame counts as drifted, so the repair reports it.
+        drifted = ~(np.max(linalg.frame_drift(self.frames), axis=(1, 2)) <= FRAME_DRIFT_TOL)
+        if np.any(drifted):
+            self.frames[drifted], _ = linalg.reorthonormalize(self.frames[drifted])
 
     def validate(self) -> None:
         """Assert the maintained invariants; used by tests and checkpoints."""
         norms = np.linalg.norm(self.locations, axis=1)
         if np.max(np.abs(norms - 1.0)) > linalg.UNIT_NORM_TOL:
             raise ValueError("proxy locations are not unit norm")
-        for j in range(self.n_proxies):
-            self.frame_basis(j)
+        linalg.check_frames(self.frames)
 
     def copy(self) -> "ProxySet":
         return ProxySet(self.locations.copy(), self.frames.copy())

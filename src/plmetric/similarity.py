@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import OrthonormalBasis, decompose_batch
+from . import linalg
 from .manifold import LinearNeighborhood, ProxySet
 
 
@@ -65,48 +65,6 @@ def inplane_decay(distance, exponent: float):
     return float(out) if out.ndim == 0 else out
 
 
-def directed_similarity(
-    x_embed: np.ndarray,
-    target_embed: np.ndarray,
-    target_basis: OrthonormalBasis,
-    config: SimilarityConfig,
-) -> float:
-    """Similarity of x as seen from the target's plane.
-
-    Decomposes x - target on the target's frame and multiplies the two decay
-    factors. Equal points give exactly 1. The continuous form only; binary
-    ablation is resolved by the callers that know membership.
-    """
-    diff = np.asarray(x_embed, dtype=np.float64) - np.asarray(target_embed, dtype=np.float64)
-    p, o = decompose_batch(diff[None, :], target_basis.vectors)
-    return float(
-        orthogonal_decay(o[0], config.orth_exponent)
-        * inplane_decay(p[0], config.inplane_exponent)
-    )
-
-
-def symmetric_similarity(
-    i: int,
-    j: int,
-    embeddings: np.ndarray,
-    neighborhoods: Sequence[LinearNeighborhood],
-    config: SimilarityConfig,
-) -> float:
-    """Average of the two directed similarities between points i and j.
-
-    With the binary ablation, each direction is the membership indicator
-    (is i inside j's neighborhood set), so the average lands in {0, 0.5, 1}.
-    """
-    if config.binary:
-        fwd = float(i in neighborhoods[j].member_indices)
-        rev = float(j in neighborhoods[i].member_indices)
-        return (fwd + rev) / 2.0
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    fwd = directed_similarity(embeddings[i], embeddings[j], neighborhoods[j].basis, config)
-    rev = directed_similarity(embeddings[j], embeddings[i], neighborhoods[i].basis, config)
-    return (fwd + rev) / 2.0
-
-
 def pairwise_similarity_matrix(
     embeddings: np.ndarray,
     neighborhoods: Sequence[LinearNeighborhood],
@@ -117,19 +75,14 @@ def pairwise_similarity_matrix(
     n = embeddings.shape[0]
     if len(neighborhoods) != n:
         raise ValueError("need one neighborhood per embedding row")
-    directed = np.empty((n, n))
+    directed = np.zeros((n, n))
     if config.binary:
         for j, nbhd in enumerate(neighborhoods):
-            member = np.zeros(n)
-            member[nbhd.member_indices] = 1.0
-            directed[:, j] = member
+            directed[nbhd.member_indices, j] = 1.0
     else:
         for j, nbhd in enumerate(neighborhoods):
             diffs = embeddings - embeddings[j]
-            p, o = decompose_batch(diffs, nbhd.basis.vectors)
-            directed[:, j] = orthogonal_decay(o, config.orth_exponent) * inplane_decay(
-                p, config.inplane_exponent
-            )
+            directed[:, j] = _directed(diffs, nbhd.basis.vectors, config, False, False)[0]
     return (directed + directed.T) / 2.0
 
 
@@ -160,21 +113,38 @@ class ProxySimilarities:
     d_frames: np.ndarray | None = None
 
 
-def _decay_pair(p: np.ndarray, o: np.ndarray, config: SimilarityConfig):
-    # Returns the two factors and their derivatives w.r.t. their distances.
-    a = (1.0 + o / 2.0) ** (-config.orth_exponent)
-    b = (1.0 + p) ** (-config.inplane_exponent)
-    da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)
-    db = -config.inplane_exponent * (1.0 + p) ** (-config.inplane_exponent - 1.0)
-    return a, b, da, db
-
-
 def _inv_or_zero(values: np.ndarray) -> np.ndarray:
     # 1/x with the subgradient-zero convention at x == 0.
     out = np.zeros_like(values)
     nz = values > 0.0
     out[nz] = 1.0 / values[nz]
     return out
+
+
+def _directed(
+    diffs: np.ndarray, frame: np.ndarray, config: SimilarityConfig, grads: bool, frame_grads: bool
+):
+    # Directed similarities of (n, d) differences seen from one (m, d)
+    # frame; with grads also d s / d diff (n, d) and, with frame_grads,
+    # d s / d frame (n, m, d). The parts not asked for are None.
+    coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
+    a = (1.0 + o / 2.0) ** (-config.orth_exponent)
+    b = (1.0 + p) ** (-config.inplane_exponent)
+    if not grads:
+        return a * b, None, None
+    da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)
+    db = -config.inplane_exponent * (1.0 + p) ** (-config.inplane_exponent - 1.0)
+    w_orth = da * b * _inv_or_zero(o)
+    w_plane = a * db * _inv_or_zero(p)
+    ds_ddiff = w_orth[:, None] * ovec + w_plane[:, None] * inplane_vec
+    if not frame_grads:
+        return a * b, ds_ddiff, None
+    # d s / d psi_k splits across the two decay factors: the in-plane
+    # distance varies along the full difference vector, the orthogonal
+    # distance only along the off-plane residual.
+    plane_part = np.einsum("nk,nd->nkd", coords * w_plane[:, None], diffs)
+    orth_part = np.einsum("nk,nd->nkd", coords * w_orth[:, None], ovec)
+    return a * b, ds_ddiff, plane_part - orth_part
 
 
 def proxy_similarity_batch(
@@ -208,56 +178,30 @@ def proxy_similarity_batch(
             f"point_bases shape {point_bases.shape} does not match "
             f"({n}, {plane_dim}, {dim})"
         )
+    d_loc = np.zeros((n, n_prox, dim)) if with_grads else None
+    d_frames = np.zeros((n, n_prox, plane_dim, dim)) if with_grads else None
     if config.binary:
         values = np.zeros((n, n_prox))
         values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
-        if with_grads:
-            return ProxySimilarities(
-                values, np.zeros((n, n_prox, dim)), np.zeros((n, n_prox, plane_dim, dim))
-            )
-        return ProxySimilarities(values)
+        return ProxySimilarities(values, d_loc, d_frames)
 
     values = np.empty((n, n_prox))
-    d_loc = np.zeros((n, n_prox, dim)) if with_grads else None
-    d_frames = np.zeros((n, n_prox, plane_dim, dim)) if with_grads else None
 
     # Forward direction: each proxy's plane sees the whole batch at once.
     for j in range(n_prox):
-        frame = proxies.frames[j]
-        diffs = embeddings - proxies.locations[j]
-        coords = diffs @ frame.T
-        inplane_vec = coords @ frame
-        p = np.linalg.norm(coords, axis=1)
-        ovec = diffs - inplane_vec
-        o = np.linalg.norm(ovec, axis=1)
-        a, b, da, db = _decay_pair(p, o, config)
-        values[:, j] = a * b
+        values[:, j], ds_ddiff, d_frame = _directed(
+            embeddings - proxies.locations[j], proxies.frames[j], config, with_grads, True
+        )
         if with_grads:
-            inv_o = _inv_or_zero(o)
-            inv_p = _inv_or_zero(p)
-            ds_ddiff = (da * b * inv_o)[:, None] * ovec + (a * db * inv_p)[:, None] * inplane_vec
             d_loc[:, j, :] -= 0.5 * ds_ddiff
-            # d s / d psi_k splits across the two decay factors: the in-plane
-            # distance varies along the full difference vector, the orthogonal
-            # distance only along the off-plane residual.
-            plane_part = np.einsum("nk,nd->nkd", coords * (a * db * inv_p)[:, None], diffs)
-            orth_part = np.einsum("nk,nd->nkd", coords * (da * b * inv_o)[:, None], ovec)
-            d_frames[:, j, :, :] += 0.5 * (plane_part - orth_part)
+            d_frames[:, j, :, :] += 0.5 * d_frame
 
     # Reverse direction: each point's neighborhood plane sees all proxies.
     for i in range(n):
-        frame = point_bases[i]
-        diffs = proxies.locations - embeddings[i]
-        coords = diffs @ frame.T
-        inplane_vec = coords @ frame
-        p = np.linalg.norm(coords, axis=1)
-        ovec = diffs - inplane_vec
-        o = np.linalg.norm(ovec, axis=1)
-        a, b, da, db = _decay_pair(p, o, config)
-        values[i, :] = (values[i, :] + a * b) / 2.0
+        value, ds_ddiff, _ = _directed(
+            proxies.locations - embeddings[i], point_bases[i], config, with_grads, False
+        )
+        values[i, :] = (values[i, :] + value) / 2.0
         if with_grads:
-            inv_o = _inv_or_zero(o)
-            inv_p = _inv_or_zero(p)
-            ds_ddiff = (da * b * inv_o)[:, None] * ovec + (a * db * inv_p)[:, None] * inplane_vec
             d_loc[i, :, :] += 0.5 * ds_ddiff
     return ProxySimilarities(values, d_loc, d_frames)

@@ -10,7 +10,9 @@ from the proxy and neighborhood losses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -115,6 +117,15 @@ class TrainConfig:
         if self.sampler.batch_size <= self.manifold.pool_size:
             raise ValueError("batch_size must exceed the neighborhood pool_size")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+
+
+# The nested config class of each TrainConfig section; checkpoints and the
+# CLI's flat RunConfig both read it.
+CONFIG_SECTIONS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(TrainConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+}
 
 
 @dataclass(frozen=True)
@@ -299,10 +310,8 @@ def sample_batch(
     if group > 1 and neighbor_pools.shape[1] < group - 1:
         raise ValueError("neighbor pools are narrower than the group size")
     seeds = rng.choice(n, size=config.n_seeds, replace=False)
-    parts = []
-    for seed in seeds:
-        parts.append([int(seed)] + [int(v) for v in neighbor_pools[seed, : group - 1]])
-    return np.asarray([i for part in parts for i in part], dtype=np.int64)
+    groups = np.concatenate([seeds[:, None], neighbor_pools[seeds, : group - 1]], axis=1)
+    return groups.ravel().astype(np.int64)
 
 
 @dataclass
@@ -502,45 +511,43 @@ class Trainer:
 # -- checkpoint serialization ---------------------------------------------
 
 
-def _config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
+def config_from_dict(raw: dict) -> TrainConfig:
+    """Build a TrainConfig from its ``asdict`` form, one table per section.
 
+    Raises ValueError when a table lacks a field or holds one that the
+    config does not have, besides what the configs' own checks raise.
+    """
 
-def _config_from_dict(raw: dict) -> TrainConfig:
-    return TrainConfig(
-        manifold=ManifoldConfig(**raw["manifold"]),
-        similarity=SimilarityConfig(**raw["similarity"]),
-        sampler=SamplerConfig(**raw["sampler"]),
-        loss=LossConfig(**raw["loss"]),
-        hidden_sizes=tuple(raw["hidden_sizes"]),
-        embed_dim=raw["embed_dim"],
-        init_gain=raw["init_gain"],
-        momentum=raw["momentum"],
-        lr=raw["lr"],
-        proxy_lr_scale=raw["proxy_lr_scale"],
-        n_proxies=raw["n_proxies"],
-        epochs=raw["epochs"],
-        seed=raw["seed"],
-    )
+    def build(cls, values, where=""):
+        if not isinstance(values, dict):
+            raise ValueError(f"config{where} is not a table")
+        names = {f.name for f in dataclasses.fields(cls)}
+        if set(values) != names:
+            raise ValueError(
+                f"config{where}: unknown fields {sorted(set(values) - names)}, "
+                f"missing fields {sorted(names - set(values))}"
+            )
+        if cls is TrainConfig:
+            nested = {s: build(sub, values[s], f".{s}") for s, sub in CONFIG_SECTIONS.items()}
+            values = {**values, **nested}
+        return cls(**values)
+
+    return build(TrainConfig, raw)
 
 
 def _tensor_entries(trainer: Trainer) -> list[tuple[str, np.ndarray]]:
-    entries: list[tuple[str, np.ndarray]] = []
-    for idx, tensor in enumerate(trainer.pair.trained.tensors()):
-        entries.append((f"trained.{idx}", tensor))
-    for idx, tensor in enumerate(trainer.pair.averaged.tensors()):
-        entries.append((f"averaged.{idx}", tensor))
-    for idx, tensor in enumerate(trainer.adam_encoder.m):
-        entries.append((f"adam_encoder.m.{idx}", tensor))
-    for idx, tensor in enumerate(trainer.adam_encoder.v):
-        entries.append((f"adam_encoder.v.{idx}", tensor))
-    entries.append(("proxies.locations", trainer.proxies.locations))
-    entries.append(("proxies.frames", trainer.proxies.frames))
-    for idx, tensor in enumerate(trainer.adam_proxies.m):
-        entries.append((f"adam_proxies.m.{idx}", tensor))
-    for idx, tensor in enumerate(trainer.adam_proxies.v):
-        entries.append((f"adam_proxies.v.{idx}", tensor))
-    return entries
+    # Every saved tensor with its name, in file order.
+    proxies = {"locations": trainer.proxies.locations, "frames": trainer.proxies.frames}
+    groups = [
+        ("trained", enumerate(trainer.pair.trained.tensors())),
+        ("averaged", enumerate(trainer.pair.averaged.tensors())),
+        ("adam_encoder.m", enumerate(trainer.adam_encoder.m)),
+        ("adam_encoder.v", enumerate(trainer.adam_encoder.v)),
+        ("proxies", proxies.items()),
+        ("adam_proxies.m", enumerate(trainer.adam_proxies.m)),
+        ("adam_proxies.v", enumerate(trainer.adam_proxies.v)),
+    ]
+    return [(f"{prefix}.{key}", tensor) for prefix, items in groups for key, tensor in items]
 
 
 def save_checkpoint(trainer: Trainer, path: str | Path) -> None:
@@ -554,7 +561,7 @@ def save_checkpoint(trainer: Trainer, path: str | Path) -> None:
         "version": CHECKPOINT_VERSION,
         "epoch": trainer.epoch,
         "global_step": trainer.global_step,
-        "config": _config_to_dict(trainer.config),
+        "config": asdict(trainer.config),
         "adam_encoder_steps": trainer.adam_encoder.step_count,
         "adam_proxies_steps": trainer.adam_proxies.step_count,
         "rng_sampler": trainer.rng_sampler.bit_generator.state,
@@ -571,8 +578,21 @@ def save_checkpoint(trainer: Trainer, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
+# The keys save_checkpoint writes; a manifest lacking one is malformed.
+_MANIFEST_KEYS = (
+    "version", "epoch", "global_step", "config", "adam_encoder_steps",
+    "adam_proxies_steps", "rng_sampler", "rng_augment", "history", "tensors",
+)
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
-    """Read a checkpoint into (manifest, {tensor name: float64 array})."""
+    """Read a checkpoint into (manifest, {tensor name: float64 array}).
+
+    Raises CheckpointFormatError for a file that is not a well-formed
+    checkpoint: bad header, truncated or trailing bytes, a manifest missing
+    a required key, a tensor entry without a name or a list of
+    non-negative int dimensions, or a config that config_from_dict rejects.
+    """
     blob = Path(path).read_bytes()
     header = 4 + struct.calcsize("<HQ")
     if len(blob) < header or blob[:4] != CHECKPOINT_MAGIC:
@@ -582,12 +602,34 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
     if len(blob) < header + manifest_len:
         raise CheckpointFormatError(f"{path}: truncated manifest")
-    manifest = json.loads(blob[header : header + manifest_len].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[header : header + manifest_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointFormatError(f"{path}: manifest is not a table")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointFormatError(f"{path}: manifest is missing {', '.join(missing)}")
+    try:
+        config_from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad config: {exc}") from None
+    if not isinstance(manifest["tensors"], list):
+        raise CheckpointFormatError(f"{path}: manifest tensors is not a list")
     offset = header + manifest_len
     tensors = {}
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+        # {"name": str, "shape": [non-negative ints]}, as save_checkpoint writes.
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if (
+            not isinstance(shape, list)
+            or not all(type(v) is int and v >= 0 for v in shape)
+            or not isinstance(entry.get("name"), str)
+        ):
+            raise CheckpointFormatError(f"{path}: bad tensor entry {entry!r}")
+        shape = tuple(shape)
+        size = math.prod(shape)
         nbytes = size * 8
         if len(blob) < offset + nbytes:
             raise CheckpointFormatError(f"{path}: truncated tensor {entry['name']}")
@@ -624,7 +666,7 @@ def _restore_rng(state: dict) -> np.random.Generator:
 def trainer_from_checkpoint(path: str | Path, dataset: FeatureDataset) -> Trainer:
     """Rebuild a Trainer mid-run; resuming continues the exact step stream."""
     manifest, tensors = load_checkpoint(path)
-    config = _config_from_dict(manifest["config"])
+    config = config_from_dict(manifest["config"])
     trained = _params_from_tensors("trained", tensors)
     averaged = _params_from_tensors("averaged", tensors)
     if trained.layer_sizes[0] != dataset.dim:

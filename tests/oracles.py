@@ -3,6 +3,12 @@
 Everything here is deliberately written from first principles (cyclic Jacobi
 sweeps, central finite differences, two-pass correlation) so that the library
 under test and the check never share a code path.
+
+The module also keeps the per-set reference routes of the library's stacked
+primitives: PCA of one point set, axis completion of one frame, Gram-Schmidt
+of one frame, the in-plane/orthogonal split of one vector, and the directed
+and symmetric similarities of one pair. The stacked routes in the library
+must equal the first three bit for bit, set by set.
 """
 
 from __future__ import annotations
@@ -124,6 +130,115 @@ def greedy_plane_scan(
         if np.all(quals >= threshold_pct / 100.0):
             members = trial
     return members
+
+
+def complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:
+    """Extend an orthonormal list of rows to ``target`` rows with standard axes.
+
+    Axes are tried in ascending index order; each is orthogonalized against
+    the rows held so far and kept when more than 1e-6 of it remains.
+    """
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    for axis in range(dim):
+        if len(rows) >= target:
+            break
+        cand = np.zeros(dim)
+        cand[axis] = 1.0
+        for r in rows:
+            cand = cand - (r @ cand) * r
+        norm = np.linalg.norm(cand)
+        if norm > 1e-6:
+            rows.append(cand / norm)
+    if len(rows) < target:
+        raise RuntimeError("axis completion failed to reach the requested rank")
+    return rows
+
+
+def pca_vectors(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-set PCA: (vectors (m, d), centroid (d,)) of one (n, d) point set.
+
+    Sets with n <= d use the (n, n) Gram matrix and lift its eigenvectors
+    with X^T u / sqrt(lambda). Directions stop at the first eigenvalue at or
+    below max(n, d) * eps * lambda_max; the rest come from axis completion.
+    Signs are left as the eigensolver returns them.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n, dim = pts.shape
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    if n <= dim:
+        evals, evecs = np.linalg.eigh(centered @ centered.T)
+    else:
+        evals, evecs = np.linalg.eigh(centered.T @ centered)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    top = float(evals[0]) if evals.size else 0.0
+    rank_tol = max(n, dim) * np.finfo(np.float64).eps * max(top, 0.0)
+    kept: list[np.ndarray] = []
+    for i in range(min(n_components, evals.size)):
+        if evals[i] <= rank_tol or evals[i] <= 0.0:
+            break
+        if n <= dim:
+            direction = centered.T @ evecs[:, i] / np.sqrt(evals[i])
+        else:
+            direction = evecs[:, i]
+        kept.append(direction / np.linalg.norm(direction))
+    return np.vstack(complete_with_axes(kept, dim, n_components)), centroid
+
+
+def reorthonormalize_frame(vectors: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Modified Gram-Schmidt of one (m, d) frame, row by row in order.
+
+    A row whose remaining norm is at most 1e-10 times max(its norm, 1) is
+    dropped; dropped rows are replaced by axis completion. Returns the frame
+    and whether any row was replaced.
+    """
+    vecs = np.array(vectors, dtype=np.float64)
+    target, dim = vecs.shape
+    kept: list[np.ndarray] = []
+    completed = False
+    for row in vecs:
+        scale = max(float(np.linalg.norm(row)), 1.0)
+        for r in kept:
+            row = row - (r @ row) * r
+        norm = float(np.linalg.norm(row))
+        if norm <= 1e-10 * scale:
+            completed = True
+            continue
+        kept.append(row / norm)
+    if completed:
+        kept = complete_with_axes(kept, dim, target)
+    return np.vstack(kept), completed
+
+
+def decompose(diff: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:
+    """(in-plane, orthogonal) norms of one (d,) vector against an (m, d) frame."""
+    diff = np.asarray(diff, dtype=np.float64)
+    coords = [float(np.sum(v * diff)) for v in vectors]
+    in_plane = float(np.sqrt(sum(c * c for c in coords)))
+    resid = diff - sum(c * v for c, v in zip(coords, vectors))
+    return in_plane, float(np.sqrt(np.sum(resid * resid)))
+
+
+def directed_similarity(x: np.ndarray, target: np.ndarray, vectors: np.ndarray, config) -> float:
+    """Similarity of x seen from the target's plane spanned by ``vectors``:
+    (1 + o/2) ** -orth_exponent * (1 + p) ** -inplane_exponent."""
+    p, o = decompose(np.asarray(x, dtype=np.float64) - target, vectors)
+    return (1.0 + o / 2.0) ** (-config.orth_exponent) * (1.0 + p) ** (-config.inplane_exponent)
+
+
+def symmetric_similarity(i: int, j: int, embeddings: np.ndarray, neighborhoods, config) -> float:
+    """Mean of the two directed similarities of points i and j, each seen
+    from the other's neighborhood plane; membership indicators in binary mode."""
+    if config.binary:
+        fwd = float(i in neighborhoods[j].member_indices)
+        rev = float(j in neighborhoods[i].member_indices)
+        return (fwd + rev) / 2.0
+    e = np.asarray(embeddings, dtype=np.float64)
+    fwd = directed_similarity(e[i], e[j], neighborhoods[j].basis.vectors, config)
+    rev = directed_similarity(e[j], e[i], neighborhoods[i].basis.vectors, config)
+    return (fwd + rev) / 2.0
 
 
 def central_difference_gradient(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import struct
 import sys
 
 import numpy as np
@@ -189,6 +190,22 @@ class TestEval:
         assert code == 1
         assert "skipped" in captured.out
         assert "recall requires labels" in captured.err
+
+    def test_malformed_manifest_is_a_one_line_user_error(self, tmp_path, capsys, monkeypatch):
+        # A valid header whose manifest lacks every required key but one.
+        # The BLAS thread cap is set so stderr holds nothing but the error.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        dataset_path = _gen(tmp_path)
+        manifest = json.dumps({"version": 1}).encode("utf-8")
+        ckpt = tmp_path / "hollow.plck"
+        ckpt.write_bytes(b"PLCK" + struct.pack("<HQ", 1, len(manifest)) + manifest)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--dataset", dataset_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot load checkpoint:")
+        assert "manifest is missing" in err
+        assert err.count("\n") == 1
 
     def test_missing_checkpoint_is_user_error(self, tmp_path, capsys):
         dataset_path = _gen(tmp_path)

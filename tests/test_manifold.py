@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from plmetric import linalg, manifold
 from plmetric.manifold import LinearNeighborhood, ManifoldConfig, ProxySet
 
+import oracles
 from oracles import greedy_plane_scan, reconstruction_qualities
 
 # Trial sets whose worst member lands this close to the threshold are decided
@@ -22,16 +23,17 @@ def make_planted_fixture(seed: int, n_plane: int = 8, n_off: int = 4, dim: int =
     sorted by true distance from the anchor, mixing both kinds of points.
     """
     rng = np.random.default_rng(seed)
-    frame, _ = linalg.reorthonormalize(rng.standard_normal((2, dim)))
+    frames, _ = linalg.reorthonormalize(rng.standard_normal((1, 2, dim)))
+    frame = frames[0]
     base = rng.standard_normal(dim)
     coords = rng.uniform(-1.0, 1.0, size=(n_plane, 2))
-    on_plane = base + coords @ frame.vectors
+    on_plane = base + coords @ frame
     off_coords = rng.uniform(-1.0, 1.0, size=(n_off, 2))
     heights = rng.uniform(0.5, 2.0, size=n_off)
     normal_dirs = rng.standard_normal((n_off, dim))
-    normal_dirs -= (normal_dirs @ frame.vectors.T) @ frame.vectors
+    normal_dirs -= (normal_dirs @ frame.T) @ frame
     normal_dirs /= np.linalg.norm(normal_dirs, axis=1, keepdims=True)
-    off_plane = base + off_coords @ frame.vectors + heights[:, None] * normal_dirs
+    off_plane = base + off_coords @ frame + heights[:, None] * normal_dirs
     points = np.vstack([on_plane, off_plane])
     anchor = 0
     dists = np.linalg.norm(points - points[anchor], axis=1)
@@ -71,7 +73,7 @@ class TestReconstructionQuality:
         rng = np.random.default_rng(13)
         for _ in range(10):
             pts = rng.standard_normal((9, 5))
-            vectors, centroid = linalg._pca_vectors(pts, 2)
+            vectors, centroid = oracles.pca_vectors(pts, 2)
             ours = manifold.reconstruction_quality(pts, vectors, centroid)
             np.testing.assert_allclose(ours, reconstruction_qualities(pts, 2), atol=1e-8)
 
@@ -285,11 +287,13 @@ class TestBatchedAccepts:
         return emb, trial, 2
 
     @pytest.mark.parametrize("case", ["gram", "duplicate", "collinear", "scatter"])
-    def test_matches_per_set_route_without_calling_it(self, case, monkeypatch):
+    def test_matches_per_set_route_without_calling_it(self, case):
+        # Expected decisions come from the per-set PCA of tests/oracles.py,
+        # which the library never calls.
         emb, trial, dim = self._batch(case)
         worst = []
         for row in trial:
-            vectors, centroid = linalg._pca_vectors(emb[row], dim)
+            vectors, centroid = oracles.pca_vectors(emb[row], dim)
             worst.append(np.min(manifold.reconstruction_quality(emb[row], vectors, centroid)))
         # A threshold equal to one set's worst quality: that set passes only
         # if its arithmetic is reproduced to the last bit.
@@ -299,11 +303,7 @@ class TestBatchedAccepts:
         if case in ("duplicate", "collinear"):
             ranks = [np.linalg.matrix_rank(emb[r] - emb[r].mean(axis=0)) for r in trial]
             assert min(ranks) < dim
-        calls = []
-        per_set = linalg._pca_vectors
-        monkeypatch.setattr(linalg, "_pca_vectors", lambda *a: calls.append(a) or per_set(*a))
         got = manifold._batched_accepts(emb, trial, dim, threshold)
-        assert calls == []
         np.testing.assert_array_equal(got, expected)
 
 
@@ -375,6 +375,25 @@ class TestProxies:
         proxies.frames += 1e-3 * rng.standard_normal(proxies.frames.shape)
         proxies.reorthonormalize_frames()
         proxies.validate()
+
+    def test_repairs_only_drifted_frames_as_the_per_frame_route(self):
+        pts, nbhds = self._setup()
+        proxies = manifold.init_proxies(pts, nbhds, 6, seed=2)
+        rng = np.random.default_rng(10)
+        proxies.frames[[1, 4]] += 1e-3 * rng.standard_normal((2, 2, 6))
+        proxies.frames[3, 1] = proxies.frames[3, 0]
+        before = proxies.frames.copy()
+        proxies.reorthonormalize_frames()
+        for j in range(6):
+            expected = oracles.reorthonormalize_frame(before[j])[0] if j in (1, 3, 4) else before[j]
+            assert np.array_equal(proxies.frames[j], expected)
+
+    def test_validate_rejects_a_skewed_frame(self):
+        pts, nbhds = self._setup()
+        proxies = manifold.init_proxies(pts, nbhds, 4, seed=2)
+        proxies.frames[2, 1] += 1e-6 * proxies.frames[2, 0]
+        with pytest.raises(ValueError, match="orthogonal"):
+            proxies.validate()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="frames"):

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from plmetric import linalg, manifold, similarity
+from plmetric import manifold, similarity
 from plmetric.manifold import ManifoldConfig, ProxySet
 from plmetric.similarity import SimilarityConfig
 
-from oracles import central_difference_gradient, relative_gradient_error
+from oracles import (
+    central_difference_gradient,
+    directed_similarity,
+    relative_gradient_error,
+    symmetric_similarity,
+)
 
 
 def _unit_rows(rng, n, d):
@@ -74,19 +79,17 @@ class TestSimilarityConfig:
 class TestPointSimilarity:
     def test_identical_points_have_similarity_one(self):
         pts, nbhds, _ = _embedded_scene(seed=2)
-        cfg = SimilarityConfig()
+        mat = similarity.pairwise_similarity_matrix(pts, nbhds, SimilarityConfig())
         for i in (0, 5, 11):
-            assert similarity.symmetric_similarity(i, i, pts, nbhds, cfg) == pytest.approx(1.0, abs=1e-12)
+            assert mat[i, i] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_is_exact(self):
         pts, nbhds, _ = _embedded_scene(seed=3, n=30)
-        cfg = SimilarityConfig()
+        mat = similarity.pairwise_similarity_matrix(pts, nbhds, SimilarityConfig())
         rng = np.random.default_rng(0)
         for _ in range(100):
             i, j = rng.integers(30, size=2)
-            s_ij = similarity.symmetric_similarity(int(i), int(j), pts, nbhds, cfg)
-            s_ji = similarity.symmetric_similarity(int(j), int(i), pts, nbhds, cfg)
-            assert abs(s_ij - s_ji) <= 1e-12
+            assert abs(mat[i, j] - mat[j, i]) <= 1e-12
 
     def test_values_in_unit_interval(self):
         pts, nbhds, _ = _embedded_scene(seed=4, n=25)
@@ -97,10 +100,13 @@ class TestPointSimilarity:
         pts, nbhds, _ = _embedded_scene(seed=5, n=15)
         cfg = SimilarityConfig()
         mat = similarity.pairwise_similarity_matrix(pts, nbhds, cfg)
+        binary = SimilarityConfig(binary=True)
+        mat_binary = similarity.pairwise_similarity_matrix(pts, nbhds, binary)
         for i in range(15):
             for j in range(15):
-                expected = similarity.symmetric_similarity(i, j, pts, nbhds, cfg)
+                expected = symmetric_similarity(i, j, pts, nbhds, cfg)
                 assert mat[i, j] == pytest.approx(expected, abs=1e-12)
+                assert mat_binary[i, j] == symmetric_similarity(i, j, pts, nbhds, binary)
 
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)
@@ -121,9 +127,8 @@ class TestPointSimilarity:
         near = nbhds[i].member_indices[1]
         dists = np.linalg.norm(pts - pts[i], axis=1)
         far = int(np.argmax(dists))
-        s_near = similarity.symmetric_similarity(i, int(near), pts, nbhds, cfg)
-        s_far = similarity.symmetric_similarity(i, far, pts, nbhds, cfg)
-        assert s_near > s_far
+        mat = similarity.pairwise_similarity_matrix(pts, nbhds, cfg)
+        assert mat[i, near] > mat[i, far]
 
 
 class TestProxySimilarities:
@@ -135,12 +140,8 @@ class TestProxySimilarities:
         assert out.d_loc is None
         for i in range(len(pts)):
             for j in range(proxies.n_proxies):
-                fwd = similarity.directed_similarity(
-                    pts[i], proxies.locations[j], proxies.frame_basis(j), cfg
-                )
-                rev = similarity.directed_similarity(
-                    proxies.locations[j], pts[i], nbhds[i].basis, cfg
-                )
+                fwd = directed_similarity(pts[i], proxies.locations[j], proxies.frames[j], cfg)
+                rev = directed_similarity(proxies.locations[j], pts[i], nbhds[i].basis.vectors, cfg)
                 assert out.values[i, j] == pytest.approx((fwd + rev) / 2.0, abs=1e-12)
 
     def test_location_partials_match_finite_differences(self):

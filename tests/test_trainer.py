@@ -1,5 +1,8 @@
 """Tests for losses, batch sampling, the training step, and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,21 @@ class TestSampleBatch:
         b = sample_batch(pools, cfg, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("batch_size, n_seeds", [(15, 3), (12, 12), (20, 4), (8, 1)])
+    def test_equals_seed_by_seed_construction(self, batch_size, n_seeds):
+        # Same draws and same indices as appending each seed and its
+        # group - 1 nearest neighbours in turn.
+        pools = manifold.neighbor_lists(np.random.default_rng(5).standard_normal((30, 3)), 7)
+        cfg = SamplerConfig(batch_size=batch_size, n_seeds=n_seeds)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = sample_batch(pools, cfg, rng)
+        expected = []
+        for seed in ref_rng.choice(30, size=n_seeds, replace=False):
+            expected += [int(seed)] + [int(v) for v in pools[seed, : cfg.group_size - 1]]
+        assert batch.dtype == np.int64
+        np.testing.assert_array_equal(batch, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_too_few_points_raises(self):
         pools = np.zeros((3, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="distinct seeds"):
@@ -382,3 +400,91 @@ class TestCheckpoints:
         other = _tiny_dataset(seed=8, d=5)
         with pytest.raises(ValueError, match="input dim"):
             trainer_from_checkpoint(path, other)
+
+    def test_config_with_every_field_off_default_round_trips(self, tmp_path):
+        cfg = TrainConfig(
+            manifold=ManifoldConfig(dim=2, quality_threshold=75.0, pool_size=5, knn_only=True),
+            similarity=SimilarityConfig(orth_exponent=3.0, inplane_exponent=0.25, binary=True),
+            sampler=SamplerConfig(batch_size=20, n_seeds=5, augment_sigma=0.01),
+            loss=LossConfig(
+                distance_scale=1.5,
+                point_weight=0.5,
+                proxy_weight=0.25,
+                neighborhood_weight=2.0,
+                stopgrad_similarity=True,
+            ),
+            hidden_sizes=(12, 8),
+            embed_dim=5,
+            init_gain=2.0,
+            momentum=0.9,
+            lr=2e-3,
+            proxy_lr_scale=7.0,
+            n_proxies=5,
+            epochs=3,
+            seed=17,
+        )
+        defaults = TrainConfig()
+        for name in ("manifold", "similarity", "sampler", "loss"):
+            for key, value in vars(getattr(cfg, name)).items():
+                assert value != getattr(getattr(defaults, name), key), (name, key)
+        for key, value in vars(cfg).items():
+            assert value != getattr(defaults, key), key
+        ds = _tiny_dataset(seed=9)
+        path = tmp_path / "off.plck"
+        save_checkpoint(Trainer.initialize(ds, cfg), path)
+        assert trainer_from_checkpoint(path, ds).config == cfg
+
+
+def _rewrite_manifest(path, edit) -> None:
+    # Apply ``edit`` to the manifest of a valid checkpoint file in place,
+    # keeping the header layout and the tensor payload.
+    blob = path.read_bytes()
+    header = 4 + struct.calcsize("<HQ")
+    version, length = struct.unpack_from("<HQ", blob, 4)
+    manifest = json.loads(blob[header : header + length])
+    edit(manifest)
+    text = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<HQ", version, len(text)) + text + blob[header + length :])
+
+
+def _set_shape(manifest, shape):
+    manifest["tensors"][0]["shape"] = shape
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("tensors"), "missing tensors"),
+            (lambda m: m.pop("config"), "missing config"),
+            (lambda m: m.pop("epoch"), "missing epoch"),
+            (lambda m: m.clear() or m.update(version=1), "missing epoch, global_step, config"),
+            (lambda m: _set_shape(m, [-1, 3]), "bad tensor entry"),
+            (lambda m: _set_shape(m, [2.0, 3]), "bad tensor entry"),
+            (lambda m: _set_shape(m, "2x3"), "bad tensor entry"),
+            (lambda m: m["tensors"][0].pop("name"), "bad tensor entry"),
+            (lambda m: m["tensors"].__setitem__(0, 7), "bad tensor entry"),
+            (lambda m: m.update(tensors={}), "tensors is not a list"),
+            (lambda m: m["config"].update(learning_rate=0.1), "unknown fields \\['learning_rate'\\]"),
+            (lambda m: m["config"]["loss"].update(gamma=2), "bad config: config.loss: unknown fields"),
+            (lambda m: m["config"]["manifold"].pop("dim"), "missing fields \\['dim'\\]"),
+            (lambda m: m["config"].update(sampler=[20, 4]), "config.sampler is not a table"),
+        ],
+    )
+    def test_rejected_with_format_error(self, tmp_path, edit, message):
+        ds = _tiny_dataset(seed=10)
+        path = tmp_path / "bad.plck"
+        save_checkpoint(Trainer.initialize(ds, _tiny_config()), path)
+        _rewrite_manifest(path, edit)
+        with pytest.raises(trainer.CheckpointFormatError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(trainer.CheckpointFormatError, match=message):
+            trainer_from_checkpoint(path, ds)
+
+    def test_rewritten_but_intact_manifest_still_loads(self, tmp_path):
+        ds = _tiny_dataset(seed=10)
+        path = tmp_path / "same.plck"
+        run = Trainer.initialize(ds, _tiny_config())
+        save_checkpoint(run, path)
+        _rewrite_manifest(path, lambda m: None)
+        assert trainer_from_checkpoint(path, ds).config == run.config
