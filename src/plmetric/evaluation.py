@@ -1,10 +1,14 @@
 """Retrieval and supervision-quality metrics plus the k-means baseline.
 
-All metrics are brute force and deterministic: exact nearest neighbors by
-full distance sort, label purity as the mean majority fraction over groups,
-and Pearson correlation between continuous similarities and the binary
-same-class indicator. The k-means baseline (Lloyd with k-means++ seeding)
-lives here so comparisons never depend on an external implementation.
+All metrics are exact and deterministic. Recall reads each query's nearest
+neighbors from manifold.neighbor_lists, a blocked exact top-k whose memory
+grows with n, not n^2. Label purity is the mean majority fraction over
+groups, and the similarity correlation is Pearson's between continuous
+similarities and the binary same-class indicator, over all pairs up to
+ALL_PAIRS_LIMIT points (read from the similarity matrix) and over a seeded
+sample of pairs beyond it (scored pair by pair, without the n x n matrix).
+The k-means baseline (Lloyd with k-means++ seeding) lives here so
+comparisons never depend on an external implementation.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .manifold import LinearNeighborhood, ManifoldConfig, fit_all_neighborhoods
-from .similarity import SimilarityConfig, pairwise_similarity_matrix
+from .manifold import LinearNeighborhood, ManifoldConfig, fit_all_neighborhoods, neighbor_lists
+from .similarity import SimilarityConfig, pair_similarities, pairwise_similarity_matrix
 
 # Above this many points, correlations switch from all pairs to a sample.
 ALL_PAIRS_LIMIT = 2000
@@ -37,8 +41,9 @@ def recall_at_k(
 ) -> dict[int, float]:
     """Percentage of queries with a same-class sample among their K nearest.
 
-    Exact Euclidean neighbors, query excluded from its own candidates, ties
-    broken toward the lower index. Returns {K: percentage}.
+    Exact Euclidean neighbors from manifold.neighbor_lists, query excluded
+    from its own candidates, ties broken toward the lower index. Returns
+    {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if labels is None:
@@ -50,11 +55,7 @@ def recall_at_k(
         raise ValueError("K values must be positive")
     if n < max(k_values) + 1:
         raise ValueError(f"need at least max(K)+1 = {max(k_values) + 1} points, got {n}")
-    dist = _pairwise_distances(embeddings, embeddings)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, : max(k_values)]
-    neighbor_labels = labels[order]
-    match = neighbor_labels == labels[:, None]
+    match = labels[neighbor_lists(embeddings, max(k_values))] == labels[:, None]
     out = {}
     for k in sorted(k_values):
         out[k] = float(np.mean(np.any(match[:, :k], axis=1)) * 100.0)
@@ -175,16 +176,19 @@ def sample_pairs(
     if n <= ALL_PAIRS_LIMIT:
         return np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
-    first = np.empty(0, dtype=np.int64)
-    second = np.empty(0, dtype=np.int64)
-    while first.size < PAIR_SAMPLE_SIZE:
-        draw = PAIR_SAMPLE_SIZE - first.size
-        i = rng.integers(n, size=draw + draw // 8 + 16)
+    firsts, seconds = [], []
+    missing = PAIR_SAMPLE_SIZE
+    while missing > 0:
+        i = rng.integers(n, size=missing + missing // 8 + 16)
         j = rng.integers(n, size=i.size)
         keep = i != j
-        first = np.concatenate([first, i[keep]])
-        second = np.concatenate([second, j[keep]])
-    return first[:PAIR_SAMPLE_SIZE], second[:PAIR_SAMPLE_SIZE]
+        # One side at a time, so one draw is freed before the other is copied.
+        i = i[keep][:missing]
+        j = j[keep][:missing]
+        firsts.append(i)
+        seconds.append(j)
+        missing -= i.size
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray) -> float:
@@ -267,16 +271,29 @@ def evaluate_embeddings(
     km_groups = [np.flatnonzero(km.assignments == c) for c in range(len(classes))]
     km_purity = group_purity(km_groups, labels)
     first, second = sample_pairs(n, seed)
-    sims = pairwise_similarity_matrix(embeddings, neighborhoods, similarity_config)
-    ours_values = sims[first, second]
-    same_class = (labels[first] == labels[second]).astype(np.float64)
-    same_cluster = (km.assignments[first] == km.assignments[second]).astype(np.float64)
+    same_class = labels[first] == labels[second]
+    same_cluster = km.assignments[first] == km.assignments[second]
+    if n > ALL_PAIRS_LIMIT:
+        ours_values = pair_similarities(
+            embeddings, neighborhoods, similarity_config, first, second
+        )
+    else:
+        sims = pairwise_similarity_matrix(embeddings, neighborhoods, similarity_config)
+        ours_values = sims[first, second]
+        del sims
+    # Each correlation holds five pair-length arrays at its peak; with
+    # anything else that large alive, memory would pass one n x n matrix at
+    # the smallest n that samples pairs.
+    del first, second, neighborhoods
+    ours_correlation = similarity_correlation(ours_values, same_class)
+    del ours_values
+    kmeans_correlation = similarity_correlation(same_cluster, same_class)
     return EvalReport(
         n_samples=n,
         n_classes=len(classes),
         recall_at=recall,
         neighborhood_purity=nbhd_purity,
         kmeans_purity=km_purity,
-        similarity_correlation=similarity_correlation(ours_values, same_class),
-        kmeans_correlation=similarity_correlation(same_cluster, same_class),
+        similarity_correlation=ours_correlation,
+        kmeans_correlation=kmeans_correlation,
     )

@@ -89,15 +89,18 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _gram_schmidt_step(frames: np.ndarray, counts: np.ndarray, cand: np.ndarray, floor) -> None:
+def _gram_schmidt_step(
+    frames: np.ndarray, counts: np.ndarray, cand: np.ndarray, floor, passes: int = 1
+) -> None:
     # One modified Gram-Schmidt step across a (k, m, d) stack of frames, in
     # place: each candidate row of the (k, d) cand loses its components
-    # along the first counts[s] rows of its frame, in order, and is appended
-    # normalized unless its remaining norm is at most floor (a scalar or
-    # per frame); counts grows with it.
-    for j in range(int(np.max(counts, initial=0))):
-        r = frames[:, j]
-        cand = np.where((j < counts)[:, None], cand - _dots(r, cand)[:, None] * r, cand)
+    # along the first counts[s] rows of its frame, in order, `passes` times,
+    # and is appended normalized unless its remaining norm is at most floor
+    # (a scalar or per frame); counts grows with it.
+    for _ in range(passes):
+        for j in range(int(np.max(counts, initial=0))):
+            r = frames[:, j]
+            cand = np.where((j < counts)[:, None], cand - _dots(r, cand)[:, None] * r, cand)
     norm = np.sqrt(_dots(cand, cand))
     grow = np.flatnonzero(~(norm <= floor))
     frames[grow, counts[grow]] = cand[grow] / norm[grow, None]
@@ -214,13 +217,33 @@ def plane_split(diffs: np.ndarray, frames: np.ndarray):
     return coords, in_plane, residual, in_norm, out_norm
 
 
+def _gram_schmidt(vecs: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:
+    # Modified Gram-Schmidt of a (k, m, d) stack, each row projected
+    # `passes` times, collapsed rows replaced by axis completion. Returns the
+    # frames and the mask of frames where a row was replaced.
+    n_frames, target, _ = vecs.shape
+    out = np.zeros(vecs.shape)
+    counts = np.zeros(n_frames, dtype=np.int64)
+    for i in range(target):
+        row = vecs[:, i]
+        scale = np.maximum(np.sqrt(_dots(row, row)), 1.0)
+        _gram_schmidt_step(out, counts, row, INDEPENDENCE_TOL * scale, passes)
+    completed = counts < target
+    if np.any(completed):
+        out[completed] = _complete_with_axes_batch(out[completed], counts[completed])
+    return out, completed
+
+
 def reorthonormalize(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Restore a (k, m, d) stack of drifted frames to exact orthonormality.
 
     Runs modified Gram-Schmidt over each frame's rows in order, preserving
     the span and orientation of well-conditioned input. Rows that collapse
     below the independence tolerance (1e-10, relative to their norm) are
-    dropped and replaced through deterministic axis completion.
+    dropped and replaced through deterministic axis completion. A frame
+    that one pass leaves non-orthogonal, from a row that is nearly but not
+    quite dependent on earlier ones, is run again projecting every row
+    twice.
 
     Returns:
         (frames, completed): the cleaned (k, m, d) frames and a (k,) mask of
@@ -230,17 +253,17 @@ def reorthonormalize(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vecs = np.asarray(frames, dtype=np.float64)
     if vecs.ndim != 3:
         raise ValueError(f"expected a (k, m, d) stack of frames, got shape {vecs.shape}")
-    n_frames, target, dim = vecs.shape
+    _, target, dim = vecs.shape
     if target > dim:
         raise ValueError(f"cannot orthonormalize {target} vectors in dimension {dim}")
-    out = np.zeros(vecs.shape)
-    counts = np.zeros(n_frames, dtype=np.int64)
-    for i in range(target):
-        row = vecs[:, i]
-        scale = np.maximum(np.sqrt(_dots(row, row)), 1.0)
-        _gram_schmidt_step(out, counts, row, INDEPENDENCE_TOL * scale)
-    completed = counts < target
-    if np.any(completed):
-        out[completed] = _complete_with_axes_batch(out[completed], counts[completed])
+    out, completed = _gram_schmidt(vecs, 1)
+    # One pass leaves a row that lost nearly all its length to the
+    # projection with rounding error of the size of what was removed;
+    # a second pass removes it ("twice is enough"). Only frames that need
+    # it take it, so every frame one pass gets right keeps those bits.
+    drift = np.max(frame_drift(out), axis=(1, 2), initial=0.0)
+    redo = np.flatnonzero(~(drift <= ORTHOGONALITY_TOL))
+    if redo.size:
+        out[redo], completed[redo] = _gram_schmidt(vecs[redo], 2)
     check_frames(out)
     return out, completed

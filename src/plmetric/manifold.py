@@ -20,6 +20,9 @@ from .linalg import OrthonormalBasis
 # Frames whose Gram matrix is already this close to identity are left
 # untouched by maintenance passes, keeping no-op steps bit-stable.
 FRAME_DRIFT_TOL = 1e-12
+# Distances held at once by neighbor_lists: 2**18 cells keep every n <= 512,
+# each training-time call among them, in one block.
+NEIGHBOR_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,18 +146,46 @@ def fit_neighborhood(
 def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     """(n, n_neighbors) nearest-neighbor indices, ascending distance, self excluded.
 
-    Ties break deterministically toward the lower index (stable sort on
-    squared distances).
+    Exact, and equal to the first columns of a stable sort of each row's
+    squared distances, so ties break toward the lower index. Query rows go
+    in blocks of at most NEIGHBOR_BLOCK_CELLS distances, each partially
+    sorted, so memory grows with n, not n^2.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError(f"n_neighbors={n_neighbors} out of range for {n} points")
     sq = np.sum(embeddings**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :n_neighbors].astype(np.int64)
+    rows_per_block = max(1, NEIGHBOR_BLOCK_CELLS // n)
+    out = np.empty((n, n_neighbors), dtype=np.int64)
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        # A basic slice, never a gather: with one block the product is
+        # E @ E.T itself, which numpy runs as syrk, and a gathered copy
+        # would run gemm, whose last bits differ.
+        block = embeddings[start:stop]
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ embeddings.T)
+        rows = np.arange(stop - start)
+        d2[rows, start + rows] = np.inf
+        out[start:stop] = _smallest_stable(d2, n_neighbors)
+    return out
+
+
+def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
+    # Column indices of each row's k smallest values ordered by (value,
+    # index), as a stable argsort's first k columns, from a partial sort.
+    # Which of several values equal to the k-th one the partition keeps is
+    # arbitrary, so rows with more than k values at or below the k-th (or a
+    # NaN among the k) take the stable sort itself.
+    part = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+    picked = np.take_along_axis(values, part, axis=1)
+    order = np.argsort(picked, axis=1, kind="stable")
+    top = np.take_along_axis(part, order, axis=1)
+    kth = np.take_along_axis(picked, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(values <= kth, axis=1) != k)
+    if tied.size:
+        top[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def _batched_accepts(

@@ -27,6 +27,9 @@ import numpy as np
 from . import linalg
 from .manifold import LinearNeighborhood, ProxySet
 
+# Pairs scored at once by pair_similarities.
+PAIR_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True)
 class SimilarityConfig:
@@ -86,6 +89,45 @@ def pairwise_similarity_matrix(
     return (directed + directed.T) / 2.0
 
 
+def pair_similarities(
+    embeddings: np.ndarray,
+    neighborhoods: Sequence[LinearNeighborhood],
+    config: SimilarityConfig,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> np.ndarray:
+    """Symmetric similarity of each pair (first[t], second[t]).
+
+    The entries pairwise_similarity_matrix would hold there, to rounding,
+    scored PAIR_CHUNK pairs at a time with the same arithmetic and no
+    (n, n) array, so memory grows with the number of pairs, not with n^2.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if len(neighborhoods) != embeddings.shape[0]:
+        raise ValueError("need one neighborhood per embedding row")
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    if config.binary:
+        size = max(nb.size for nb in neighborhoods)
+        members = np.full((len(neighborhoods), size), -1, dtype=np.int64)
+        for j, nbhd in enumerate(neighborhoods):
+            members[j, : nbhd.size] = nbhd.member_indices
+    else:
+        bases = np.stack([nbhd.basis.vectors for nbhd in neighborhoods])
+    out = np.empty(first.size)
+    for lo in range(0, first.size, PAIR_CHUNK):
+        i, j = first[lo : lo + PAIR_CHUNK], second[lo : lo + PAIR_CHUNK]
+        if config.binary:
+            forward = np.any(members[j] == i[:, None], axis=1).astype(np.float64)
+            reverse = np.any(members[i] == j[:, None], axis=1).astype(np.float64)
+        else:
+            diffs = (embeddings[i] - embeddings[j])[:, None, :]
+            forward = _directed(diffs, bases[j], config, False, False)[0][:, 0]
+            reverse = _directed(-diffs, bases[i], config, False, False)[0][:, 0]
+        out[lo : lo + PAIR_CHUNK] = (forward + reverse) / 2.0
+    return out
+
+
 def nearest_proxy_indices(embeddings: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """Index of the closest proxy per embedding row, ties to the lowest index."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -126,7 +168,8 @@ def _directed(
 ):
     # Directed similarities of (n, d) differences seen from one (m, d)
     # frame; with grads also d s / d diff (n, d) and, with frame_grads,
-    # d s / d frame (n, m, d). The parts not asked for are None.
+    # d s / d frame (n, m, d). The parts not asked for are None. Values
+    # alone also take stacks, (..., n, d) against (..., m, d) frames.
     coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
     a = (1.0 + o / 2.0) ** (-config.orth_exponent)
     b = (1.0 + p) ** (-config.inplane_exponent)

@@ -674,7 +674,11 @@ def trainer_from_checkpoint(path: str | Path, dataset: FeatureDataset) -> Traine
             f"checkpoint expects input dim {trained.layer_sizes[0]}, dataset has {dataset.dim}"
         )
     pair = EmbedderPair(trained, averaged, momentum=config.momentum)
-    proxies = ProxySet(tensors["proxies.locations"].copy(), tensors["proxies.frames"].copy())
+    try:
+        proxies = ProxySet(tensors["proxies.locations"].copy(), tensors["proxies.frames"].copy())
+        proxies.validate()
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: invalid proxies ({exc})") from None
     adam_encoder = AdamState.for_tensors(pair.trained.tensors(), config.lr)
     adam_encoder.step_count = manifest["adam_encoder_steps"]
     adam_encoder.m = [_grab(tensors, f"adam_encoder.m.{i}") for i in range(len(adam_encoder.m))]

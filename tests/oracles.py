@@ -8,7 +8,8 @@ The module also keeps the per-set reference routes of the library's stacked
 primitives: PCA of one point set, axis completion of one frame, Gram-Schmidt
 of one frame, the in-plane/orthogonal split of one vector, and the directed
 and symmetric similarities of one pair. The stacked routes in the library
-must equal the first three bit for bit, set by set.
+must equal the first three bit for bit, set by set. The full-sort nearest
+neighbour lists are the reference of the library's blocked top-k.
 """
 
 from __future__ import annotations
@@ -132,6 +133,20 @@ def greedy_plane_scan(
     return members
 
 
+def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
+    """Nearest neighbours by a full stable sort of each row of squared
+    distances |a|^2 + |b|^2 - 2 a.b, self excluded, ties to the lower index.
+
+    The route the library's blocked partial sort replaced, kept as its
+    reference: with one block the two must agree bit for bit.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    sq = np.sum(e**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (e @ e.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
+
+
 def complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:
     """Extend an orthonormal list of rows to ``target`` rows with standard axes.
 
@@ -191,25 +206,31 @@ def reorthonormalize_frame(vectors: np.ndarray) -> tuple[np.ndarray, bool]:
     """Modified Gram-Schmidt of one (m, d) frame, row by row in order.
 
     A row whose remaining norm is at most 1e-10 times max(its norm, 1) is
-    dropped; dropped rows are replaced by axis completion. Returns the frame
-    and whether any row was replaced.
+    dropped; dropped rows are replaced by axis completion. When the result
+    is off orthogonal by more than 1e-9, the frame is run again with every
+    row projected twice. Returns the frame and whether any row was replaced.
     """
     vecs = np.array(vectors, dtype=np.float64)
     target, dim = vecs.shape
-    kept: list[np.ndarray] = []
-    completed = False
-    for row in vecs:
-        scale = max(float(np.linalg.norm(row)), 1.0)
-        for r in kept:
-            row = row - (r @ row) * r
-        norm = float(np.linalg.norm(row))
-        if norm <= 1e-10 * scale:
-            completed = True
-            continue
-        kept.append(row / norm)
-    if completed:
-        kept = complete_with_axes(kept, dim, target)
-    return np.vstack(kept), completed
+    for passes in (1, 2):
+        kept: list[np.ndarray] = []
+        completed = False
+        for row in vecs:
+            scale = max(float(np.linalg.norm(row)), 1.0)
+            for _ in range(passes):
+                for r in kept:
+                    row = row - (r @ row) * r
+            norm = float(np.linalg.norm(row))
+            if norm <= 1e-10 * scale:
+                completed = True
+                continue
+            kept.append(row / norm)
+        if completed:
+            kept = complete_with_axes(kept, dim, target)
+        frame = np.vstack(kept)
+        if np.max(np.abs(frame @ frame.T - np.eye(target))) <= 1e-9:
+            break
+    return frame, completed
 
 
 def decompose(diff: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Tests for retrieval metrics, purity, correlation, and the k-means baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from plmetric import data, evaluation, manifold
+from plmetric import data, evaluation, manifold, similarity
 from plmetric.evaluation import (
     EvalReport,
     evaluate_embeddings,
@@ -209,3 +211,41 @@ class TestEvaluateEmbeddings:
         assert report.neighborhood_purity > 0.9
         assert -1.0 <= report.similarity_correlation <= 1.0
         assert -1.0 <= report.kmeans_correlation <= 1.0
+
+    def test_sampled_pairs_are_scored_without_the_matrix(self, monkeypatch):
+        # Above ALL_PAIRS_LIMIT the sampled pairs are scored one by one and
+        # correlate as the matrix entries they stand for.
+        monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 50)
+        monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
+        ds = data.generate_synthetic(
+            data.SyntheticSpec(n_classes=3, ambient_dim=16, points_per_class=30, seed=2)
+        )
+        mcfg = ManifoldConfig(dim=3, quality_threshold=90.0, pool_size=8)
+        matrix = similarity.pairwise_similarity_matrix
+
+        def refuse(*args):
+            raise AssertionError("the n x n matrix was built above ALL_PAIRS_LIMIT")
+
+        monkeypatch.setattr(evaluation, "pairwise_similarity_matrix", refuse)
+        for cfg in (SimilarityConfig(), SimilarityConfig(binary=True)):
+            report = evaluate_embeddings(ds.features, ds.labels, mcfg, cfg, seed=3)
+            first, second = sample_pairs(90, seed=3)
+            assert first.size == 3000
+            sims = matrix(ds.features, manifold.fit_all_neighborhoods(ds.features, mcfg), cfg)
+            same = (ds.labels[first] == ds.labels[second]).astype(np.float64)
+            expected = similarity_correlation(sims[first, second], same)
+            assert report.similarity_correlation == pytest.approx(expected, abs=1e-12)
+
+    def test_memory_above_pair_limit_stays_below_one_n_by_n_matrix(self):
+        n = 2400
+        assert n > evaluation.ALL_PAIRS_LIMIT
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(6), n // 6)
+        emb = 3.0 * rng.standard_normal((6, 4))[labels] + rng.standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            evaluate_embeddings(emb, labels, ManifoldConfig(pool_size=20), SimilarityConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(np.float64).itemsize

@@ -196,11 +196,12 @@ class TestDecompose:
 
 def _frames_case(data):
     # A (k, m, d) stack, random or an exact orthonormal frame, some of whose
-    # rows are then replaced by a copy of an earlier row, a zero row, or the
+    # rows are then replaced by a copy of an earlier row, a zero row, the
     # previous row's direction at length 1e4 plus a residual below the
     # independence tolerance: absolutely (1e-13), or only relative to the
-    # row's norm (1e-8). Returns the stack and which frames are orthonormal
-    # and untouched.
+    # row's norm (1e-8), or four times the previous row plus 3e-9 noise,
+    # nearly dependent but kept. Returns the stack and which frames are
+    # orthonormal and untouched.
     d = data.draw(st.integers(1, 6))
     m = data.draw(st.integers(1, d))
     k = data.draw(st.integers(1, 5))
@@ -212,7 +213,9 @@ def _frames_case(data):
             frames[s] = np.linalg.qr(rng.standard_normal((d, d)))[0].T[:m]
             clean[s] = True
         for i in range(m):
-            kind = data.draw(st.sampled_from(["keep", "keep", "copy", "zero", "collapse"]))
+            kind = data.draw(
+                st.sampled_from(["keep", "keep", "copy", "zero", "collapse", "near"])
+            )
             if kind == "zero":
                 frames[s, i] = 0.0
             elif i > 0 and kind == "copy":
@@ -223,6 +226,8 @@ def _frames_case(data):
                 direction = prev / length if length > 0.0 else prev
                 residual = data.draw(st.sampled_from([1e-13, 1e-8]))
                 frames[s, i] = 1e4 * direction + residual * rng.standard_normal(d)
+            elif i > 0 and kind == "near":
+                frames[s, i] = 4.0 * frames[s, i - 1] + 3e-9 * rng.standard_normal(d)
             else:
                 continue
             clean[s] = False

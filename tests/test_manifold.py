@@ -1,5 +1,7 @@
 """Tests for neighborhood fitting, k-NN pools, and proxy initialization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,40 @@ class TestNeighborLists:
     def test_range_validation(self):
         with pytest.raises(ValueError, match="n_neighbors"):
             manifold.neighbor_lists(np.eye(3), 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_full_sort(self, data):
+        # Random points, integer grids (exact ties) and duplicated rows, in
+        # one block or in many (down to one row per block). One block runs
+        # the full sort's own product and must give its bits; across blocks
+        # a row's product may round differently, which grid points cannot.
+        n = data.draw(st.integers(2, 70))
+        d = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, n - 1))
+        kind = data.draw(st.sampled_from(["random", "grid", "duplicates"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "grid":
+            pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        else:
+            pts = rng.standard_normal((n, d)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+            if kind == "duplicates":
+                pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n, size=n // 2)]
+        cells = data.draw(
+            st.sampled_from([manifold.NEIGHBOR_BLOCK_CELLS, n * n, n * n - 1, 3 * n, 1])
+        )
+        with mock.patch.object(manifold, "NEIGHBOR_BLOCK_CELLS", cells):
+            got = manifold.neighbor_lists(pts, k)
+        ref = oracles.neighbor_lists(pts, k)
+        if cells >= n * n or kind == "grid":
+            np.testing.assert_array_equal(got, ref)
+            return
+        assert np.all(got != np.arange(n)[:, None])
+        assert all(np.unique(row).size == k for row in got)
+        dist = np.sum((pts[:, None, :] - pts[got]) ** 2, axis=2)
+        want = np.sum((pts[:, None, :] - pts[ref]) ** 2, axis=2)
+        scale = float(np.max(np.sum(pts**2, axis=1)))
+        np.testing.assert_allclose(dist, want, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestFitAllNeighborhoods:

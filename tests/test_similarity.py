@@ -108,6 +108,21 @@ class TestPointSimilarity:
                 assert mat[i, j] == pytest.approx(expected, abs=1e-12)
                 assert mat_binary[i, j] == symmetric_similarity(i, j, pts, nbhds, binary)
 
+    def test_pair_route_matches_matrix(self, monkeypatch):
+        # Chunks of 7 pairs: several full ones, a short last one, and pairs
+        # with i == j among them.
+        pts, nbhds, _ = _embedded_scene(seed=8, n=40)
+        monkeypatch.setattr(similarity, "PAIR_CHUNK", 7)
+        first, second = np.random.default_rng(1).integers(40, size=(2, 500))
+        cfg = SimilarityConfig()
+        mat = similarity.pairwise_similarity_matrix(pts, nbhds, cfg)
+        got = similarity.pair_similarities(pts, nbhds, cfg, first, second)
+        np.testing.assert_allclose(got, mat[first, second], rtol=0.0, atol=1e-12)
+        binary = SimilarityConfig(binary=True)
+        mat = similarity.pairwise_similarity_matrix(pts, nbhds, binary)
+        got = similarity.pair_similarities(pts, nbhds, binary, first, second)
+        np.testing.assert_array_equal(got, mat[first, second])
+
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)
         cfg = SimilarityConfig(binary=True)

@@ -481,6 +481,23 @@ class TestMalformedCheckpoints:
         with pytest.raises(trainer.CheckpointFormatError, match=message):
             trainer_from_checkpoint(path, ds)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p.frames[0].__imul__(3.0), "not unit length"),
+            (lambda p: p.frames[1, 1].__setitem__(slice(None), p.frames[1, 0]), "not orthogonal"),
+            (lambda p: p.locations[2].__imul__(1.5), "not unit norm"),
+        ],
+    )
+    def test_invalid_proxies_rejected(self, tmp_path, corrupt, message):
+        ds = _tiny_dataset(seed=10)
+        path = tmp_path / "bad.plck"
+        run = Trainer.initialize(ds, _tiny_config())
+        corrupt(run.proxies)
+        save_checkpoint(run, path)
+        with pytest.raises(trainer.CheckpointFormatError, match=f"invalid proxies.*{message}"):
+            trainer_from_checkpoint(path, ds)
+
     def test_rewritten_but_intact_manifest_still_loads(self, tmp_path):
         ds = _tiny_dataset(seed=10)
         path = tmp_path / "same.plck"
