@@ -30,6 +30,10 @@ from .manifold import LinearNeighborhood, ProxySet
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
 
+# Cells of the largest per-item array allowed in one block of the stacked
+# point, proxy and anchor loops (see stack_blocks).
+STACK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class SimilarityConfig:
@@ -48,6 +52,16 @@ class SimilarityConfig:
                 "no faster than in-plane ones, which defeats the planar geometry",
                 stacklevel=2,
             )
+
+
+def stack_blocks(count: int, cells_per_item: int) -> list[slice]:
+    """Slices covering range(count) in blocks of at most STACK_CELLS cells.
+
+    Each block holds at least one item. A stacked route runs one block at a
+    time, so its temporaries stay bounded however many items there are.
+    """
+    step = max(1, STACK_CELLS // max(cells_per_item, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def orthogonal_decay(distance, exponent: float):
@@ -82,10 +96,13 @@ def pairwise_similarity_matrix(
     if config.binary:
         for j, nbhd in enumerate(neighborhoods):
             directed[nbhd.member_indices, j] = 1.0
-    else:
-        for j, nbhd in enumerate(neighborhoods):
-            diffs = embeddings - embeddings[j]
-            directed[:, j] = _directed(diffs, nbhd.basis.vectors, config, False, False)[0]
+    elif n:
+        # Column j is every point seen from anchor j's plane, a block of
+        # anchors at a time.
+        bases = np.stack([nbhd.basis.vectors for nbhd in neighborhoods])
+        for blk in stack_blocks(n, n * embeddings.shape[1]):
+            diffs = embeddings - embeddings[blk, None, :]
+            directed[:, blk] = _directed(diffs, bases[blk], config, False, False)[0].T
     return (directed + directed.T) / 2.0
 
 
@@ -166,10 +183,11 @@ def _inv_or_zero(values: np.ndarray) -> np.ndarray:
 def _directed(
     diffs: np.ndarray, frame: np.ndarray, config: SimilarityConfig, grads: bool, frame_grads: bool
 ):
-    # Directed similarities of (n, d) differences seen from one (m, d)
-    # frame; with grads also d s / d diff (n, d) and, with frame_grads,
-    # d s / d frame (n, m, d). The parts not asked for are None. Values
-    # alone also take stacks, (..., n, d) against (..., m, d) frames.
+    # Directed similarities of (..., n, d) differences seen from (..., m, d)
+    # frames, one frame per leading index; with grads also d s / d diff
+    # (..., n, d) and, with frame_grads, d s / d frame (..., n, m, d). The
+    # parts not asked for are None. Every product keeps the per-frame shape
+    # of the unstacked call, so a stack gives the bits of a loop over it.
     coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
     a = (1.0 + o / 2.0) ** (-config.orth_exponent)
     b = (1.0 + p) ** (-config.inplane_exponent)
@@ -179,14 +197,14 @@ def _directed(
     db = -config.inplane_exponent * (1.0 + p) ** (-config.inplane_exponent - 1.0)
     w_orth = da * b * _inv_or_zero(o)
     w_plane = a * db * _inv_or_zero(p)
-    ds_ddiff = w_orth[:, None] * ovec + w_plane[:, None] * inplane_vec
+    ds_ddiff = w_orth[..., None] * ovec + w_plane[..., None] * inplane_vec
     if not frame_grads:
         return a * b, ds_ddiff, None
     # d s / d psi_k splits across the two decay factors: the in-plane
     # distance varies along the full difference vector, the orthogonal
     # distance only along the off-plane residual.
-    plane_part = np.einsum("nk,nd->nkd", coords * w_plane[:, None], diffs)
-    orth_part = np.einsum("nk,nd->nkd", coords * w_orth[:, None], ovec)
+    plane_part = np.einsum("...nk,...nd->...nkd", coords * w_plane[..., None], diffs)
+    orth_part = np.einsum("...nk,...nd->...nkd", coords * w_orth[..., None], ovec)
     return a * b, ds_ddiff, plane_part - orth_part
 
 
@@ -208,9 +226,10 @@ def proxy_similarity_batch(
 
     The forward direction measures the point from the proxy's plane, the
     reverse direction measures the proxy from the point's neighborhood
-    plane; the result is their average. In binary mode the similarity is the
-    nearest-proxy indicator and all partials are zero (the indicator is
-    piecewise constant).
+    plane; the result is their average. Each direction runs a block of
+    planes at a time (stack_blocks), with the bits of a loop over single
+    planes. In binary mode the similarity is the nearest-proxy indicator and
+    all partials are zero (the indicator is piecewise constant).
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
@@ -230,21 +249,20 @@ def proxy_similarity_batch(
 
     values = np.empty((n, n_prox))
 
-    # Forward direction: each proxy's plane sees the whole batch at once.
-    for j in range(n_prox):
-        values[:, j], ds_ddiff, d_frame = _directed(
-            embeddings - proxies.locations[j], proxies.frames[j], config, with_grads, True
-        )
+    # Forward direction: a block of proxy planes, each seeing the whole batch.
+    for blk in stack_blocks(n_prox, n * plane_dim * dim):
+        diffs = embeddings - proxies.locations[blk, None, :]
+        value, ds_ddiff, d_frame = _directed(diffs, proxies.frames[blk], config, with_grads, True)
+        values[:, blk] = value.T
         if with_grads:
-            d_loc[:, j, :] -= 0.5 * ds_ddiff
-            d_frames[:, j, :, :] += 0.5 * d_frame
+            d_loc[:, blk] -= 0.5 * ds_ddiff.swapaxes(0, 1)
+            d_frames[:, blk] += 0.5 * d_frame.swapaxes(0, 1)
 
-    # Reverse direction: each point's neighborhood plane sees all proxies.
-    for i in range(n):
-        value, ds_ddiff, _ = _directed(
-            proxies.locations - embeddings[i], point_bases[i], config, with_grads, False
-        )
-        values[i, :] = (values[i, :] + value) / 2.0
+    # Reverse direction: a block of point planes, each seeing all proxies.
+    for blk in stack_blocks(n, n_prox * dim):
+        diffs = proxies.locations - embeddings[blk, None, :]
+        value, ds_ddiff, _ = _directed(diffs, point_bases[blk], config, with_grads, False)
+        values[blk] = (values[blk] + value) / 2.0
         if with_grads:
-            d_loc[i, :, :] += 0.5 * ds_ddiff
+            d_loc[blk] += 0.5 * ds_ddiff
     return ProxySimilarities(values, d_loc, d_frames)

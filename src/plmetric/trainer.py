@@ -150,9 +150,11 @@ def _first_non_finite(arr: np.ndarray) -> tuple:
     return tuple(int(v) for v in bad[0])
 
 
-def _check_terms(name: str, terms: np.ndarray) -> None:
+def _check_terms(name: str, terms: np.ndarray, first_row: int = 0) -> None:
+    # first_row: the table row of terms[0] when terms is a block of rows.
     if not np.all(np.isfinite(terms)):
-        idx = _first_non_finite(terms)
+        row, *rest = _first_non_finite(terms)
+        idx = (row + first_row, *rest)
         raise FloatingPointError(f"non-finite {name} loss term at index {idx}")
 
 
@@ -258,7 +260,13 @@ def neighborhood_loss(
     norm). The loss pushes that cosine toward the point-proxy similarity, so
     frames of proxies near a point rotate into the point's local plane.
     Returns the loss and gradients w.r.t. proxy frames and locations (the
-    latter only through the similarities).
+    latter only through the similarities). A non-finite term is reported by
+    its (point, proxy, frame row) index.
+
+    The projections run for a block of points at a time
+    (``similarity.stack_blocks``); the loss and the frame gradient then add
+    the points one at a time, in order, so the sums keep the bits of a loop
+    over points.
     """
     bases = np.asarray(point_bases, dtype=np.float64)
     s = proxy_sims.values
@@ -271,22 +279,25 @@ def neighborhood_loss(
     value = 0.0
     grad_frames = np.zeros_like(proxies.frames)
     d_sim = np.zeros((n, n_prox))
-    for i in range(n):
-        coords = frames_flat @ bases[i].T
-        cosines = np.linalg.norm(coords, axis=1).reshape(n_prox, plane_dim)
-        resid = s[i][:, None] - cosines
-        _check_terms("neighborhood", resid)
-        value += float(np.sum(resid**2))
+    for blk in similarity.stack_blocks(n, n_prox * plane_dim * dim):
+        coords = np.matmul(frames_flat, np.swapaxes(bases[blk], -1, -2))
+        cosines = np.linalg.norm(coords, axis=-1).reshape(-1, n_prox, plane_dim)
+        resid = s[blk, :, None] - cosines
+        _check_terms("neighborhood", resid, blk.start)
+        for term in np.sum((resid**2).reshape(len(resid), -1), axis=1):
+            value += float(term)
         if not with_grads:
             continue
         d_cos = -2.0 * resid / count
-        d_sim[i] = np.sum(2.0 * resid / count, axis=1)
+        d_sim[blk] = np.sum(2.0 * resid / count, axis=-1)
         # d cos / d psi = P_i psi / cos, with the zero-cosine subgradient 0.
         inv_cos = np.zeros_like(cosines)
         nz = cosines > 0.0
         inv_cos[nz] = 1.0 / cosines[nz]
-        scale = (d_cos * inv_cos).reshape(n_prox * plane_dim, 1)
-        grad_frames += (scale * (coords @ bases[i])).reshape(n_prox, plane_dim, dim)
+        scale = (d_cos * inv_cos).reshape(-1, n_prox * plane_dim, 1)
+        pulls = scale * np.matmul(coords, bases[blk])
+        for pull in pulls.reshape(-1, n_prox, plane_dim, dim):
+            grad_frames += pull
     value /= count
     if not with_grads:
         return value, None, None

@@ -9,7 +9,9 @@ primitives: PCA of one point set, axis completion of one frame, Gram-Schmidt
 of one frame, the in-plane/orthogonal split of one vector, and the directed
 and symmetric similarities of one pair. The stacked routes in the library
 must equal the first three bit for bit, set by set. The full-sort nearest
-neighbour lists are the reference of the library's blocked top-k.
+neighbour lists are the reference of the library's blocked top-k. The loops
+over anchors, proxies and points that the library's stacked similarity and
+neighbourhood-loss routes replaced are kept as their bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -281,6 +283,19 @@ def central_difference_gradient(
     return grad
 
 
+def same_bits(got, ref) -> bool:
+    """True when two arrays (or two Nones) hold the same bytes: equal values,
+    shapes and dtypes, and the same sign on every zero."""
+    if got is None or ref is None:
+        return got is None and ref is None
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (
+        got.shape == ref.shape
+        and got.dtype == ref.dtype
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+    )
+
+
 def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Scale-invariant comparison: |a - n| / max(|a|, |n|, 1e-12) elementwise max."""
     analytic = np.asarray(analytic, dtype=np.float64)
@@ -301,3 +316,111 @@ def pearson_two_pass(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         raise ValueError("zero variance")
     return float(np.sum(dx * dy) / denom)
+
+
+def pairwise_similarity_loop(embeddings: np.ndarray, neighborhoods, config) -> np.ndarray:
+    """(n, n) symmetric similarity matrix, one anchor column at a time.
+
+    The reference of ``similarity.pairwise_similarity_matrix``.
+    """
+    from plmetric.similarity import _directed
+
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    if len(neighborhoods) != n:
+        raise ValueError("need one neighborhood per embedding row")
+    directed = np.zeros((n, n))
+    if config.binary:
+        for j, nbhd in enumerate(neighborhoods):
+            directed[nbhd.member_indices, j] = 1.0
+    else:
+        for j, nbhd in enumerate(neighborhoods):
+            diffs = embeddings - embeddings[j]
+            directed[:, j] = _directed(diffs, nbhd.basis.vectors, config, False, False)[0]
+    return (directed + directed.T) / 2.0
+
+
+def proxy_similarity_loop(embeddings, point_bases, proxies, config, with_grads=True):
+    """Point-proxy similarities and partials, one proxy, then one point, at a time.
+
+    The reference of ``similarity.proxy_similarity_batch``, with the same
+    arguments and result.
+    """
+    from plmetric.similarity import ProxySimilarities, _directed, nearest_proxy_indices
+
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    point_bases = np.asarray(point_bases, dtype=np.float64)
+    n, dim = embeddings.shape
+    n_prox, plane_dim, _ = proxies.frames.shape
+    if point_bases.shape != (n, plane_dim, dim):
+        raise ValueError(
+            f"point_bases shape {point_bases.shape} does not match "
+            f"({n}, {plane_dim}, {dim})"
+        )
+    d_loc = np.zeros((n, n_prox, dim)) if with_grads else None
+    d_frames = np.zeros((n, n_prox, plane_dim, dim)) if with_grads else None
+    if config.binary:
+        values = np.zeros((n, n_prox))
+        values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
+        return ProxySimilarities(values, d_loc, d_frames)
+    values = np.empty((n, n_prox))
+    for j in range(n_prox):
+        values[:, j], ds_ddiff, d_frame = _directed(
+            embeddings - proxies.locations[j], proxies.frames[j], config, with_grads, True
+        )
+        if with_grads:
+            d_loc[:, j, :] -= 0.5 * ds_ddiff
+            d_frames[:, j, :, :] += 0.5 * d_frame
+    for i in range(n):
+        value, ds_ddiff, _ = _directed(
+            proxies.locations - embeddings[i], point_bases[i], config, with_grads, False
+        )
+        values[i, :] = (values[i, :] + value) / 2.0
+        if with_grads:
+            d_loc[i, :, :] += 0.5 * ds_ddiff
+    return ProxySimilarities(values, d_loc, d_frames)
+
+
+def neighborhood_loss_loop(point_bases, proxies, proxy_sims, config, with_grads=True):
+    """Frame-alignment loss and gradients, one point at a time.
+
+    The reference of ``trainer.neighborhood_loss``, with the same arguments
+    and result; a non-finite term raises FloatingPointError.
+    """
+    bases = np.asarray(point_bases, dtype=np.float64)
+    s = proxy_sims.values
+    n, plane_dim, dim = bases.shape
+    n_prox = proxies.n_proxies
+    if s.shape != (n, n_prox):
+        raise ValueError("similarity table does not match embeddings/proxies")
+    frames_flat = proxies.frames.reshape(n_prox * plane_dim, dim)
+    count = n * n_prox * plane_dim
+    value = 0.0
+    grad_frames = np.zeros_like(proxies.frames)
+    d_sim = np.zeros((n, n_prox))
+    for i in range(n):
+        coords = frames_flat @ bases[i].T
+        cosines = np.linalg.norm(coords, axis=1).reshape(n_prox, plane_dim)
+        resid = s[i][:, None] - cosines
+        if not np.all(np.isfinite(resid)):
+            raise FloatingPointError(f"non-finite neighborhood loss term at point {i}")
+        value += float(np.sum(resid**2))
+        if not with_grads:
+            continue
+        d_cos = -2.0 * resid / count
+        d_sim[i] = np.sum(2.0 * resid / count, axis=1)
+        inv_cos = np.zeros_like(cosines)
+        nz = cosines > 0.0
+        inv_cos[nz] = 1.0 / cosines[nz]
+        scale = (d_cos * inv_cos).reshape(n_prox * plane_dim, 1)
+        grad_frames += (scale * (coords @ bases[i])).reshape(n_prox, plane_dim, dim)
+    value /= count
+    if not with_grads:
+        return value, None, None
+    grad_loc = np.zeros_like(proxies.locations)
+    if not config.stopgrad_similarity:
+        if proxy_sims.d_loc is None or proxy_sims.d_frames is None:
+            raise ValueError("proxy similarities were computed without gradients")
+        grad_loc = np.einsum("np,npd->pd", d_sim, proxy_sims.d_loc)
+        grad_frames = grad_frames + np.einsum("np,npkd->pkd", d_sim, proxy_sims.d_frames)
+    return value, grad_loc, grad_frames

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plmetric import manifold, similarity
-from plmetric.manifold import ManifoldConfig, ProxySet
+import oracles
+from plmetric import linalg, manifold, similarity
+from plmetric.linalg import OrthonormalBasis
+from plmetric.manifold import LinearNeighborhood, ManifoldConfig, ProxySet
 from plmetric.similarity import SimilarityConfig
 
 from oracles import (
     central_difference_gradient,
     directed_similarity,
     relative_gradient_error,
+    same_bits,
     symmetric_similarity,
 )
 
@@ -216,3 +221,81 @@ class TestProxySimilarities:
         bases = np.stack([nb.basis.vectors for nb in nbhds])[:, :1, :]
         with pytest.raises(ValueError, match="point_bases"):
             similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig())
+
+
+def stacked_scene(data):
+    """Embeddings, point frames and proxies drawn for the stacked routes.
+
+    Plane dims 1-4 with ambient dims from m + 1 to 32, generic or grid
+    coordinates (exact zeros and ties), generic or axis-aligned frames
+    (points exactly in a plane, frame rows orthogonal to a plane), a
+    duplicated row and a point sitting on a proxy. Also draws the cell
+    budget, low enough on most draws that several blocks run.
+    """
+    m = data.draw(st.integers(1, 4), label="plane dim")
+    dim = data.draw(st.integers(m + 1, 32), label="dim")
+    n = data.draw(st.integers(1, 24), label="points")
+    n_prox = data.draw(st.integers(1, 24), label="proxies")
+    grid = data.draw(st.booleans(), label="grid coordinates")
+    axis_frames = data.draw(st.booleans(), label="axis frames")
+    cells = data.draw(st.one_of(st.integers(1, 3000), st.just(similarity.STACK_CELLS)), label="cells")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def rows(k):
+        if grid:
+            return rng.integers(-2, 3, size=(k, dim)).astype(np.float64)
+        return rng.standard_normal((k, dim))
+
+    def frames(k):
+        if axis_frames:
+            return np.stack([np.eye(dim)[rng.permutation(dim)[:m]] for _ in range(k)])
+        return linalg.reorthonormalize(rng.standard_normal((k, m, dim)))[0]
+
+    embeddings, locations = rows(n), rows(n_prox)
+    if data.draw(st.booleans(), label="duplicate row"):
+        embeddings[-1] = embeddings[0]
+    if data.draw(st.booleans(), label="point on a proxy"):
+        locations[-1] = embeddings[n // 2]
+    return embeddings, frames(n), ProxySet(locations, frames(n_prox)), cells
+
+
+class TestStackedRoutesMatchLoops:
+    # The stacked routes against the loops they replaced (tests/oracles.py),
+    # bit for bit, signs of zeros included.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_proxy_similarities(self, data):
+        embeddings, bases, proxies, cells = stacked_scene(data)
+        config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
+        with_grads = data.draw(st.booleans(), label="grads")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "STACK_CELLS", cells)
+            got = similarity.proxy_similarity_batch(embeddings, bases, proxies, config, with_grads)
+        ref = oracles.proxy_similarity_loop(embeddings, bases, proxies, config, with_grads)
+        assert same_bits(got.values, ref.values)
+        assert same_bits(got.d_loc, ref.d_loc)
+        assert same_bits(got.d_frames, ref.d_frames)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pairwise_similarity_matrix(self, data):
+        embeddings, bases, _, cells = stacked_scene(data)
+        config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
+        n = len(embeddings)
+        rng = np.random.default_rng(n)
+        nbhds = [
+            LinearNeighborhood(
+                j, np.unique(np.r_[j, rng.integers(0, n, size=3)]), OrthonormalBasis(frame), row
+            )
+            for j, (frame, row) in enumerate(zip(bases, embeddings))
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "STACK_CELLS", cells)
+            got = similarity.pairwise_similarity_matrix(embeddings, nbhds, config)
+        assert same_bits(got, oracles.pairwise_similarity_loop(embeddings, nbhds, config))
+
+    def test_blocks_cover_every_item_once(self, monkeypatch):
+        monkeypatch.setattr(similarity, "STACK_CELLS", 10)
+        assert similarity.stack_blocks(7, 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert similarity.stack_blocks(2, 50) == [slice(0, 1), slice(1, 2)]
+        assert similarity.stack_blocks(0, 3) == []

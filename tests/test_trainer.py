@@ -6,8 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from plmetric import embedder, manifold, similarity, trainer
-from plmetric.data import FeatureDataset
+from plmetric.data import FeatureDataset, SyntheticSpec, generate_synthetic
 from plmetric.manifold import ManifoldConfig, ProxySet
 from plmetric.similarity import SimilarityConfig
 from plmetric.trainer import (
@@ -24,7 +28,8 @@ from plmetric.trainer import (
     trainer_from_checkpoint,
 )
 
-from oracles import central_difference_gradient, relative_gradient_error
+from oracles import central_difference_gradient, relative_gradient_error, same_bits
+from test_similarity import stacked_scene
 
 
 def _unit_rows(rng, n, d):
@@ -170,6 +175,38 @@ class TestNeighborhoodLoss:
 
         numeric_loc = central_difference_gradient(loss_of_locations, proxies.locations.copy())
         assert relative_gradient_error(grad_loc, numeric_loc) < 1e-5
+
+    @pytest.mark.parametrize("cells", [1, similarity.STACK_CELLS])
+    def test_non_finite_term_names_point_proxy_and_row(self, monkeypatch, cells):
+        # One point per block (cells = 1) and a single block report the same
+        # index: point 4, proxy 3, frame row 0.
+        anchor, _, _, bases, proxies = _loss_scene(seed=8, n_proxies=5)
+        psim = similarity.proxy_similarity_batch(anchor, bases, proxies, SimilarityConfig())
+        psim.values[4, 3] = np.nan
+        monkeypatch.setattr(similarity, "STACK_CELLS", cells)
+        with pytest.raises(FloatingPointError, match=r"neighborhood loss term at index \(4, 3, 0\)"):
+            neighborhood_loss(bases, proxies, psim, LossConfig())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_point_loop_bitwise(self, data):
+        # Against the loop over points it replaced (tests/oracles.py): the
+        # loss value and both gradients, signs of zeros included.
+        embeddings, bases, proxies, cells = stacked_scene(data)
+        binary = data.draw(st.booleans(), label="binary")
+        with_grads = data.draw(st.booleans(), label="grads")
+        stopgrad = data.draw(st.booleans(), label="stopgrad")
+        psim = similarity.proxy_similarity_batch(
+            embeddings, bases, proxies, SimilarityConfig(binary=binary), with_grads and not stopgrad
+        )
+        config = LossConfig(stopgrad_similarity=stopgrad)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "STACK_CELLS", cells)
+            got = neighborhood_loss(bases, proxies, psim, config, with_grads)
+        ref = oracles.neighborhood_loss_loop(bases, proxies, psim, config, with_grads)
+        assert same_bits(got[0], ref[0])
+        assert same_bits(got[1], ref[1])
+        assert same_bits(got[2], ref[2])
 
 
 class TestSamplerConfig:
@@ -341,6 +378,44 @@ class TestTrainer:
         ds = _tiny_dataset(n=10)
         with pytest.raises(ValueError, match="smaller than one batch"):
             Trainer.initialize(ds, _tiny_config())
+
+
+def _acceptance_recipe(seed: int) -> TrainConfig:
+    # The recipe of the acceptance criteria 6 and 7, with its default batch.
+    return TrainConfig(
+        manifold=ManifoldConfig(pool_size=20),
+        hidden_sizes=(64,) * 6,
+        embed_dim=4,
+        init_gain=12.0,
+        lr=1e-2,
+        momentum=0.99,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize(
+    "recipe", [_acceptance_recipe, lambda seed: TrainConfig(seed=seed)], ids=["acceptance", "default"]
+)
+def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
+    # Four steps on 150 points, once as the library runs them and once with
+    # the loops the stacked routes replaced (tests/oracles.py) patched in:
+    # weights, proxies, Adam moments, RNG states and history byte for byte.
+    dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
+
+    def train(path):
+        run = Trainer.initialize(dataset, recipe(5))
+        for _ in range(2):
+            run.run_epoch()
+        save_checkpoint(run, path)
+        return run.history
+
+    stacked = train(tmp_path / "stacked.plck")
+    monkeypatch.setattr(similarity, "pairwise_similarity_matrix", oracles.pairwise_similarity_loop)
+    monkeypatch.setattr(similarity, "proxy_similarity_batch", oracles.proxy_similarity_loop)
+    monkeypatch.setattr(trainer, "neighborhood_loss", oracles.neighborhood_loss_loop)
+    looped = train(tmp_path / "looped.plck")
+    assert len(stacked) == 4 and stacked == looped
+    assert (tmp_path / "stacked.plck").read_bytes() == (tmp_path / "looped.plck").read_bytes()
 
 
 class TestCheckpoints:
