@@ -196,16 +196,22 @@ def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray
 
     With a binary indicator this is the point-biserial correlation. Raises
     when either side is constant, where the correlation is undefined.
+    Two passes: each side is centred once, and the same sums of squares
+    give the zero-variance test and the denominator, so only the two
+    centred copies are held besides the inputs.
     """
-    values = np.asarray(similarity_values, dtype=np.float64)
-    indicator = np.asarray(same_class, dtype=np.float64)
+    values = np.asarray(similarity_values)
+    indicator = np.asarray(same_class)
     if values.shape != indicator.shape or values.ndim != 1:
         raise ValueError("similarity values and indicators must be equal-length vectors")
     if values.size < 2:
         raise ValueError("need at least two pairs")
-    if np.std(values) == 0.0 or np.std(indicator) == 0.0:
+    x = np.subtract(values, np.mean(values, dtype=np.float64), dtype=np.float64)
+    y = np.subtract(indicator, np.mean(indicator, dtype=np.float64), dtype=np.float64)
+    sxx, syy = np.dot(x, x), np.dot(y, y)
+    if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined: zero variance in similarities or labels")
-    return float(np.corrcoef(values, indicator)[0, 1])
+    return float(np.clip(np.dot(x, y) / (np.sqrt(sxx) * np.sqrt(syy)), -1.0, 1.0))
 
 
 @dataclass
@@ -281,9 +287,8 @@ def evaluate_embeddings(
         sims = pairwise_similarity_matrix(embeddings, neighborhoods, similarity_config)
         ours_values = sims[first, second]
         del sims
-    # Each correlation holds five pair-length arrays at its peak; with
-    # anything else that large alive, memory would pass one n x n matrix at
-    # the smallest n that samples pairs.
+    # Each correlation holds two centred pair-length copies besides its
+    # inputs; drop what else is that large before them.
     del first, second, neighborhoods
     ours_correlation = similarity_correlation(ours_values, same_class)
     del ours_values

@@ -23,6 +23,14 @@ FRAME_DRIFT_TOL = 1e-12
 # Distances held at once by neighbor_lists: 2**18 cells keep every n <= 512,
 # each training-time call among them, in one block.
 NEIGHBOR_BLOCK_CELLS = 1 << 18
+# The padded accept test (_batched_accepts) leaves a trial set to the exact
+# route unless it is decided by more than QUALITY_MARGIN; an eigenvalue gap
+# below EIGEN_TIE_TOL * lambda_1 counts as a tie, and a member off the
+# centroid by at most CENTROID_TOL times the set's reach from the origin as
+# within rounding of it.
+QUALITY_MARGIN = 1e-6
+EIGEN_TIE_TOL = 1e-5
+CENTROID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,142 @@ def _batched_accepts(
     n_components: int,
     threshold: float,
 ) -> np.ndarray:
-    # Accept test for many trial sets of equal size at once, trial being
-    # (n_sets, size) indices. Every set, in the Gram case, the scatter case
-    # and rank deficient, gets the bits a stack holding it alone would give.
+    """Accept test of many trial sets in one padded call.
+
+    ``trial`` is (k, S) point indices, each row its members followed by -1
+    padding. Row i is accepted when every member has reconstruction quality
+    >= threshold under the top-m PCA plane of its own set, m being
+    ``n_components``.
+
+    Padding slots read a zero row, so a set's sum over the S slots divided
+    by its own size is its unpadded mean to the bit (zeros after the last
+    member change no partial sum); a mask zeroes the padding after
+    centring. One batched eigh follows, of the S x S Gram matrix when
+    S <= d and of the d x d scatter matrix otherwise. A member's residual
+    against the top p eigenvectors comes from the eigenpairs: on the scatter
+    route, its coordinates along the other eigenvectors; on the Gram route,
+    x less its projection on the lifted eigenvectors X^T u / sqrt(lambda).
+
+    A gap lambda_p - lambda_p+1 of at most EIGEN_TIE_TOL * lambda_1 is a
+    tie. When lambda_m and lambda_m+1 are not tied, the plane is the top m
+    eigenvectors and the set is decided by its worst quality. When they
+    are, the plane is not determined, and the set is judged on the widest
+    untied flat inside it (top p <= m, down to the centroid alone) and the
+    narrowest untied space around it (top p' >= m, up to the whole space),
+    whose worst qualities bound that of any plane between them. A set goes
+    to the exact route (_exact_accepts: linalg._pca_vectors_batch plus
+    reconstruction_quality, one call per set size) when
+      - its worst quality is within QUALITY_MARGIN of the threshold, or,
+        with lambda_m tied, neither the inner flat accepts it nor the outer
+        space rejects it by more than QUALITY_MARGIN. That takes every tie
+        that could matter, sets of rank below m among them, where the exact
+        route completes the plane with axes;
+      - a member lies within rounding of the centroid but not on it,
+        0 < |x - c| <= CENTROID_TOL * (|c| + max |x - c|), the set's reach
+        from the origin, which bounds the rounding of the centring.
+
+    Why every other set gets the exact route's decision. Both routes centre
+    the same bits. Each route's eigenvectors are those of a matrix within
+    E ~ S * min(S, d) * eps * lambda_1 of the set's scatter (forming the
+    matrix, then eigh). Across an untied gap, the Davis-Kahan theorem puts
+    each route's top-p flat within E / gap < S * min(S, d) * 2.2e-11 of the
+    exact one in projector norm, and keeps the lifted or eigh directions
+    orthonormal to the same order. The exact route's plane holds its top-p
+    flat and lies in its top-p' space, so its residual for a member lies
+    between this route's two, up to that multiple of the member's distance
+    from the centroid; its quality, residual over that distance, lies
+    between this route's two up to that amount: about 2e-9 at S = 21, d = 4
+    and 3e-9 at S = 11, d = 32, nearly three orders of magnitude below
+    QUALITY_MARGIN. A direction the exact route keeps inside a tie, with an
+    eigenvalue down to its rank tolerance, is orthogonal to the others to
+    about sqrt(eps / max(size, d)) < 1e-8, still two orders below it. Only
+    a boolean leaves this function, and linalg.pca_top_m refits each final
+    plane, so the scan's member lists, and every bit that depends on them,
+    are those of the exact route.
+    """
+    member = trial >= 0
+    sizes = member.sum(axis=1)
+    # Padding slots index a zero row appended to the embeddings.
+    points = np.take(np.concatenate([embeddings, np.zeros((1, embeddings.shape[1]))]), trial, axis=0)
+    centroid = points.sum(axis=1) / sizes[:, None]
+    centered = (points - centroid[:, None, :]) * member[..., None]
+    base2 = np.einsum("ksd,ksd->ks", centered, centered)
+    n_sets, width, dim = centered.shape
+    gram_route = width <= dim
+    if gram_route:
+        matrix = np.matmul(centered, centered.transpose(0, 2, 1))
+    else:
+        matrix = np.matmul(centered.transpose(0, 2, 1), centered)
+    evals, evecs = np.linalg.eigh(matrix)
+    n_dirs = evals.shape[1]
+    # The descending spectrum continued with zeros; wide[:, p - 1] says the
+    # top p eigenvectors are split from the rest by more than a tie.
+    spectrum = np.concatenate(
+        [evals[:, ::-1], np.zeros((n_sets, max(1, n_components + 1 - n_dirs)))], axis=1
+    )
+    wide = spectrum[:, :-1] - spectrum[:, 1:] > EIGEN_TIE_TOL * np.maximum(spectrum[:, :1], 0.0)
+    counts = np.arange(1, wide.shape[1] + 1)
+    inner = np.max(np.where(wide[:, :n_components], counts[:n_components], 0), axis=1)
+    outer = np.min(
+        np.where(wide[:, n_components - 1 :], counts[n_components - 1 :], n_dirs), axis=1
+    )
+    if gram_route:
+        def residual(top):
+            # Squared, against the top eigenvectors lifted from the Gram
+            # matrix. The whole space (top == n_dirs) holds every member;
+            # its lift would take in eigenvectors of rounding-level
+            # eigenvalues.
+            whole = top == n_dirs
+            top = np.where(whole, 0, top)
+            used = max(int(top.max()), 1)
+            keep = np.arange(used) >= used - top[:, None]
+            lead = evals[:, n_dirs - used :]
+            scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, lead, 1.0)), 0.0)
+            u = evecs[:, :, n_dirs - used :] * scale[:, None, :]
+            coords = np.matmul(matrix, u)
+            lifted = np.matmul(u.transpose(0, 2, 1), centered)
+            resid = centered - np.matmul(coords, lifted)
+            return np.where(whole[:, None], 0.0, np.einsum("ksd,ksd->ks", resid, resid))
+    else:
+        squares = np.matmul(centered, evecs) ** 2
+
+        def residual(top):
+            # Squared: the coordinates along the eigenvectors below the top ones.
+            below = (np.arange(n_dirs) < n_dirs - top[:, None]).astype(np.float64)
+            return np.matmul(squares, below[:, :, None])[:, :, 0]
+
+    nz = member & (base2 > 0.0)
+    safe = np.where(nz, base2, 1.0)
+
+    def worst(resid2):
+        # Each set's worst quality, from squared residuals and distances; a
+        # member on the centroid scores 1.
+        return 1.0 - np.sqrt(np.max(np.where(nz, resid2 / safe, 0.0), axis=1))
+
+    # Each set's worst quality is at least worst_inner and at most
+    # worst_outer; they differ only where lambda_m is tied, and matter only
+    # for a tied set the inner flat does not accept.
+    worst_inner = worst(residual(inner))
+    accept = worst_inner > threshold + QUALITY_MARGIN
+    worst_outer = worst_inner
+    if np.any((inner != outer) & ~accept):
+        worst_outer = worst(residual(outer))
+    decided = accept | (worst_outer < threshold - QUALITY_MARGIN)
+    reach = np.sqrt(np.einsum("kd,kd->k", centroid, centroid)) + np.sqrt(np.max(base2, axis=1))
+    near = np.any(nz & (base2 <= (CENTROID_TOL * reach[:, None]) ** 2), axis=1)
+    exact = np.flatnonzero(~decided | near)
+    for size in np.unique(sizes[exact]):
+        rows = exact[sizes[exact] == size]
+        accept[rows] = _exact_accepts(embeddings, trial[rows, :size], n_components, threshold)
+    return accept
+
+
+def _exact_accepts(
+    embeddings: np.ndarray, trial: np.ndarray, n_components: int, threshold: float
+) -> np.ndarray:
+    # The accept test's exact route, for (k, size) trial sets of one size:
+    # the PCA the final planes use, then reconstruction_quality. Every set
+    # gets the bits a stack holding it alone would give.
     points = embeddings[trial]
     vectors, centroid = linalg._pca_vectors_batch(points, n_components)
     quality = reconstruction_quality(points, vectors, centroid)
@@ -207,10 +348,10 @@ def _scan_pools(
     embeddings: np.ndarray, anchors: np.ndarray, pools: np.ndarray, config: ManifoldConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     # The greedy scan of many anchors, each with its own (pool_size,) pool,
-    # advanced in lockstep so the per-candidate fits batch across anchors.
-    # Anchors are grouped by current member count to keep every reduction
-    # the length it has for one anchor alone. Returns members
-    # (n, pool_size + 1), anchor first, of which row i holds sizes[i].
+    # advanced in lockstep: at each pool position every anchor's trial set,
+    # its members plus the candidate, padded with -1 to the widest, goes
+    # through one _batched_accepts call. Returns members (n, pool_size + 1),
+    # anchor first, of which row i holds sizes[i].
     plane_dim = config.dim
     threshold = config.quality_threshold / 100.0
     n, pool_size = pools.shape
@@ -220,16 +361,14 @@ def _scan_pools(
     if config.knn_only:
         return members, np.full(n, pool_size + 1, dtype=np.int64)
     sizes = np.full(n, plane_dim, dtype=np.int64)
+    rows = np.arange(n)
     for ci in range(plane_dim - 1, pool_size):
-        cands = pools[:, ci]
-        snapshot = sizes.copy()
-        for size in np.unique(snapshot):
-            rows = np.flatnonzero(snapshot == size)
-            trial = np.concatenate([members[rows, :size], cands[rows, None]], axis=1)
-            accept = _batched_accepts(embeddings, trial, plane_dim, threshold)
-            grown = rows[accept]
-            members[grown, size] = cands[grown]
-            sizes[grown] += 1
+        width = int(sizes.max()) + 1
+        trial = np.where(np.arange(width) < sizes[:, None], members[:, :width], -1)
+        trial[rows, sizes] = pools[:, ci]
+        grown = np.flatnonzero(_batched_accepts(embeddings, trial, plane_dim, threshold))
+        members[grown, sizes[grown]] = pools[grown, ci]
+        sizes[grown] += 1
     return members, sizes
 
 
@@ -262,10 +401,11 @@ def fit_all_neighborhoods(
     """Fit one LinearNeighborhood per point, pools drawn from the same set.
 
     Matches calling fit_neighborhood per point exactly. The scans run in
-    lockstep: each candidate is tested for all anchors whose trial sets have
-    the same size in one batched PCA, whether a set has more points than
-    the ambient dim or fewer, full rank or not. Each final plane equals
-    linalg.pca_top_m of its members bit for bit.
+    lockstep: at each pool position, every anchor's trial set, whatever its
+    size, goes through one padded accept test (_batched_accepts), which
+    hands the few sets it cannot decide safely to the exact per-size PCA.
+    So the scan makes pool_size - dim + 1 accept calls. Each final plane
+    equals linalg.pca_top_m of its members bit for bit.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]

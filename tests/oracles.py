@@ -11,7 +11,9 @@ and symmetric similarities of one pair. The stacked routes in the library
 must equal the first three bit for bit, set by set. The full-sort nearest
 neighbour lists are the reference of the library's blocked top-k. The loops
 over anchors, proxies and points that the library's stacked similarity and
-neighbourhood-loss routes replaced are kept as their bit-for-bit references.
+neighbourhood-loss routes replaced are kept as their bit-for-bit references,
+and so is the greedy scan that ran one accept test per pool position and
+member count, the reference of the library's padded scan.
 """
 
 from __future__ import annotations
@@ -133,6 +135,35 @@ def greedy_plane_scan(
         if np.all(quals >= threshold_pct / 100.0):
             members = trial
     return members
+
+
+def scan_pools_loop(embeddings, anchors, pools, config):
+    """The lockstep greedy scan with one exact accept test per (pool
+    position, member count): the reference of ``manifold._scan_pools``,
+    with the same arguments and result.
+    """
+    from plmetric.manifold import _exact_accepts
+
+    plane_dim = config.dim
+    threshold = config.quality_threshold / 100.0
+    n, pool_size = pools.shape
+    members = np.empty((n, pool_size + 1), dtype=np.int64)
+    members[:, 0] = anchors
+    members[:, 1:] = pools
+    if config.knn_only:
+        return members, np.full(n, pool_size + 1, dtype=np.int64)
+    sizes = np.full(n, plane_dim, dtype=np.int64)
+    for ci in range(plane_dim - 1, pool_size):
+        cands = pools[:, ci]
+        snapshot = sizes.copy()
+        for size in np.unique(snapshot):
+            rows = np.flatnonzero(snapshot == size)
+            trial = np.concatenate([members[rows, :size], cands[rows, None]], axis=1)
+            accept = _exact_accepts(embeddings, trial, plane_dim, threshold)
+            grown = rows[accept]
+            members[grown, size] = cands[grown]
+            sizes[grown] += 1
+    return members, sizes
 
 
 def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:

@@ -166,6 +166,15 @@ class TestSimilarityCorrelation:
         ours = similarity_correlation(values, indicator)
         assert ours == pytest.approx(pearson_two_pass(values, indicator), abs=1e-12)
 
+    def test_boolean_sides_match_two_pass_oracle(self):
+        # The k-means correlation passes two boolean arrays.
+        rng = np.random.default_rng(9)
+        first = rng.uniform(size=5000) < 0.3
+        second = first ^ (rng.uniform(size=5000) < 0.2)
+        ours = similarity_correlation(first, second)
+        ref = pearson_two_pass(first.astype(float), second.astype(float))
+        assert ours == pytest.approx(ref, abs=1e-12)
+
     def test_hand_computed_fixture(self):
         values = np.array([0.9, 0.8, 0.7, 0.2, 0.1, 0.3])
         indicator = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])

@@ -215,6 +215,19 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError, match="pool_size"):
             manifold.fit_all_neighborhoods(np.eye(5), cfg)
 
+    def test_one_accept_call_per_pool_position(self):
+        # Trial sets of several sizes at each position still take one call.
+        rng = np.random.default_rng(23)
+        pts = rng.standard_normal((40, 4))
+        cfg = ManifoldConfig(dim=3, quality_threshold=80.0, pool_size=12)
+        with mock.patch.object(
+            manifold, "_batched_accepts", wraps=manifold._batched_accepts
+        ) as accepts:
+            nbhds = manifold.fit_all_neighborhoods(pts, cfg)
+        assert len({nb.size for nb in nbhds}) > 2
+        assert accepts.call_count == cfg.pool_size - cfg.dim + 1
+        assert all(call.args[1].shape[0] == 40 for call in accepts.call_args_list)
+
     def test_matches_per_anchor_scans_bitwise(self):
         # The lockstep scan must make the same accept choices as running
         # fit_neighborhood point by point, down to the last bit.
@@ -300,6 +313,22 @@ class TestScanAgainstOracle:
             assert np.array_equal(nb.centroid, centroid)
 
 
+class TestScanAgainstLoop:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scan_cases())
+    def test_padded_scan_equals_per_size_loop(self, case):
+        # The loop of one exact accept test per (position, member count)
+        # that the padded scan replaced must give the same member lists.
+        points, cfg = case
+        pools = manifold.neighbor_lists(points, cfg.pool_size)
+        anchors = np.arange(len(points))
+        members, sizes = manifold._scan_pools(points, anchors, pools, cfg)
+        ref_members, ref_sizes = oracles.scan_pools_loop(points, anchors, pools, cfg)
+        np.testing.assert_array_equal(sizes, ref_sizes)
+        for row, ref, size in zip(members, ref_members, sizes):
+            np.testing.assert_array_equal(row[:size], ref[:size])
+
+
 class TestBatchedAccepts:
     @staticmethod
     def _batch(case):
@@ -341,6 +370,100 @@ class TestBatchedAccepts:
             assert min(ranks) < dim
         got = manifold._batched_accepts(emb, trial, dim, threshold)
         np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def _padded(rows):
+        trial = np.full((len(rows), max(len(r) for r in rows)), -1)
+        for i, row in enumerate(rows):
+            trial[i, : len(row)] = row
+        return trial
+
+    @staticmethod
+    def _oracle_worst(emb, rows, dim):
+        worst = []
+        for row in rows:
+            vectors, centroid = oracles.pca_vectors(emb[row], dim)
+            worst.append(np.min(manifold.reconstruction_quality(emb[row], vectors, centroid)))
+        return np.asarray(worst)
+
+    def test_mixed_sizes_in_one_padded_call(self):
+        # Sets of 4 to 9 points in 5 dims, on both sides of the ambient dim,
+        # padded with -1 into one call; the threshold is one set's worst
+        # quality, which that set must still reach.
+        rng = np.random.default_rng(37)
+        emb = rng.standard_normal((40, 5))
+        rows = [rng.choice(40, int(rng.integers(4, 10)), replace=False) for _ in range(40)]
+        sizes = np.array([len(r) for r in rows])
+        assert sizes.min() <= 5 < sizes.max()
+        worst = self._oracle_worst(emb, rows, 3)
+        threshold = float(np.sort(worst)[len(worst) // 2])
+        expected = worst >= threshold
+        assert 0 < expected.sum() < expected.size
+        got = manifold._batched_accepts(emb, self._padded(rows), 3, threshold)
+        np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def _special_set(case, rng):
+        # (embeddings, the set's rows, plane dim): a set the padded test must
+        # leave to the exact route, as row 0 of a batch of ordinary sets.
+        emb = rng.standard_normal((40, 4))
+        if case == "grid":
+            # Cube corners, turned so that rounding splits the eigenvalues:
+            # lambda_1 = lambda_2 = lambda_3 up to rounding, so no 2-plane is
+            # preferred, and none holds every corner.
+            corners = np.array([[i, j, k, 0] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+            turn, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            emb[:8] = (corners + 2.0) @ turn
+            return emb, np.arange(8), 2
+        if case == "identical":
+            # Three copies of a row whose mean is not exactly the row, so
+            # each member is off the centroid by rounding alone.
+            emb[:3] = 0.1
+            assert np.any(emb[:3].mean(axis=0) != emb[0])
+            return emb, np.arange(3), 2
+        return emb, rng.choice(40, 6, replace=False), 3
+
+    def test_rank_deficient_sets_raise_no_floating_point_error(self):
+        # Sets of rank below the plane dim, all Gram sized: their eigenvalues
+        # past the rank are rounding, and dividing by their square roots
+        # would raise here. The last set is a line plus a member 1e-4 off
+        # it beside the centroid: the line does not accept it, and the
+        # whole space is the only untied space around its plane.
+        rng = np.random.default_rng(43)
+        emb = rng.standard_normal((45, 8))
+        emb[:20] = emb[0] + rng.standard_normal((20, 1)) * rng.standard_normal(8)
+        emb[20:30] = emb[30:40]
+        line, middle = rng.standard_normal((2, 8))
+        emb[40:44] = middle + np.array([[-3.0], [-1.0], [1.0], [3.0]]) * line
+        emb[44] = middle + 1e-4 * np.eye(8)[np.argmin(np.abs(line))]
+        rows = [rng.choice(20, 5, replace=False) for _ in range(10)]
+        rows += [np.append(rng.choice(np.arange(20, 40), 3, replace=False), 25) for _ in range(10)]
+        rows.append(np.arange(40, 45))
+        worst = self._oracle_worst(emb, rows, 3)
+        with np.errstate(all="raise"):
+            got = manifold._batched_accepts(emb, self._padded(rows), 3, 0.95)
+        np.testing.assert_array_equal(got, worst >= 0.95)
+
+    @pytest.mark.parametrize("case", ["grid", "threshold", "identical"])
+    def test_undecided_sets_reach_the_exact_route(self, case):
+        rng = np.random.default_rng(41)
+        emb, special, dim = self._special_set(case, rng)
+        rows = [special] + [rng.choice(np.arange(8, 40), 6, replace=False) for _ in range(9)]
+        worst = self._oracle_worst(emb, rows, dim)
+        # On the threshold: the special set's own worst quality. Otherwise a
+        # threshold far from every worst quality but the special set's.
+        threshold = float(worst[0]) if case == "threshold" else 0.9
+        seen = []
+
+        def exact(embeddings, trial, n_components, thr):
+            seen.extend(map(tuple, trial))
+            return oracle_exact(embeddings, trial, n_components, thr)
+
+        oracle_exact = manifold._exact_accepts
+        with mock.patch.object(manifold, "_exact_accepts", exact):
+            got = manifold._batched_accepts(emb, self._padded(rows), dim, threshold)
+        np.testing.assert_array_equal(got, worst >= threshold)
+        assert seen == [tuple(special)]
 
 
 class TestLinearNeighborhood:

@@ -398,8 +398,9 @@ def _acceptance_recipe(seed: int) -> TrainConfig:
 )
 def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
     # Four steps on 150 points, once as the library runs them and once with
-    # the loops the stacked routes replaced (tests/oracles.py) patched in:
-    # weights, proxies, Adam moments, RNG states and history byte for byte.
+    # the loops the stacked routes and the padded scan replaced
+    # (tests/oracles.py) patched in: weights, proxies, Adam moments, RNG
+    # states and history byte for byte.
     dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
 
     def train(path):
@@ -413,6 +414,7 @@ def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
     monkeypatch.setattr(similarity, "pairwise_similarity_matrix", oracles.pairwise_similarity_loop)
     monkeypatch.setattr(similarity, "proxy_similarity_batch", oracles.proxy_similarity_loop)
     monkeypatch.setattr(trainer, "neighborhood_loss", oracles.neighborhood_loss_loop)
+    monkeypatch.setattr(manifold, "_scan_pools", oracles.scan_pools_loop)
     looped = train(tmp_path / "looped.plck")
     assert len(stacked) == 4 and stacked == looped
     assert (tmp_path / "stacked.plck").read_bytes() == (tmp_path / "looped.plck").read_bytes()
