@@ -6,11 +6,18 @@ validation failures), 2 internal error. All subcommands honor a global
 reproducible for a fixed root seed. The cap is applied through
 ``threadpoolctl``; without it the CLI warns on stderr and leaves BLAS as the
 environment set it.
+
+``train`` and ``diagnose`` read a flat JSON run configuration (RunConfig):
+TrainConfig's field names, with ``manifold_dim`` and ``binary_similarity``
+for ``manifold.dim`` and ``similarity.binary``, plus five run settings. Each
+value, from the file or parsed from ``--set key=value``, must have the JSON
+type of its key's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -28,34 +35,31 @@ class UserError(Exception):
     """Invalid input from the operator; reported without a traceback."""
 
 
-@dataclass
-class RunConfig:
-    """Flat, file-friendly view of every training and evaluation knob."""
+# Where each training key of RunConfig lives in TrainConfig: (section, name),
+# section None for TrainConfig's own fields. The key is the field's own name
+# but for the two below; these keys are the config file's format.
+_FLAT_NAMES = {("manifold", "dim"): "manifold_dim", ("similarity", "binary"): "binary_similarity"}
+_TRAIN_FIELDS = {
+    _FLAT_NAMES.get((section, f.name), f.name): (section, f.name)
+    for section, cls in [(None, TrainConfig), *_SECTIONS.items()]
+    for f in dataclasses.fields(cls)
+    if f.name not in _SECTIONS
+}
 
-    manifold_dim: int = 3
-    quality_threshold: float = 90.0
-    pool_size: int = 10
-    knn_only: bool = False
-    orth_exponent: float = 4.0
-    inplane_exponent: float = 0.5
-    binary_similarity: bool = False
-    batch_size: int = 100
-    n_seeds: int = 10
-    augment_sigma: float = 0.0
-    distance_scale: float = 2.0
-    point_weight: float = 1.0
-    proxy_weight: float = 1.0
-    neighborhood_weight: float = 1.0
-    stopgrad_similarity: bool = False
-    hidden_sizes: list = field(default_factory=lambda: [256])
-    embed_dim: int = 32
-    init_gain: float = 1.0
-    momentum: float = 0.999
-    lr: float = 5e-4
-    proxy_lr_scale: float = 100.0
-    n_proxies: int = 100
-    epochs: int = 200
-    seed: int = 0
+
+def _flatten(config: TrainConfig) -> dict:
+    """``config``'s values under their flat keys, tuples as lists."""
+    values = {}
+    for key, (section, name) in _TRAIN_FIELDS.items():
+        value = getattr(config if section is None else getattr(config, section), name)
+        values[key] = list(value) if isinstance(value, tuple) else value
+    return values
+
+
+@dataclass
+class _RunSettings:
+    """The CLI's own settings; RunConfig adds TrainConfig's fields to them."""
+
     dataset: str | None = None
     out_dir: str | None = None
     checkpoint_every: int = 0
@@ -63,30 +67,30 @@ class RunConfig:
     recall_ks: list = field(default_factory=lambda: [1, 2, 4, 8])
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(cls, path: str | Path) -> RunConfig:
         try:
             raw = json.loads(Path(path).read_text())
         except OSError as exc:
             raise UserError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UserError(f"config {path} is not valid JSON: {exc}") from None
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise UserError(f"config {path} is not a table")
+        unknown = set(raw) - set(_DEFAULTS)
         if unknown:
             raise UserError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**raw)
+        return cls(**{key: _checked(key, value) for key, value in raw.items()})
 
     def apply_overrides(self, overrides: list[str]) -> None:
-        """Apply repeated ``--set key=value`` flags with field-typed parsing."""
-        fields = {f.name: f for f in dataclasses.fields(self)}
+        """Apply repeated ``--set key=value`` flags, parsed by the key's type."""
         for item in overrides:
             if "=" not in item:
                 raise UserError(f"--set expects key=value, got {item!r}")
             key, _, text = item.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in _DEFAULTS:
                 raise UserError(f"unknown config key {key!r}")
-            setattr(self, key, _parse_value(key, text.strip(), getattr(self, key)))
+            setattr(self, key, _checked(key, _parse_text(_DEFAULTS[key], text.strip())))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -100,53 +104,61 @@ class RunConfig:
         except ValueError as exc:
             raise UserError(f"invalid configuration: {exc}") from None
 
-    def with_train_config(self, config: TrainConfig) -> "RunConfig":
+    def with_train_config(self, config: TrainConfig) -> RunConfig:
         """A copy whose training fields are read from ``config``."""
-        values = {}
-        for key, (section, name) in _TRAIN_FIELDS.items():
-            value = getattr(config if section is None else getattr(config, section), name)
-            values[key] = list(value) if key == "hidden_sizes" else value
-        return dataclasses.replace(self, **values)
+        return dataclasses.replace(self, **_flatten(config))
 
 
-# Where each training field of RunConfig lives in TrainConfig: (section, name),
-# section None for TrainConfig's own fields. The flat name is the field's own
-# but for the two below. RunConfig.train_config and with_train_config read it.
-_FLAT_NAMES = {("manifold", "dim"): "manifold_dim", ("similarity", "binary"): "binary_similarity"}
-_TRAIN_FIELDS = {
-    _FLAT_NAMES.get((section, f.name), f.name): (section, f.name)
-    for section, cls in [(None, TrainConfig), *_SECTIONS.items()]
-    for f in dataclasses.fields(cls)
-    if f.name not in _SECTIONS
-}
+# The flat run configuration: the CLI's own settings plus every training key,
+# whose default, and so its value type, is TrainConfig's.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [
+        (key, type(value), field(default_factory=lambda value=value: copy.copy(value)))
+        for key, value in _flatten(TrainConfig()).items()
+    ],
+    bases=(_RunSettings,),
+    namespace={"__module__": __name__},
+)
+_DEFAULTS = dataclasses.asdict(RunConfig())
 
 
-def _parse_value(key: str, text: str, current):
-    if isinstance(current, bool):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise UserError(f"{key} expects a boolean, got {text!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        try:
-            return int(text)
-        except ValueError:
-            raise UserError(f"{key} expects an integer, got {text!r}") from None
-    if isinstance(current, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise UserError(f"{key} expects a number, got {text!r}") from None
-    if isinstance(current, list):
-        if not text:
-            return []
-        try:
-            return [int(v) for v in text.split(",")]
-        except ValueError:
-            raise UserError(f"{key} expects comma-separated integers, got {text!r}") from None
+def _checked(key: str, value):
+    """``value`` when it has the JSON type of ``key``'s default; floats take ints."""
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):
+        kind, ok = "a boolean", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind, ok = "an integer", type(value) is int
+    elif isinstance(default, float):
+        kind, ok = "a number", type(value) in (int, float)
+    elif isinstance(default, list):
+        kind, ok = "a list of integers", type(value) is list and all(type(v) is int for v in value)
+    else:
+        kind, ok = "a string or null", value is None or isinstance(value, str)
+    if not ok:
+        raise UserError(f"{key} expects {kind}, got {value!r}")
+    return value
+
+
+def _parse_text(default, text: str):
+    """A ``--set`` value typed like ``default``; text that does not parse stays text."""
+    if isinstance(default, bool):
+        words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+        return words.get(text.lower(), text)
+    try:
+        if isinstance(default, list):
+            return [int(v) for v in text.split(",")] if text else []
+        if isinstance(default, (int, float)):
+            return type(default)(text)
+    except ValueError:
+        pass
     return text
+
+
+# gen's flags are SyntheticSpec's fields, dashed, with the spec's defaults; two
+# take shorter names.
+_GEN_FLAGS = {"n_classes": "classes", "noise_sigma": "noise"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,14 +173,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic linear-patch dataset")
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--patch-dim", type=int, default=3)
-    gen.add_argument("--ambient-dim", type=int, default=32)
-    gen.add_argument("--points-per-class", type=int, default=100)
-    gen.add_argument("--noise", type=float, default=0.01)
-    gen.add_argument("--patch-aspect", type=float, default=6.0)
-    gen.add_argument("--offset-scale", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(SyntheticSpec):
+        flag = _GEN_FLAGS.get(f.name, f.name).replace("_", "-")
+        kind = float if f.default is None else type(f.default)
+        gen.add_argument(f"--{flag}", dest=f.name, type=kind, default=f.default)
     gen.add_argument("--format", choices=("binary", "csv"), default=None)
     gen.add_argument("--out", required=True)
 
@@ -182,7 +190,7 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--recall-k", type=int, nargs="+", default=[1, 2, 4, 8])
+    ev.add_argument("--recall-k", type=int, nargs="+", default=_DEFAULTS["recall_ks"])
 
     diag = sub.add_parser(
         "diagnose", help="compare untrained supervision quality against k-means"
@@ -238,16 +246,8 @@ def _log_step(metrics) -> None:
 
 def cmd_gen(args) -> int:
     try:
-        spec = SyntheticSpec(
-            n_classes=args.classes,
-            patch_dim=args.patch_dim,
-            ambient_dim=args.ambient_dim,
-            points_per_class=args.points_per_class,
-            noise_sigma=args.noise,
-            patch_aspect=args.patch_aspect,
-            offset_scale=args.offset_scale,
-            seed=args.seed,
-        )
+        fields = dataclasses.fields(SyntheticSpec)
+        spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields})
         dataset = data.generate_synthetic(spec)
     except ValueError as exc:
         raise UserError(str(exc)) from None
@@ -298,6 +298,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _evaluate(embeds, labels, config: TrainConfig, recall_ks) -> evaluation.EvalReport:
+    # A K or pool size larger than the dataset allows is the operator's mistake.
+    try:
+        return evaluation.evaluate_embeddings(
+            embeds, labels, config.manifold, config.similarity, recall_ks, config.seed
+        )
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
+
+
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
     try:
@@ -310,14 +320,7 @@ def cmd_eval(args) -> int:
         print("similarity_correlation: skipped (dataset has no labels)")
         print("error: recall requires labels", file=sys.stderr)
         return 1
-    report = evaluation.evaluate_embeddings(
-        embeds,
-        dataset.labels,
-        run.config.manifold,
-        run.config.similarity,
-        recall_ks=args.recall_k,
-        seed=run.config.seed,
-    )
+    report = _evaluate(embeds, dataset.labels, run.config, args.recall_k)
     print(report.to_text())
     return 0
 
@@ -331,14 +334,7 @@ def cmd_diagnose(args) -> int:
     layer_sizes = (dataset.dim, *train_config.hidden_sizes, train_config.embed_dim)
     frozen = embedder.MLPParams.initialize(layer_sizes, config.seed, gain=train_config.init_gain)
     embeds = embedder.forward(frozen, dataset.features)
-    report = evaluation.evaluate_embeddings(
-        embeds,
-        dataset.labels,
-        train_config.manifold,
-        train_config.similarity,
-        recall_ks=config.recall_ks,
-        seed=config.seed,
-    )
+    report = _evaluate(embeds, dataset.labels, train_config, config.recall_ks)
     print(f"{'metric':<26}{'ours':>12}{'kmeans':>12}")
     print(f"{'label_purity':<26}{report.neighborhood_purity:>12.4f}{report.kmeans_purity:>12.4f}")
     print(

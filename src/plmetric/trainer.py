@@ -119,8 +119,10 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
-# The nested config class of each TrainConfig section; checkpoints and the
-# CLI's flat RunConfig both read it.
+# The nested config class of each TrainConfig section; checkpoints read it.
+# The CLI's flat run config takes its training keys, defaults and value types
+# from these classes and TrainConfig's own fields, so renaming a field renames
+# a config-file key.
 CONFIG_SECTIONS = {
     f.name: f.default_factory
     for f in dataclasses.fields(TrainConfig)

@@ -9,6 +9,7 @@ import pytest
 
 from plmetric import data
 from plmetric.cli import RunConfig, UserError, main
+from plmetric.data import SyntheticSpec
 from plmetric.trainer import TrainConfig
 
 
@@ -76,9 +77,14 @@ class TestRunConfig:
             config.apply_overrides(["learning_rate=0.1"])
 
     def test_train_config_round_trips(self):
-        # Every training field off its default, so a crossed or missing
-        # entry in either direction of the mapping shows.
-        config = RunConfig(
+        # Every key of the config file by name and off its default, so a
+        # renamed TrainConfig field, or a crossed or missing entry in either
+        # direction of the mapping, shows.
+        run = dict(
+            dataset="data.plmf", out_dir="runs", checkpoint_every=5, eval_every=2,
+            recall_ks=[1, 3],
+        )
+        train = dict(
             manifold_dim=2, quality_threshold=80.0, pool_size=7, knn_only=True,
             orth_exponent=3.0, inplane_exponent=0.25, binary_similarity=True,
             batch_size=50, n_seeds=5, augment_sigma=0.1, distance_scale=1.5,
@@ -87,7 +93,11 @@ class TestRunConfig:
             init_gain=2.0, momentum=0.9, lr=1e-3, proxy_lr_scale=10.0,
             n_proxies=12, epochs=3, seed=9,
         )
-        assert RunConfig().with_train_config(config.train_config()) == config
+        config = RunConfig(**run, **train)
+        defaults = RunConfig()
+        assert [k for k, v in {**run, **train}.items() if getattr(defaults, k) == v] == []
+        assert sorted(json.loads(config.to_json())) == sorted([*run, *train])
+        assert RunConfig(**run).with_train_config(config.train_config()) == config
         assert RunConfig().train_config() == TrainConfig()
 
     def test_invalid_combination_is_user_error(self):
@@ -102,6 +112,22 @@ class TestGen:
         ds = data.load_dataset(path)
         assert ds.n_samples == 60 and ds.dim == 12
         assert ds.labels is not None
+
+    def test_each_flag_sets_its_spec_field(self, tmp_path):
+        # Every flag by name and off its default, against the library call.
+        path = _gen(tmp_path, **{
+            "--classes": "2", "--patch-dim": "2", "--ambient-dim": "5",
+            "--points-per-class": "7", "--noise": "0.05", "--patch-aspect": "3",
+            "--offset-scale": "20", "--seed": "4",
+        })
+        expected = data.generate_synthetic(SyntheticSpec(
+            n_classes=2, patch_dim=2, ambient_dim=5, points_per_class=7,
+            noise_sigma=0.05, patch_aspect=3.0, offset_scale=20.0, seed=4,
+        ))
+        ds = data.load_dataset(path)
+        # The binary format stores float32 rows.
+        np.testing.assert_array_equal(ds.features, expected.features.astype(np.float32))
+        np.testing.assert_array_equal(ds.labels, expected.labels)
 
     def test_csv_format_flag(self, tmp_path):
         path = _gen(tmp_path, name="bench.csv", **{"--format": "csv"})
@@ -156,6 +182,40 @@ class TestTrain:
         assert (recorded["seed"], recorded["embed_dim"], recorded["epochs"]) == (0, 6, 2)
 
 
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"knn_only": "no"}, "knn_only"),
+            ({"epochs": True}, "epochs"),
+            ({"epochs": "5"}, "epochs"),
+            ({"hidden_sizes": 16}, "hidden_sizes"),
+            ([1], "is not a table"),
+        ],
+        ids=["bool-as-string", "int-as-bool", "int-as-string", "list-as-int", "not-a-table"],
+    )
+    def test_mistyped_config_file_is_a_one_line_user_error(
+        self, tmp_path, capsys, monkeypatch, raw, named
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        code = main(["train", "--config", str(path), "--dataset", str(tmp_path / "none.plmf")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", [{"lr": 1}, {"quality_threshold": 60}], ids=["lr", "T"])
+    def test_config_file_int_for_float_key_is_accepted(self, tmp_path, raw):
+        dataset = _gen(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "run"
+        assert main(_train_args(dataset, out_dir, "epochs=1") + ["--config", str(path)]) == 0
+        [(key, value)] = raw.items()
+        assert json.loads((out_dir / "config.json").read_text())[key] == value
+
+
 class TestEval:
     def test_report_matches_library_call(self, tmp_path, capsys):
         from plmetric import evaluation, trainer
@@ -207,6 +267,19 @@ class TestEval:
         assert "manifest is missing" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", ["0", "100"])
+    def test_recall_k_out_of_range_is_a_one_line_user_error(self, tmp_path, capsys, monkeypatch, k):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        dataset_path = _gen(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(_train_args(dataset_path, out_dir, "epochs=1")) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.plck"),
+                     "--dataset", dataset_path, "--recall-k", k])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_checkpoint_is_user_error(self, tmp_path, capsys):
         dataset_path = _gen(tmp_path)
         code = main(["eval", "--checkpoint", str(tmp_path / "none.plck"),
@@ -224,6 +297,16 @@ class TestDiagnose:
         assert code == 0
         assert "label_purity" in captured
         assert "kmeans" in captured
+
+    def test_pool_larger_than_dataset_is_a_one_line_user_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        dataset_path = _gen(tmp_path)
+        capsys.readouterr()
+        code = main(["diagnose", "--dataset", dataset_path, "--set", "pool_size=80"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "pool_size=80" in err
+        assert err.count("\n") == 1
 
     def test_unlabeled_dataset_rejected(self, tmp_path, capsys):
         ds = data.FeatureDataset(np.random.default_rng(0).standard_normal((30, 6)))
