@@ -2,7 +2,7 @@
 
 from .data import FeatureDataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .evaluation import evaluate_embeddings, recall_at_k
-from .manifold import ManifoldConfig, fit_all_neighborhoods
+from .manifold import ManifoldConfig, Neighborhoods, fit_all_neighborhoods
 from .similarity import SimilarityConfig, pairwise_similarity_matrix
 from .trainer import LossConfig, SamplerConfig, TrainConfig, Trainer, save_checkpoint, trainer_from_checkpoint
 
@@ -17,6 +17,7 @@ __all__ = [
     "evaluate_embeddings",
     "recall_at_k",
     "ManifoldConfig",
+    "Neighborhoods",
     "fit_all_neighborhoods",
     "SimilarityConfig",
     "pairwise_similarity_matrix",

@@ -64,7 +64,7 @@ class _RunSettings:
     out_dir: str | None = None
     checkpoint_every: int = 0
     eval_every: int = 0
-    recall_ks: list = field(default_factory=lambda: [1, 2, 4, 8])
+    recall_ks: list = field(default_factory=lambda: list(evaluation.RECALL_KS))
 
     @classmethod
     def from_file(cls, path: str | Path) -> RunConfig:

@@ -18,13 +18,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .manifold import LinearNeighborhood, ManifoldConfig, fit_all_neighborhoods, neighbor_lists
+from .manifold import (
+    LinearNeighborhood,
+    ManifoldConfig,
+    Neighborhoods,
+    fit_all_neighborhoods,
+    neighbor_lists,
+)
 from .similarity import SimilarityConfig, pair_similarities, pairwise_similarity_matrix
 
 # Above this many points, correlations switch from all pairs to a sample.
 ALL_PAIRS_LIMIT = 2000
 PAIR_SAMPLE_SIZE = 1_000_000
 KMEANS_MAX_ITER = 100
+# Recall cut-offs reported when the caller names none; the CLI's default too.
+RECALL_KS = (1, 2, 4, 8)
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,12 +86,23 @@ def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
 
 
 def neighborhood_purity(
-    neighborhoods: Sequence[LinearNeighborhood], labels: np.ndarray
+    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood], labels: np.ndarray
 ) -> float:
-    """Purity of fitted neighborhoods: majority fraction, averaged over anchors."""
+    """Purity of fitted neighborhoods: majority fraction, averaged over anchors.
+
+    Equals group_purity over the rows' member sets. Takes a Neighborhoods
+    record, or a sequence of rows stacked by Neighborhoods.of.
+    """
     if labels is None:
         raise ValueError("purity requires labels")
-    return group_purity([nb.member_indices for nb in neighborhoods], labels)
+    nbhds = Neighborhoods.of(neighborhoods)
+    held = nbhds.members >= 0
+    member_labels = np.asarray(labels)[nbhds.members]
+    # Slot s of a row counts the members that share its label; the largest
+    # count over a row's members is its majority.
+    same = (member_labels[:, :, None] == member_labels[:, None, :]) & held[:, None, :]
+    majority = np.max(np.where(held, np.count_nonzero(same, axis=2), 0), axis=1)
+    return float(np.mean(majority / nbhds.sizes))
 
 
 @dataclass
@@ -255,7 +274,7 @@ def evaluate_embeddings(
     labels: np.ndarray,
     manifold_config: ManifoldConfig,
     similarity_config: SimilarityConfig,
-    recall_ks: Sequence[int] = (1, 2, 4, 8),
+    recall_ks: Sequence[int] = RECALL_KS,
     seed: int = 0,
 ) -> EvalReport:
     """Full labeled evaluation: retrieval, purity, and supervision quality.

@@ -3,14 +3,16 @@
 Around each anchor point we fit a local linear neighborhood: a small plane
 (dimension ``dim``) through a subset of the anchor's nearest neighbors,
 grown greedily so that every member stays well reconstructed by the plane.
-Proxies are a compact learnable stand-in for the full neighborhood set: each
-proxy carries a location on the unit sphere plus its own plane frame.
+fit_all_neighborhoods returns the planes of a point set as one Neighborhoods
+record of stacked arrays. Proxies are a compact learnable stand-in for the
+full neighborhood set: each proxy carries a location on the unit sphere plus
+its own plane frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,10 +64,12 @@ class ManifoldConfig:
 
 @dataclass(frozen=True)
 class LinearNeighborhood:
-    """A fitted plane around one anchor.
+    """A fitted plane around one anchor: one row of a Neighborhoods record.
 
     ``member_indices`` keeps insertion order (anchor first, then accepted
-    neighbors in scan order) and always contains the anchor.
+    neighbors in scan order). A record's rows are views of its arrays,
+    built on demand and not validated again; a row built directly is
+    validated here, its basis by OrthonormalBasis.
     """
 
     anchor_index: int
@@ -77,8 +81,8 @@ class LinearNeighborhood:
         members = np.asarray(self.member_indices, dtype=np.int64)
         if members.ndim != 1 or members.size < 1:
             raise ValueError("member_indices must be a non-empty 1-d array")
-        if self.anchor_index not in members:
-            raise ValueError(f"anchor {self.anchor_index} missing from member set")
+        if members[0] != self.anchor_index:
+            raise ValueError(f"anchor {self.anchor_index} is not the first member")
         centroid = np.asarray(self.centroid, dtype=np.float64)
         if centroid.shape != (self.basis.ambient_dim,):
             raise ValueError("centroid does not match the basis ambient dimension")
@@ -90,6 +94,94 @@ class LinearNeighborhood:
     @property
     def size(self) -> int:
         return int(self.member_indices.size)
+
+
+def _view(cls, **fields):
+    # An instance of the frozen dataclass cls holding ``fields`` as given,
+    # without __post_init__: a Neighborhoods record validated them as a stack.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class Neighborhoods:
+    """One fitted plane per anchor, stacked: what fit_all_neighborhoods returns.
+
+    Attributes:
+        members: (n, width) point indices; row i holds its sizes[i] members,
+            anchor first, then -1 padding. width is the largest size.
+        sizes: (n,) member counts.
+        bases: (n, m, d) orthonormal plane frames, one per row.
+        centroids: (n, d) member means.
+
+    Construction copies the arrays, validates them once (one
+    linalg.check_frames over the whole stack) and makes them read-only.
+    Consumers read the arrays; indexing and iteration give LinearNeighborhood
+    row views for code that wants one plane at a time. Every consumer also
+    takes a plain sequence of rows, stacked once by Neighborhoods.of.
+    """
+
+    members: np.ndarray
+    sizes: np.ndarray
+    bases: np.ndarray
+    centroids: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = {
+            "members": np.array(self.members, dtype=np.int64),
+            "sizes": np.array(self.sizes, dtype=np.int64),
+            "bases": np.array(self.bases, dtype=np.float64),
+            "centroids": np.array(self.centroids, dtype=np.float64),
+        }
+        members, sizes, bases, centroids = arrays.values()
+        n = len(sizes)
+        if members.ndim != 2 or sizes.shape != (n,) or bases.ndim != 3 or len(members) != n:
+            raise ValueError("need (n, width) members, (n,) sizes and (n, m, d) bases")
+        if len(bases) != n or centroids.shape != (n, bases.shape[2]):
+            raise ValueError("need one (m, d) frame and one (d,) centroid per row")
+        held = np.arange(members.shape[1]) < sizes[:, None]
+        if np.any(sizes < 1) or members.shape[1] != np.max(sizes, initial=0):
+            raise ValueError("every row needs a member, and width must be the largest size")
+        if np.any(np.where(held, members < 0, members != -1)):
+            raise ValueError("members must be non-negative indices followed by -1 padding")
+        linalg.check_frames(bases)
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, neighborhoods: Neighborhoods | Sequence[LinearNeighborhood]) -> Neighborhoods:
+        """The record itself, or a sequence of rows stacked into one record."""
+        if isinstance(neighborhoods, cls):
+            return neighborhoods
+        rows = list(neighborhoods)
+        if not rows:
+            raise ValueError("need at least one neighborhood")
+        sizes = np.array([row.size for row in rows], dtype=np.int64)
+        members = np.full((len(rows), int(sizes.max())), -1, dtype=np.int64)
+        for i, row in enumerate(rows):
+            members[i, : row.size] = row.member_indices
+        bases = np.stack([row.basis.vectors for row in rows])
+        return cls(members, sizes, bases, np.stack([row.centroid for row in rows]))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, index: int) -> LinearNeighborhood:
+        i = range(len(self))[index]
+        members = self.members[i, : self.sizes[i]]
+        basis = _view(OrthonormalBasis, vectors=self.bases[i])
+        return _view(
+            LinearNeighborhood,
+            anchor_index=int(members[0]),
+            member_indices=members,
+            basis=basis,
+            centroid=self.centroids[i],
+        )
+
+    def __iter__(self) -> Iterator[LinearNeighborhood]:
+        return (self[i] for i in range(len(self)))
 
 
 def reconstruction_quality(
@@ -374,7 +466,7 @@ def _scan_pools(
 
 def _fit_planes(
     embeddings: np.ndarray, members: np.ndarray, sizes: np.ndarray, plane_dim: int
-) -> list[LinearNeighborhood]:
+) -> Neighborhoods:
     # Each row's final plane, linalg.pca_top_m of its first sizes[i]
     # members bit for bit, batched over rows of equal size.
     n, dim = len(sizes), embeddings.shape[1]
@@ -386,26 +478,21 @@ def _fit_planes(
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain non-finite entries")
         vectors[rows], centroids[rows] = linalg._pca_vectors_batch(points, plane_dim)
-    vectors = linalg._fix_signs(vectors)
-    return [
-        LinearNeighborhood(
-            int(members[i, 0]), members[i, : sizes[i]], OrthonormalBasis(vectors[i]), centroids[i]
-        )
-        for i in range(n)
-    ]
+    width = int(sizes.max())
+    padded = np.where(np.arange(width) < sizes[:, None], members[:, :width], -1)
+    return Neighborhoods(padded, sizes, linalg._fix_signs(vectors), centroids)
 
 
-def fit_all_neighborhoods(
-    embeddings: np.ndarray, config: ManifoldConfig
-) -> list[LinearNeighborhood]:
-    """Fit one LinearNeighborhood per point, pools drawn from the same set.
+def fit_all_neighborhoods(embeddings: np.ndarray, config: ManifoldConfig) -> Neighborhoods:
+    """Fit one plane per point, pools drawn from the same set.
 
-    Matches calling fit_neighborhood per point exactly. The scans run in
-    lockstep: at each pool position, every anchor's trial set, whatever its
-    size, goes through one padded accept test (_batched_accepts), which
-    hands the few sets it cannot decide safely to the exact per-size PCA.
-    So the scan makes pool_size - dim + 1 accept calls. Each final plane
-    equals linalg.pca_top_m of its members bit for bit.
+    Row i of the record is the plane around point i and matches calling
+    fit_neighborhood on point i exactly. The scans run in lockstep: at each
+    pool position, every anchor's trial set, whatever its size, goes
+    through one padded accept test (_batched_accepts), which hands the few
+    sets it cannot decide safely to the exact per-size PCA. So the scan
+    makes pool_size - dim + 1 accept calls. Each final plane equals
+    linalg.pca_top_m of its members bit for bit.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -473,7 +560,7 @@ class ProxySet:
 
 def init_proxies(
     embeddings: np.ndarray,
-    neighborhoods: Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
     n_proxies: int,
     seed: int | np.random.SeedSequence,
 ) -> ProxySet:
@@ -488,7 +575,8 @@ def init_proxies(
     n = embeddings.shape[0]
     if not 1 <= n_proxies <= n:
         raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
-    if len(neighborhoods) != n:
+    bases = Neighborhoods.of(neighborhoods).bases
+    if len(bases) != n:
         raise ValueError("need exactly one neighborhood per point")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
@@ -500,5 +588,4 @@ def init_proxies(
         d2 = np.sum((embeddings - embeddings[nxt]) ** 2, axis=1)
         min_d2 = np.minimum(min_d2, d2)
     locations = embeddings[chosen].copy()
-    frames = np.stack([neighborhoods[i].basis.vectors for i in chosen])
-    return ProxySet(locations, frames)
+    return ProxySet(locations, bases[chosen])

@@ -18,6 +18,7 @@ differentiable functions of the proxies (but never of the encoder).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .manifold import LinearNeighborhood, ProxySet
+from .manifold import LinearNeighborhood, Neighborhoods, ProxySet
 
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
@@ -44,8 +45,9 @@ class SimilarityConfig:
     binary: bool = False
 
     def __post_init__(self) -> None:
-        if self.orth_exponent < 0.0 or self.inplane_exponent < 0.0:
-            raise ValueError("decay exponents must be non-negative")
+        exponents = (self.orth_exponent, self.inplane_exponent)
+        if not all(0.0 <= e < math.inf for e in exponents):
+            raise ValueError("decay exponents must be finite and non-negative")
         if not self.binary and self.orth_exponent <= self.inplane_exponent:
             warnings.warn(
                 "orth_exponent <= inplane_exponent: orthogonal deviations decay "
@@ -84,31 +86,36 @@ def inplane_decay(distance, exponent: float):
 
 def pairwise_similarity_matrix(
     embeddings: np.ndarray,
-    neighborhoods: Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
     config: SimilarityConfig,
 ) -> np.ndarray:
-    """(n, n) symmetric similarity matrix over one embedded point set."""
+    """(n, n) symmetric similarity matrix over one embedded point set.
+
+    ``neighborhoods`` holds the plane of each point, row j for point j: a
+    Neighborhoods record, or a sequence of rows stacked by Neighborhoods.of.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    nbhds = Neighborhoods.of(neighborhoods)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n:
+    if len(nbhds) != n:
         raise ValueError("need one neighborhood per embedding row")
     directed = np.zeros((n, n))
     if config.binary:
-        for j, nbhd in enumerate(neighborhoods):
-            directed[nbhd.member_indices, j] = 1.0
-    elif n:
+        # Column j marks the members of anchor j's neighborhood.
+        held = nbhds.members >= 0
+        directed[nbhds.members[held], np.nonzero(held)[0]] = 1.0
+    else:
         # Column j is every point seen from anchor j's plane, a block of
         # anchors at a time.
-        bases = np.stack([nbhd.basis.vectors for nbhd in neighborhoods])
         for blk in stack_blocks(n, n * embeddings.shape[1]):
             diffs = embeddings - embeddings[blk, None, :]
-            directed[:, blk] = _directed(diffs, bases[blk], config, False, False)[0].T
+            directed[:, blk] = _directed(diffs, nbhds.bases[blk], config, False, False)[0].T
     return (directed + directed.T) / 2.0
 
 
 def pair_similarities(
     embeddings: np.ndarray,
-    neighborhoods: Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
     config: SimilarityConfig,
     first: np.ndarray,
     second: np.ndarray,
@@ -118,23 +125,20 @@ def pair_similarities(
     The entries pairwise_similarity_matrix would hold there, to rounding,
     scored PAIR_CHUNK pairs at a time with the same arithmetic and no
     (n, n) array, so memory grows with the number of pairs, not with n^2.
+    ``neighborhoods`` is as for pairwise_similarity_matrix.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if len(neighborhoods) != embeddings.shape[0]:
+    nbhds = Neighborhoods.of(neighborhoods)
+    if len(nbhds) != embeddings.shape[0]:
         raise ValueError("need one neighborhood per embedding row")
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
-    if config.binary:
-        size = max(nb.size for nb in neighborhoods)
-        members = np.full((len(neighborhoods), size), -1, dtype=np.int64)
-        for j, nbhd in enumerate(neighborhoods):
-            members[j, : nbhd.size] = nbhd.member_indices
-    else:
-        bases = np.stack([nbhd.basis.vectors for nbhd in neighborhoods])
+    members, bases = nbhds.members, nbhds.bases
     out = np.empty(first.size)
     for lo in range(0, first.size, PAIR_CHUNK):
         i, j = first[lo : lo + PAIR_CHUNK], second[lo : lo + PAIR_CHUNK]
         if config.binary:
+            # Padding is -1, which no point index matches.
             forward = np.any(members[j] == i[:, None], axis=1).astype(np.float64)
             reverse = np.any(members[i] == j[:, None], axis=1).astype(np.float64)
         else:

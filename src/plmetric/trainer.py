@@ -51,8 +51,8 @@ class SamplerConfig:
             raise ValueError("batch_size and n_seeds must be positive")
         if self.batch_size % self.n_seeds != 0:
             raise ValueError("batch_size must be divisible by n_seeds")
-        if self.augment_sigma < 0.0:
-            raise ValueError("augment_sigma must be non-negative")
+        if not 0.0 <= self.augment_sigma < math.inf:
+            raise ValueError("augment_sigma must be finite and non-negative")
 
     @property
     def group_size(self) -> int:
@@ -76,11 +76,11 @@ class LossConfig:
     stopgrad_similarity: bool = False
 
     def __post_init__(self) -> None:
-        if self.distance_scale <= 0.0:
-            raise ValueError("distance_scale must be positive")
+        if not 0.0 < self.distance_scale < math.inf:
+            raise ValueError("distance_scale must be finite and positive")
         for name in ("point_weight", "proxy_weight", "neighborhood_weight"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,16 @@ class TrainConfig:
             raise ValueError("network sizes must be positive")
         if self.embed_dim <= self.manifold.dim:
             raise ValueError("embed_dim must exceed the neighborhood dimension")
-        if self.lr <= 0.0 or self.proxy_lr_scale <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.lr < math.inf and 0.0 < self.proxy_lr_scale < math.inf):
+            raise ValueError("learning rates must be finite and positive")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError("momentum must lie in [0, 1]")
         if self.n_proxies < 1:
             raise ValueError("n_proxies must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.init_gain <= 0.0:
-            raise ValueError("init_gain must be positive")
+        if not 0.0 < self.init_gain < math.inf:
+            raise ValueError("init_gain must be finite and positive")
         if self.sampler.batch_size <= self.manifold.pool_size:
             raise ValueError("batch_size must exceed the neighborhood pool_size")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -405,8 +407,10 @@ class Trainer:
     def _forward_losses(self, x_batch: np.ndarray, with_grads: bool):
         cfg = self.config
         anchor_embeds = embedder.forward(self.pair.averaged, x_batch)
-        neighborhoods = manifold.fit_all_neighborhoods(anchor_embeds, cfg.manifold)
-        bases = np.stack([nb.basis.vectors for nb in neighborhoods])
+        neighborhoods = manifold.Neighborhoods.of(
+            manifold.fit_all_neighborhoods(anchor_embeds, cfg.manifold)
+        )
+        bases = neighborhoods.bases
         point_sims = similarity.pairwise_similarity_matrix(
             anchor_embeds, neighborhoods, cfg.similarity
         )

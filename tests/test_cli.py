@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import struct
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from plmetric import data
+from plmetric import data, evaluation
 from plmetric.cli import RunConfig, UserError, main
 from plmetric.data import SyntheticSpec
 from plmetric.trainer import TrainConfig
@@ -99,6 +100,11 @@ class TestRunConfig:
         assert sorted(json.loads(config.to_json())) == sorted([*run, *train])
         assert RunConfig(**run).with_train_config(config.train_config()) == config
         assert RunConfig().train_config() == TrainConfig()
+
+    def test_recall_default_is_the_library_default(self):
+        assert RunConfig().recall_ks == list(evaluation.RECALL_KS)
+        default = inspect.signature(evaluation.evaluate_embeddings).parameters["recall_ks"].default
+        assert default == evaluation.RECALL_KS
 
     def test_invalid_combination_is_user_error(self):
         config = RunConfig(batch_size=10, pool_size=10)
@@ -204,6 +210,39 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error: ") and named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "lr=nan",
+            "lr=inf",
+            "proxy_lr_scale=-inf",
+            "momentum=nan",
+            "init_gain=inf",
+            "orth_exponent=nan",
+            "inplane_exponent=inf",
+            "augment_sigma=nan",
+            "distance_scale=nan",
+            "proxy_weight=inf",
+            "quality_threshold=nan",
+        ],
+    )
+    def test_non_finite_setting_is_a_one_line_user_error(self, tmp_path, capsys, setting):
+        dataset = _gen(tmp_path)
+        code = main(_train_args(dataset, tmp_path / "run", setting))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "checkpoint.plck").exists()
+
+    def test_nan_in_config_file_is_a_one_line_user_error(self, tmp_path, capsys):
+        # Python's json reads the NaN literal; the config must still refuse it.
+        path = tmp_path / "run.json"
+        path.write_text('{"lr": NaN}')
+        code = main(["train", "--config", str(path), "--dataset", _gen(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration") and err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", [{"lr": 1}, {"quality_threshold": 60}], ids=["lr", "T"])
     def test_config_file_int_for_float_key_is_accepted(self, tmp_path, raw):

@@ -90,6 +90,19 @@ class TestPurity:
         with pytest.raises(ValueError, match="labels"):
             neighborhood_purity([], None)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_neighborhood_purity_equals_group_purity_bitwise(self, seed):
+        # The stacked majority count against group_purity over the rows'
+        # member sets, with labels from a few classes so ties and mixed
+        # rows both occur.
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((60, 4))
+        cfg = ManifoldConfig(dim=2, quality_threshold=60.0, pool_size=9)
+        nbhds = manifold.fit_all_neighborhoods(pts, cfg)
+        labels = rng.integers(0, 2 + seed, size=60)
+        want = group_purity([nb.member_indices for nb in nbhds], labels)
+        assert neighborhood_purity(nbhds, labels) == want
+
 
 class TestKMeans:
     def test_one_cluster_per_point_is_pure(self):

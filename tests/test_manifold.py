@@ -1,5 +1,6 @@
 """Tests for neighborhood fitting, k-NN pools, and proxy initialization."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmetric import linalg, manifold
-from plmetric.manifold import LinearNeighborhood, ManifoldConfig, ProxySet
+from plmetric import evaluation, linalg, manifold, similarity
+from plmetric.manifold import LinearNeighborhood, ManifoldConfig, Neighborhoods, ProxySet
+from plmetric.similarity import SimilarityConfig
 
 import oracles
 from oracles import greedy_plane_scan, reconstruction_qualities
@@ -471,6 +473,159 @@ class TestLinearNeighborhood:
         basis = linalg.OrthonormalBasis(np.eye(3)[:2])
         with pytest.raises(ValueError, match="anchor"):
             LinearNeighborhood(7, np.array([0, 1, 2]), basis, np.zeros(3))
+
+
+@st.composite
+def record_cases(draw):
+    # scan_cases, sometimes under the knn_only ablation.
+    points, cfg = draw(scan_cases())
+    if draw(st.booleans()):
+        cfg = dataclasses.replace(cfg, knn_only=True)
+    return points, cfg
+
+
+def _fitted_record(seed=0, n=30, d=5):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    cfg = ManifoldConfig(dim=2, quality_threshold=70.0, pool_size=8)
+    return points, cfg, manifold.fit_all_neighborhoods(points, cfg)
+
+
+def _hand_rows(points, record, dim):
+    # The record's rows, each built and validated on its own from its
+    # members' PCA.
+    rows = []
+    for i in range(len(record)):
+        members = record.members[i, : record.sizes[i]].tolist()
+        basis, centroid = linalg.pca_top_m(points[members], dim)
+        rows.append(LinearNeighborhood(members[0], np.array(members), basis, centroid))
+    return rows
+
+
+class TestNeighborhoodsRecord:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(record_cases())
+    def test_rows_match_oracles(self, case):
+        # Members from the greedy scan oracle (the whole pool under
+        # knn_only), each basis and centroid byte-equal to pca_top_m of
+        # the row's members; ties, duplicate rows, rank-deficient sets and
+        # sets on both sides of the ambient dim come from scan_cases.
+        points, cfg = case
+        record = manifold.fit_all_neighborhoods(points, cfg)
+        pools = manifold.neighbor_lists(points, cfg.pool_size)
+        n = len(points)
+        assert len(record) == n and record.members.shape[1] == record.sizes.max()
+        np.testing.assert_array_equal(record.members[:, 0], np.arange(n))
+        for i, size in enumerate(record.sizes):
+            members = record.members[i, :size].tolist()
+            assert np.all(record.members[i, size:] == -1)
+            order = [int(j) for j in pools[i]]
+            if cfg.knn_only:
+                assert members == [i] + order
+            else:
+                expected = greedy_plane_scan(points, i, order, cfg.dim, cfg.quality_threshold)
+                if members != expected:
+                    threshold = cfg.quality_threshold / 100.0
+                    margin = _closest_call(points, i, order, set(expected), cfg.dim, threshold)
+                    assert margin <= QUALITY_MARGIN, (i, members, expected)
+            basis, centroid = linalg.pca_top_m(points[members], cfg.dim)
+            assert record.bases[i].tobytes() == basis.vectors.tobytes()
+            assert record.centroids[i].tobytes() == centroid.tobytes()
+
+    def test_arrays_are_read_only(self):
+        _, _, record = _fitted_record()
+        row = record[3]
+        for array in (
+            record.members, record.sizes, record.bases, record.centroids,
+            row.member_indices, row.basis.vectors, row.centroid,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b[4].__imul__(3.0),
+            lambda b: b[7, 1].__setitem__(slice(None), b[7, 0]),
+            lambda b: b[2, 0].__setitem__(0, np.nan),
+        ],
+        ids=["stretched", "skewed", "nan"],
+    )
+    def test_corrupted_frame_raises_as_a_single_basis(self, corrupt):
+        # One check over the stack reports what validating the bad frame
+        # alone as an OrthonormalBasis reports.
+        _, _, record = _fitted_record()
+        bases = record.bases.copy()
+        corrupt(bases)
+        bad = int(np.flatnonzero(np.any(bases != record.bases, axis=(1, 2)))[0])
+        with pytest.raises(ValueError) as alone:
+            linalg.OrthonormalBasis(bases[bad])
+        with pytest.raises(ValueError) as stacked:
+            Neighborhoods(record.members, record.sizes, bases, record.centroids)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_malformed_members_rejected(self):
+        _, _, record = _fitted_record()
+        members = record.members.copy()
+        short = int(np.argmin(record.sizes))
+        assert record.sizes[short] < record.members.shape[1]
+        members[short, -1] = 0
+        with pytest.raises(ValueError, match="padding"):
+            Neighborhoods(members, record.sizes, record.bases, record.centroids)
+        with pytest.raises(ValueError, match="width"):
+            Neighborhoods(record.members, record.sizes - 1, record.bases, record.centroids)
+
+    def test_record_from_hand_made_rows_equals_the_fitted_one(self):
+        points, cfg, record = _fitted_record()
+        stacked = Neighborhoods.of(_hand_rows(points, record, cfg.dim))
+        for name in ("members", "sizes", "bases", "centroids"):
+            assert getattr(stacked, name).tobytes() == getattr(record, name).tobytes(), name
+        assert Neighborhoods.of(record) is record
+        with pytest.raises(ValueError, match="at least one"):
+            Neighborhoods.of([])
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_consumers_take_rows_as_the_record(self, binary):
+        points, cfg, record = _fitted_record(seed=4)
+        rows = list(record)
+        labels = np.arange(len(points)) % 3
+        config = SimilarityConfig(binary=binary)
+        first, second = np.triu_indices(len(points), k=1)
+        for got, want in [
+            (
+                similarity.pairwise_similarity_matrix(points, rows, config),
+                similarity.pairwise_similarity_matrix(points, record, config),
+            ),
+            (
+                similarity.pair_similarities(points, rows, config, first, second),
+                similarity.pair_similarities(points, record, config, first, second),
+            ),
+            (
+                manifold.init_proxies(points, rows, 5, seed=1).frames,
+                manifold.init_proxies(points, record, 5, seed=1).frames,
+            ),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert evaluation.neighborhood_purity(rows, labels) == evaluation.neighborhood_purity(
+            record, labels
+        )
+
+    def test_row_views_keep_the_row_api(self):
+        # What code reading one plane at a time relies on: the row fields,
+        # negative indexing, and dataclasses.replace on a view.
+        points, _, record = _fitted_record(seed=2)
+        row = record[-1]
+        i = len(record) - 1
+        assert row.anchor_index == i and row.size == record.sizes[i]
+        np.testing.assert_array_equal(row.member_indices, record.members[i, : row.size])
+        assert row.basis.vectors is not None and row.basis.rank == record.bases.shape[1]
+        swapped = row.member_indices.copy()
+        swapped[-1] = int(np.argmax(np.linalg.norm(points - points[i], axis=1)))
+        changed = dataclasses.replace(row, member_indices=swapped)
+        np.testing.assert_array_equal(changed.member_indices, swapped)
+        assert changed.basis is row.basis
+        with pytest.raises(IndexError):
+            record[len(record)]
 
 
 def _unit_rows(rng, n, d):

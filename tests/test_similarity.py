@@ -283,9 +283,11 @@ class TestStackedRoutesMatchLoops:
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
         n = len(embeddings)
         rng = np.random.default_rng(n)
+        # Hand-built rows, anchor first as a row requires; the consumer
+        # stacks them into one record.
         nbhds = [
             LinearNeighborhood(
-                j, np.unique(np.r_[j, rng.integers(0, n, size=3)]), OrthonormalBasis(frame), row
+                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame), row
             )
             for j, (frame, row) in enumerate(zip(bases, embeddings))
         ]

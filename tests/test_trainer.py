@@ -1,5 +1,6 @@
 """Tests for losses, batch sampling, the training step, and checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plmetric import embedder, manifold, similarity, trainer
+from plmetric import embedder, evaluation, linalg, manifold, similarity, trainer
 from plmetric.data import FeatureDataset, SyntheticSpec, generate_synthetic
 from plmetric.manifold import ManifoldConfig, ProxySet
 from plmetric.similarity import SimilarityConfig
@@ -420,6 +421,45 @@ def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
     assert (tmp_path / "stacked.plck").read_bytes() == (tmp_path / "looped.plck").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "recipe", [_acceptance_recipe, lambda seed: TrainConfig(seed=seed)], ids=["acceptance", "default"]
+)
+def test_hot_path_builds_no_per_anchor_objects(monkeypatch, recipe):
+    # A training step and an evaluation read the stacked neighbourhood
+    # record: they construct no LinearNeighborhood or OrthonormalBasis and
+    # take no row view of the record.
+    dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
+    run = Trainer.initialize(dataset, recipe(5))
+    pools = manifold.neighbor_lists(run.embed(dataset.features, averaged=True), 9)
+    batch = sample_batch(pools, run.config.sampler, run.rng_sampler)
+    built = []
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            built.append(cls.__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(manifold.LinearNeighborhood, "__init__")
+    counted(linalg.OrthonormalBasis, "__init__")
+    counted(manifold.Neighborhoods, "__getitem__")
+    run.train_step(batch)
+    cfg = run.config
+    evaluation.evaluate_embeddings(
+        run.embed(dataset.features), dataset.labels, cfg.manifold, cfg.similarity
+    )
+    assert built == []
+    # The counters see what they are meant to see.
+    record = manifold.fit_all_neighborhoods(run.embed(dataset.features), cfg.manifold)
+    row = record[0]
+    dataclasses.replace(row, member_indices=row.member_indices)
+    linalg.pca_top_m(dataset.features[:5], 2)
+    assert built == ["Neighborhoods", "LinearNeighborhood", "OrthonormalBasis"]
+
+
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = _tiny_dataset(seed=5)
@@ -546,6 +586,12 @@ class TestMalformedCheckpoints:
             (lambda m: m["config"]["loss"].update(gamma=2), "bad config: config.loss: unknown fields"),
             (lambda m: m["config"]["manifold"].pop("dim"), "missing fields \\['dim'\\]"),
             (lambda m: m["config"].update(sampler=[20, 4]), "config.sampler is not a table"),
+            (lambda m: m["config"].update(lr=float("nan")), "bad config: learning rates"),
+            (lambda m: m["config"].update(momentum=float("nan")), "bad config: momentum"),
+            (
+                lambda m: m["config"]["loss"].update(distance_scale=float("inf")),
+                "bad config: distance_scale",
+            ),
         ],
     )
     def test_rejected_with_format_error(self, tmp_path, edit, message):
