@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .manifold import (
-    LinearNeighborhood,
     ManifoldConfig,
     Neighborhoods,
     fit_all_neighborhoods,
@@ -85,24 +84,20 @@ def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
     return float(np.mean(fractions))
 
 
-def neighborhood_purity(
-    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood], labels: np.ndarray
-) -> float:
+def neighborhood_purity(neighborhoods: Neighborhoods, labels: np.ndarray) -> float:
     """Purity of fitted neighborhoods: majority fraction, averaged over anchors.
 
-    Equals group_purity over the rows' member sets. Takes a Neighborhoods
-    record, or a sequence of rows stacked by Neighborhoods.of.
+    Equals group_purity over the rows' member sets.
     """
     if labels is None:
         raise ValueError("purity requires labels")
-    nbhds = Neighborhoods.of(neighborhoods)
-    held = nbhds.members >= 0
-    member_labels = np.asarray(labels)[nbhds.members]
+    held = neighborhoods.members >= 0
+    member_labels = np.asarray(labels)[neighborhoods.members]
     # Slot s of a row counts the members that share its label; the largest
     # count over a row's members is its majority.
     same = (member_labels[:, :, None] == member_labels[:, None, :]) & held[:, None, :]
     majority = np.max(np.where(held, np.count_nonzero(same, axis=2), 0), axis=1)
-    return float(np.mean(majority / nbhds.sizes))
+    return float(np.mean(majority / neighborhoods.sizes))
 
 
 @dataclass

@@ -118,8 +118,8 @@ class Neighborhoods:
     Construction copies the arrays, validates them once (one
     linalg.check_frames over the whole stack) and makes them read-only.
     Consumers read the arrays; indexing and iteration give LinearNeighborhood
-    row views for code that wants one plane at a time. Every consumer also
-    takes a plain sequence of rows, stacked once by Neighborhoods.of.
+    row views for code that wants one plane at a time, and Neighborhoods.of
+    stacks a plain sequence of rows into a record.
     """
 
     members: np.ndarray
@@ -560,7 +560,7 @@ class ProxySet:
 
 def init_proxies(
     embeddings: np.ndarray,
-    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods,
     n_proxies: int,
     seed: int | np.random.SeedSequence,
 ) -> ProxySet:
@@ -575,7 +575,7 @@ def init_proxies(
     n = embeddings.shape[0]
     if not 1 <= n_proxies <= n:
         raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
-    bases = Neighborhoods.of(neighborhoods).bases
+    bases = neighborhoods.bases
     if len(bases) != n:
         raise ValueError("need exactly one neighborhood per point")
     rng = np.random.default_rng(seed)

@@ -11,9 +11,9 @@ The product is the directed similarity; averaging the two directions makes
 it symmetric. Orthogonal drift is meant to be punished much harder than
 in-plane drift, hence separate exponents.
 
-The proxy path also returns analytic partial derivatives with respect to
-proxy locations and frames, since the training losses treat similarities as
-differentiable functions of the proxies (but never of the encoder).
+The training losses treat point-proxy similarities as differentiable
+functions of the proxies (but never of the encoder): proxy_pullback turns a
+loss's weights dL/ds into gradients w.r.t. proxy locations and frames.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .manifold import LinearNeighborhood, Neighborhoods, ProxySet
+from .manifold import Neighborhoods, ProxySet
 
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
@@ -86,36 +85,34 @@ def inplane_decay(distance, exponent: float):
 
 def pairwise_similarity_matrix(
     embeddings: np.ndarray,
-    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods,
     config: SimilarityConfig,
 ) -> np.ndarray:
     """(n, n) symmetric similarity matrix over one embedded point set.
 
-    ``neighborhoods`` holds the plane of each point, row j for point j: a
-    Neighborhoods record, or a sequence of rows stacked by Neighborhoods.of.
+    ``neighborhoods`` holds the plane of each point, row j for point j.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    nbhds = Neighborhoods.of(neighborhoods)
     n = embeddings.shape[0]
-    if len(nbhds) != n:
+    if len(neighborhoods) != n:
         raise ValueError("need one neighborhood per embedding row")
     directed = np.zeros((n, n))
     if config.binary:
         # Column j marks the members of anchor j's neighborhood.
-        held = nbhds.members >= 0
-        directed[nbhds.members[held], np.nonzero(held)[0]] = 1.0
+        held = neighborhoods.members >= 0
+        directed[neighborhoods.members[held], np.nonzero(held)[0]] = 1.0
     else:
         # Column j is every point seen from anchor j's plane, a block of
         # anchors at a time.
         for blk in stack_blocks(n, n * embeddings.shape[1]):
             diffs = embeddings - embeddings[blk, None, :]
-            directed[:, blk] = _directed(diffs, nbhds.bases[blk], config, False, False)[0].T
+            directed[:, blk] = _directed(diffs, neighborhoods.bases[blk], config, False, False)[0].T
     return (directed + directed.T) / 2.0
 
 
 def pair_similarities(
     embeddings: np.ndarray,
-    neighborhoods: Neighborhoods | Sequence[LinearNeighborhood],
+    neighborhoods: Neighborhoods,
     config: SimilarityConfig,
     first: np.ndarray,
     second: np.ndarray,
@@ -128,12 +125,11 @@ def pair_similarities(
     ``neighborhoods`` is as for pairwise_similarity_matrix.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    nbhds = Neighborhoods.of(neighborhoods)
-    if len(nbhds) != embeddings.shape[0]:
+    if len(neighborhoods) != embeddings.shape[0]:
         raise ValueError("need one neighborhood per embedding row")
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
-    members, bases = nbhds.members, nbhds.bases
+    members, bases = neighborhoods.members, neighborhoods.bases
     out = np.empty(first.size)
     for lo in range(0, first.size, PAIR_CHUNK):
         i, j = first[lo : lo + PAIR_CHUNK], second[lo : lo + PAIR_CHUNK]
@@ -159,21 +155,6 @@ def nearest_proxy_indices(embeddings: np.ndarray, locations: np.ndarray) -> np.n
         + np.sum(locations**2, axis=1)[None, :]
     )
     return np.argmin(d2, axis=1)
-
-
-@dataclass
-class ProxySimilarities:
-    """Symmetric point-proxy similarities with optional analytic partials.
-
-    values:   (n, P) similarity of point i to proxy j.
-    d_loc:    (n, P, d) partial of values[i, j] w.r.t. the proxy location,
-              or None when gradients were not requested.
-    d_frames: (n, P, m, d) partial w.r.t. the proxy frame rows, or None.
-    """
-
-    values: np.ndarray
-    d_loc: np.ndarray | None = None
-    d_frames: np.ndarray | None = None
 
 
 def _inv_or_zero(values: np.ndarray) -> np.ndarray:
@@ -212,61 +193,90 @@ def _directed(
     return a * b, ds_ddiff, plane_part - orth_part
 
 
+def _proxy_dims(embeddings, point_bases, proxies):
+    (n, dim), (n_prox, plane_dim, _) = embeddings.shape, proxies.frames.shape
+    if point_bases.shape != (n, plane_dim, dim):
+        raise ValueError(f"point_bases shape {point_bases.shape} is not {(n, plane_dim, dim)}")
+    return n, n_prox, plane_dim, dim
+
+
 def proxy_similarity_batch(
     embeddings: np.ndarray,
     point_bases: np.ndarray,
     proxies: ProxySet,
     config: SimilarityConfig,
-    with_grads: bool = True,
-) -> ProxySimilarities:
-    """All symmetric point-proxy similarities for one batch.
+) -> np.ndarray:
+    """All symmetric point-proxy similarities for one batch, (n, P).
 
-    Args:
-        embeddings: (n, d) embedded batch (momentum encoder output).
-        point_bases: (n, m, d) stacked neighborhood frames, one per point.
-        proxies: current proxy locations and frames.
-        config: decay exponents / binary switch.
-        with_grads: also compute partials w.r.t. proxy parameters.
-
-    The forward direction measures the point from the proxy's plane, the
+    ``embeddings`` (n, d) is the embedded batch (momentum encoder output),
+    ``point_bases`` (n, m, d) its neighborhood frames, one per point. The
+    forward direction measures the point from the proxy's plane, the
     reverse direction measures the proxy from the point's neighborhood
     plane; the result is their average. Each direction runs a block of
     planes at a time (stack_blocks), with the bits of a loop over single
-    planes. In binary mode the similarity is the nearest-proxy indicator and
-    all partials are zero (the indicator is piecewise constant).
+    planes. In binary mode the similarity is the nearest-proxy indicator.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
-    n, dim = embeddings.shape
-    n_prox, plane_dim, _ = proxies.frames.shape
-    if point_bases.shape != (n, plane_dim, dim):
-        raise ValueError(
-            f"point_bases shape {point_bases.shape} does not match "
-            f"({n}, {plane_dim}, {dim})"
-        )
-    d_loc = np.zeros((n, n_prox, dim)) if with_grads else None
-    d_frames = np.zeros((n, n_prox, plane_dim, dim)) if with_grads else None
+    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
+    values = np.zeros((n, n_prox))
     if config.binary:
-        values = np.zeros((n, n_prox))
         values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
-        return ProxySimilarities(values, d_loc, d_frames)
-
-    values = np.empty((n, n_prox))
+        return values
 
     # Forward direction: a block of proxy planes, each seeing the whole batch.
     for blk in stack_blocks(n_prox, n * plane_dim * dim):
         diffs = embeddings - proxies.locations[blk, None, :]
-        value, ds_ddiff, d_frame = _directed(diffs, proxies.frames[blk], config, with_grads, True)
-        values[:, blk] = value.T
-        if with_grads:
-            d_loc[:, blk] -= 0.5 * ds_ddiff.swapaxes(0, 1)
-            d_frames[:, blk] += 0.5 * d_frame.swapaxes(0, 1)
+        values[:, blk] = _directed(diffs, proxies.frames[blk], config, False, False)[0].T
 
     # Reverse direction: a block of point planes, each seeing all proxies.
     for blk in stack_blocks(n, n_prox * dim):
         diffs = proxies.locations - embeddings[blk, None, :]
-        value, ds_ddiff, _ = _directed(diffs, point_bases[blk], config, with_grads, False)
+        value = _directed(diffs, point_bases[blk], config, False, False)[0]
         values[blk] = (values[blk] + value) / 2.0
-        if with_grads:
-            d_loc[blk] += 0.5 * ds_ddiff
-    return ProxySimilarities(values, d_loc, d_frames)
+    return values
+
+
+def proxy_pullback(
+    embeddings: np.ndarray,
+    point_bases: np.ndarray,
+    proxies: ProxySet,
+    config: SimilarityConfig,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of sum_ij w[i, j] s_ij w.r.t. proxy locations and frames.
+
+    s is what proxy_similarity_batch returns for the same arguments; each w
+    of the (k, n, P) stack ``weights`` is one loss's dL/ds. Returns the
+    (k, P, d) location and (k, P, m, d) frame gradients. The reverse
+    direction's location partials fill one (n, P, d) buffer in point blocks
+    (proxy blocks would change the matmul shapes, and so the last bits); the
+    forward partials are recomputed a block of proxies at a time and
+    contracted with each w in turn, so no (n, P, m, d) table is held. Binary
+    similarity is piecewise constant: both gradients are zero.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    point_bases = np.asarray(point_bases, dtype=np.float64)
+    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 3 or weights.shape[1:] != (n, n_prox):
+        raise ValueError(f"weights shape {weights.shape} is not (k, {n}, {n_prox})")
+    grad_loc = np.zeros((len(weights), n_prox, dim))
+    grad_frames = np.zeros((len(weights), n_prox, plane_dim, dim))
+    if config.binary:
+        return grad_loc, grad_frames
+
+    reverse = np.empty((n, n_prox, dim))
+    for blk in stack_blocks(n, n_prox * dim):
+        diffs = proxies.locations - embeddings[blk, None, :]
+        reverse[blk] = 0.5 * _directed(diffs, point_bases[blk], config, True, False)[1]
+    for blk in stack_blocks(n_prox, n * plane_dim * dim):
+        diffs = embeddings - proxies.locations[blk, None, :]
+        _, ds_ddiff, frame_part = _directed(diffs, proxies.frames[blk], config, True, True)
+        # Per proxy: (n, d) and (n, m, d), d s_ij / d rho_j and d psi_j.
+        loc_part = reverse[:, blk].swapaxes(0, 1) - 0.5 * ds_ddiff
+        frame_part *= 0.5
+        for w, loc, frames in zip(weights[:, :, blk], grad_loc[:, blk], grad_frames[:, blk]):
+            loc[...] = np.einsum("np,pnd->pd", w, loc_part)
+            frames[...] = np.einsum("np,pnkd->pkd", w, frame_part)
+    return grad_loc, grad_frames

@@ -23,7 +23,7 @@ from . import embedder, manifold, similarity
 from .data import FeatureDataset
 from .embedder import AdamState, EmbedderPair, MLPParams
 from .manifold import ManifoldConfig, ProxySet
-from .similarity import ProxySimilarities, SimilarityConfig
+from .similarity import SimilarityConfig
 
 CHECKPOINT_MAGIC = b"PLCK"
 CHECKPOINT_VERSION = 1
@@ -205,21 +205,22 @@ def point_loss(
 def proxy_loss(
     embeddings: np.ndarray,
     proxies: ProxySet,
-    proxy_sims: ProxySimilarities,
+    proxy_sims: np.ndarray,
     config: LossConfig,
     with_grads: bool = True,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Point-to-proxy analog of the point loss.
 
     Every (point, proxy) pair contributes the squared gap between the target
-    distance distance_scale * (1 - s_ij) and |e_i - rho_j|. Returns the loss
-    and gradients w.r.t. embeddings, proxy locations, and proxy frames. The
-    proxy parameters feel the loss both through the distances and, unless
-    ``stopgrad_similarity`` is set, through the similarities themselves.
+    distance distance_scale * (1 - s_ij) and |e_i - rho_j|, with s the (n, P)
+    table of proxy_similarity_batch. Returns the loss, its gradients w.r.t.
+    the embeddings and, through the distances, the proxy locations, and its
+    weights dL/ds (n, P): similarity.proxy_pullback turns those into the
+    proxy gradients that flow through the similarities themselves.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     locations = proxies.locations
-    s = proxy_sims.values
+    s = np.asarray(proxy_sims, dtype=np.float64)
     n, n_prox = s.shape
     if e.shape[0] != n or locations.shape[0] != n_prox:
         raise ValueError("similarity table does not match embeddings/proxies")
@@ -240,20 +241,14 @@ def proxy_loss(
         ratio = np.where(dist > 0.0, d_dist / np.where(dist > 0.0, dist, 1.0), 0.0)
     grad_e = ratio.sum(axis=1)[:, None] * e - ratio @ locations
     grad_loc = ratio.sum(axis=0)[:, None] * locations - ratio.T @ e
-    grad_frames = np.zeros_like(proxies.frames)
-    if not config.stopgrad_similarity:
-        if proxy_sims.d_loc is None or proxy_sims.d_frames is None:
-            raise ValueError("proxy similarities were computed without gradients")
-        d_sim = -2.0 * config.distance_scale * resid / count
-        grad_loc = grad_loc + np.einsum("np,npd->pd", d_sim, proxy_sims.d_loc)
-        grad_frames = np.einsum("np,npkd->pkd", d_sim, proxy_sims.d_frames)
-    return value, grad_e, grad_loc, grad_frames
+    d_sim = -2.0 * config.distance_scale * resid / count
+    return value, grad_e, grad_loc, d_sim
 
 
 def neighborhood_loss(
     point_bases: np.ndarray,
     proxies: ProxySet,
-    proxy_sims: ProxySimilarities,
+    proxy_sims: np.ndarray,
     config: LossConfig,
     with_grads: bool = True,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
@@ -261,11 +256,11 @@ def neighborhood_loss(
 
     For point i, proxy j, and frame row k, the cosine of the angle between
     frame vector psi_jk and the point's plane is |P_i psi_jk| (psi_jk is unit
-    norm). The loss pushes that cosine toward the point-proxy similarity, so
-    frames of proxies near a point rotate into the point's local plane.
-    Returns the loss and gradients w.r.t. proxy frames and locations (the
-    latter only through the similarities). A non-finite term is reported by
-    its (point, proxy, frame row) index.
+    norm). The loss pushes that cosine toward the point-proxy similarity s
+    (n, P), so frames of proxies near a point rotate into the point's local
+    plane. Returns the loss, its frame gradient through the cosines, and its
+    weights dL/ds for similarity.proxy_pullback. A non-finite term is
+    reported by its (point, proxy, frame row) index. ``config`` is unused.
 
     The projections run for a block of points at a time
     (``similarity.stack_blocks``); the loss and the frame gradient then add
@@ -273,7 +268,7 @@ def neighborhood_loss(
     over points.
     """
     bases = np.asarray(point_bases, dtype=np.float64)
-    s = proxy_sims.values
+    s = np.asarray(proxy_sims, dtype=np.float64)
     n, plane_dim, dim = bases.shape
     n_prox = proxies.n_proxies
     if s.shape != (n, n_prox):
@@ -305,13 +300,7 @@ def neighborhood_loss(
     value /= count
     if not with_grads:
         return value, None, None
-    grad_loc = np.zeros_like(proxies.locations)
-    if not config.stopgrad_similarity:
-        if proxy_sims.d_loc is None or proxy_sims.d_frames is None:
-            raise ValueError("proxy similarities were computed without gradients")
-        grad_loc = np.einsum("np,npd->pd", d_sim, proxy_sims.d_loc)
-        grad_frames = grad_frames + np.einsum("np,npkd->pkd", d_sim, proxy_sims.d_frames)
-    return value, grad_loc, grad_frames
+    return value, grad_frames, d_sim
 
 
 def sample_batch(
@@ -415,11 +404,7 @@ class Trainer:
             anchor_embeds, neighborhoods, cfg.similarity
         )
         proxy_sims = similarity.proxy_similarity_batch(
-            anchor_embeds,
-            bases,
-            self.proxies,
-            cfg.similarity,
-            with_grads=with_grads and not cfg.loss.stopgrad_similarity,
+            anchor_embeds, bases, self.proxies, cfg.similarity
         )
         if with_grads:
             trained_embeds, cache = embedder.forward_cached(self.pair.trained, x_batch)
@@ -427,10 +412,10 @@ class Trainer:
             trained_embeds = embedder.forward(self.pair.trained, x_batch)
             cache = None
         l_point, g_point = point_loss(trained_embeds, point_sims, cfg.loss, with_grads)
-        l_proxy, g_proxy_e, g_loc_p, g_frames_p = proxy_loss(
+        l_proxy, g_proxy_e, g_loc_p, d_sim_p = proxy_loss(
             trained_embeds, self.proxies, proxy_sims, cfg.loss, with_grads
         )
-        l_nbhd, g_loc_n, g_frames_n = neighborhood_loss(
+        l_nbhd, g_frames_n, d_sim_n = neighborhood_loss(
             bases, self.proxies, proxy_sims, cfg.loss, with_grads
         )
         w = cfg.loss
@@ -446,6 +431,16 @@ class Trainer:
         # parameters only the proxy and neighborhood losses.
         grad_embeds = w.point_weight * g_point + w.proxy_weight * g_proxy_e
         encoder_grads = embedder.backward(self.pair.trained, cache, grad_embeds)
+        g_frames_p = np.zeros_like(self.proxies.frames)
+        g_loc_n = np.zeros_like(self.proxies.locations)
+        if not w.stopgrad_similarity:
+            # Both losses also reach the proxies through the similarities.
+            pulled_loc, pulled_frames = similarity.proxy_pullback(
+                anchor_embeds, bases, self.proxies, cfg.similarity, np.stack([d_sim_p, d_sim_n])
+            )
+            g_loc_p = g_loc_p + pulled_loc[0]
+            g_frames_p, g_loc_n = pulled_frames[0], pulled_loc[1]
+            g_frames_n = g_frames_n + pulled_frames[1]
         grad_loc = w.proxy_weight * g_loc_p + w.neighborhood_weight * g_loc_n
         grad_frames = w.proxy_weight * g_frames_p + w.neighborhood_weight * g_frames_n
         return losses, encoder_grads, grad_loc, grad_frames

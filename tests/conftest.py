@@ -9,3 +9,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Make the oracle helpers importable regardless of invocation directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# pyproject.toml's pythonpath puts src on this process's import path only;
+# tests that start ``python -m plmetric`` need it in the environment too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -371,13 +371,16 @@ def pairwise_similarity_loop(embeddings: np.ndarray, neighborhoods, config) -> n
     return (directed + directed.T) / 2.0
 
 
-def proxy_similarity_loop(embeddings, point_bases, proxies, config, with_grads=True):
-    """Point-proxy similarities and partials, one proxy, then one point, at a time.
+def proxy_similarity_loop(embeddings, point_bases, proxies, config):
+    """Point-proxy similarities and their partial tables, one proxy, then one
+    point, at a time.
 
-    The reference of ``similarity.proxy_similarity_batch``, with the same
-    arguments and result.
+    Returns (values, d_loc, d_frames): values (n, P) as
+    ``similarity.proxy_similarity_batch`` returns them, and the partials of
+    values[i, j] w.r.t. proxy j's location, (n, P, d), and frame rows,
+    (n, P, m, d); both are zero in binary mode.
     """
-    from plmetric.similarity import ProxySimilarities, _directed, nearest_proxy_indices
+    from plmetric.similarity import _directed, nearest_proxy_indices
 
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
@@ -388,38 +391,46 @@ def proxy_similarity_loop(embeddings, point_bases, proxies, config, with_grads=T
             f"point_bases shape {point_bases.shape} does not match "
             f"({n}, {plane_dim}, {dim})"
         )
-    d_loc = np.zeros((n, n_prox, dim)) if with_grads else None
-    d_frames = np.zeros((n, n_prox, plane_dim, dim)) if with_grads else None
+    d_loc = np.zeros((n, n_prox, dim))
+    d_frames = np.zeros((n, n_prox, plane_dim, dim))
     if config.binary:
         values = np.zeros((n, n_prox))
         values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
-        return ProxySimilarities(values, d_loc, d_frames)
+        return values, d_loc, d_frames
     values = np.empty((n, n_prox))
     for j in range(n_prox):
         values[:, j], ds_ddiff, d_frame = _directed(
-            embeddings - proxies.locations[j], proxies.frames[j], config, with_grads, True
+            embeddings - proxies.locations[j], proxies.frames[j], config, True, True
         )
-        if with_grads:
-            d_loc[:, j, :] -= 0.5 * ds_ddiff
-            d_frames[:, j, :, :] += 0.5 * d_frame
+        d_loc[:, j, :] -= 0.5 * ds_ddiff
+        d_frames[:, j, :, :] += 0.5 * d_frame
     for i in range(n):
         value, ds_ddiff, _ = _directed(
-            proxies.locations - embeddings[i], point_bases[i], config, with_grads, False
+            proxies.locations - embeddings[i], point_bases[i], config, True, False
         )
         values[i, :] = (values[i, :] + value) / 2.0
-        if with_grads:
-            d_loc[i, :, :] += 0.5 * ds_ddiff
-    return ProxySimilarities(values, d_loc, d_frames)
+        d_loc[i, :, :] += 0.5 * ds_ddiff
+    return values, d_loc, d_frames
+
+
+def proxy_pullback_tables(embeddings, point_bases, proxies, config, weights):
+    """The reference of ``similarity.proxy_pullback``: each weight table
+    contracted with the full partial tables of proxy_similarity_loop."""
+    _, d_loc, d_frames = proxy_similarity_loop(embeddings, point_bases, proxies, config)
+    grad_loc = np.stack([np.einsum("np,npd->pd", w, d_loc) for w in weights])
+    grad_frames = np.stack([np.einsum("np,npkd->pkd", w, d_frames) for w in weights])
+    return grad_loc, grad_frames
 
 
 def neighborhood_loss_loop(point_bases, proxies, proxy_sims, config, with_grads=True):
-    """Frame-alignment loss and gradients, one point at a time.
+    """Frame-alignment loss, frame gradient and similarity weights, one point
+    at a time.
 
     The reference of ``trainer.neighborhood_loss``, with the same arguments
     and result; a non-finite term raises FloatingPointError.
     """
     bases = np.asarray(point_bases, dtype=np.float64)
-    s = proxy_sims.values
+    s = proxy_sims
     n, plane_dim, dim = bases.shape
     n_prox = proxies.n_proxies
     if s.shape != (n, n_prox):
@@ -448,10 +459,4 @@ def neighborhood_loss_loop(point_bases, proxies, proxy_sims, config, with_grads=
     value /= count
     if not with_grads:
         return value, None, None
-    grad_loc = np.zeros_like(proxies.locations)
-    if not config.stopgrad_similarity:
-        if proxy_sims.d_loc is None or proxy_sims.d_frames is None:
-            raise ValueError("proxy similarities were computed without gradients")
-        grad_loc = np.einsum("np,npd->pd", d_sim, proxy_sims.d_loc)
-        grad_frames = grad_frames + np.einsum("np,npkd->pkd", d_sim, proxy_sims.d_frames)
-    return value, grad_loc, grad_frames
+    return value, grad_frames, d_sim

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmetric import evaluation, linalg, manifold, similarity
+from plmetric import linalg, manifold
 from plmetric.manifold import LinearNeighborhood, ManifoldConfig, Neighborhoods, ProxySet
-from plmetric.similarity import SimilarityConfig
 
 import oracles
 from oracles import greedy_plane_scan, reconstruction_qualities
@@ -583,32 +582,6 @@ class TestNeighborhoodsRecord:
         assert Neighborhoods.of(record) is record
         with pytest.raises(ValueError, match="at least one"):
             Neighborhoods.of([])
-
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_consumers_take_rows_as_the_record(self, binary):
-        points, cfg, record = _fitted_record(seed=4)
-        rows = list(record)
-        labels = np.arange(len(points)) % 3
-        config = SimilarityConfig(binary=binary)
-        first, second = np.triu_indices(len(points), k=1)
-        for got, want in [
-            (
-                similarity.pairwise_similarity_matrix(points, rows, config),
-                similarity.pairwise_similarity_matrix(points, record, config),
-            ),
-            (
-                similarity.pair_similarities(points, rows, config, first, second),
-                similarity.pair_similarities(points, record, config, first, second),
-            ),
-            (
-                manifold.init_proxies(points, rows, 5, seed=1).frames,
-                manifold.init_proxies(points, record, 5, seed=1).frames,
-            ),
-        ]:
-            assert got.tobytes() == want.tobytes()
-        assert evaluation.neighborhood_purity(rows, labels) == evaluation.neighborhood_purity(
-            record, labels
-        )
 
     def test_row_views_keep_the_row_api(self):
         # What code reading one plane at a time relies on: the row fields,

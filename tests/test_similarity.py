@@ -1,4 +1,6 @@
-"""Tests for decay curves, symmetric similarities, and proxy partials."""
+"""Tests for decay curves, symmetric similarities, and the proxy pullback."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from plmetric import linalg, manifold, similarity
 from plmetric.linalg import OrthonormalBasis
-from plmetric.manifold import LinearNeighborhood, ManifoldConfig, ProxySet
+from plmetric.manifold import LinearNeighborhood, ManifoldConfig, Neighborhoods, ProxySet
 from plmetric.similarity import SimilarityConfig
 
 from oracles import (
@@ -155,72 +157,106 @@ class TestProxySimilarities:
     def test_values_match_directed_route(self):
         pts, nbhds, proxies = _embedded_scene(seed=8)
         cfg = SimilarityConfig()
-        bases = np.stack([nb.basis.vectors for nb in nbhds])
-        out = similarity.proxy_similarity_batch(pts, bases, proxies, cfg, with_grads=False)
-        assert out.d_loc is None
+        out = similarity.proxy_similarity_batch(pts, nbhds.bases, proxies, cfg)
+        assert out.shape == (len(pts), proxies.n_proxies)
         for i in range(len(pts)):
             for j in range(proxies.n_proxies):
                 fwd = directed_similarity(pts[i], proxies.locations[j], proxies.frames[j], cfg)
                 rev = directed_similarity(proxies.locations[j], pts[i], nbhds[i].basis.vectors, cfg)
-                assert out.values[i, j] == pytest.approx((fwd + rev) / 2.0, abs=1e-12)
+                assert out[i, j] == pytest.approx((fwd + rev) / 2.0, abs=1e-12)
+
+    @staticmethod
+    def _one_hot_pullback(pts, bases, proxies, cfg, cells):
+        # Weight table (i, j) picks s_ij alone, so its pullback is the
+        # partial of s_ij w.r.t. proxy j's location and frame.
+        weights = np.zeros((len(cells), len(pts), proxies.n_proxies))
+        for t, cell in enumerate(cells):
+            weights[(t, *cell)] = 1.0
+        return similarity.proxy_pullback(pts, bases, proxies, cfg, weights)
 
     def test_location_partials_match_finite_differences(self):
         pts, nbhds, proxies = _embedded_scene(seed=9, n=6, n_proxies=3)
         cfg = SimilarityConfig()
-        bases = np.stack([nb.basis.vectors for nb in nbhds])
-        out = similarity.proxy_similarity_batch(pts, bases, proxies, cfg)
-        for i in (0, 3):
-            for j in range(3):
-                def value(loc, i=i, j=j):
-                    mod = ProxySet(proxies.locations.copy(), proxies.frames.copy())
-                    mod.locations[j] = loc
-                    got = similarity.proxy_similarity_batch(pts, bases, mod, cfg, with_grads=False)
-                    return float(got.values[i, j])
+        cells = [(i, j) for i in (0, 3) for j in range(3)]
+        grad_loc, _ = self._one_hot_pullback(pts, nbhds.bases, proxies, cfg, cells)
+        for (i, j), analytic in zip(cells, grad_loc):
+            def value(loc, i=i, j=j):
+                mod = ProxySet(proxies.locations.copy(), proxies.frames.copy())
+                mod.locations[j] = loc
+                return float(similarity.proxy_similarity_batch(pts, nbhds.bases, mod, cfg)[i, j])
 
-                numeric = central_difference_gradient(value, proxies.locations[j].copy())
-                assert relative_gradient_error(out.d_loc[i, j], numeric) < 1e-6
+            numeric = central_difference_gradient(value, proxies.locations[j].copy())
+            assert relative_gradient_error(analytic[j], numeric) < 1e-6
 
     def test_frame_partials_match_finite_differences(self):
         pts, nbhds, proxies = _embedded_scene(seed=10, n=6, n_proxies=3)
         cfg = SimilarityConfig()
-        bases = np.stack([nb.basis.vectors for nb in nbhds])
-        out = similarity.proxy_similarity_batch(pts, bases, proxies, cfg)
-        for i in (1, 4):
-            for j in range(3):
-                def value(frame, i=i, j=j):
-                    mod = ProxySet(proxies.locations.copy(), proxies.frames.copy())
-                    mod.frames[j] = frame
-                    got = similarity.proxy_similarity_batch(pts, bases, mod, cfg, with_grads=False)
-                    return float(got.values[i, j])
+        cells = [(i, j) for i in (1, 4) for j in range(3)]
+        _, grad_frames = self._one_hot_pullback(pts, nbhds.bases, proxies, cfg, cells)
+        for (i, j), analytic in zip(cells, grad_frames):
+            def value(frame, i=i, j=j):
+                mod = ProxySet(proxies.locations.copy(), proxies.frames.copy())
+                mod.frames[j] = frame
+                return float(similarity.proxy_similarity_batch(pts, nbhds.bases, mod, cfg)[i, j])
 
-                numeric = central_difference_gradient(value, proxies.frames[j].copy())
-                assert relative_gradient_error(out.d_frames[i, j], numeric) < 1e-6
+            numeric = central_difference_gradient(value, proxies.frames[j].copy())
+            assert relative_gradient_error(analytic[j], numeric) < 1e-6
 
     def test_coincident_point_and_proxy_give_finite_gradients(self):
         # Subgradient-zero convention at zero distances.
         pts, nbhds, proxies = _embedded_scene(seed=11, n=6, n_proxies=3)
         proxies.locations[0] = pts[0]
-        bases = np.stack([nb.basis.vectors for nb in nbhds])
-        out = similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig())
-        assert out.values[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.isfinite(out.d_loc))
-        assert np.all(np.isfinite(out.d_frames))
+        cfg = SimilarityConfig()
+        out = similarity.proxy_similarity_batch(pts, nbhds.bases, proxies, cfg)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
+        weights = np.ones((1, *out.shape))
+        grad_loc, grad_frames = similarity.proxy_pullback(pts, nbhds.bases, proxies, cfg, weights)
+        assert np.all(np.isfinite(grad_loc))
+        assert np.all(np.isfinite(grad_frames))
 
     def test_binary_mode_marks_nearest_proxy(self):
         pts, nbhds, proxies = _embedded_scene(seed=12)
-        bases = np.stack([nb.basis.vectors for nb in nbhds])
-        out = similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig(binary=True))
-        np.testing.assert_array_equal(out.values.sum(axis=1), np.ones(len(pts)))
+        cfg = SimilarityConfig(binary=True)
+        out = similarity.proxy_similarity_batch(pts, nbhds.bases, proxies, cfg)
+        np.testing.assert_array_equal(out.sum(axis=1), np.ones(len(pts)))
         nearest = similarity.nearest_proxy_indices(pts, proxies.locations)
-        np.testing.assert_array_equal(np.argmax(out.values, axis=1), nearest)
-        assert np.all(out.d_loc == 0.0)
-        assert np.all(out.d_frames == 0.0)
+        np.testing.assert_array_equal(np.argmax(out, axis=1), nearest)
+        weights = np.ones((2, *out.shape))
+        grad_loc, grad_frames = similarity.proxy_pullback(pts, nbhds.bases, proxies, cfg, weights)
+        assert np.all(grad_loc == 0.0)
+        assert np.all(grad_frames == 0.0)
 
     def test_shape_mismatch_rejected(self):
         pts, nbhds, proxies = _embedded_scene(seed=13)
-        bases = np.stack([nb.basis.vectors for nb in nbhds])[:, :1, :]
+        bases = nbhds.bases[:, :1, :]
         with pytest.raises(ValueError, match="point_bases"):
             similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig())
+        with pytest.raises(ValueError, match="point_bases"):
+            similarity.proxy_pullback(pts, bases, proxies, SimilarityConfig(), np.ones((1, 20, 4)))
+        with pytest.raises(ValueError, match="weights"):
+            similarity.proxy_pullback(
+                pts, nbhds.bases, proxies, SimilarityConfig(), np.ones((20, 4))
+            )
+
+    def test_pullback_memory_stays_below_one_frame_table(self):
+        # At n = P = 100, m = 3, d = 32 one (n, P, m, d) table of frame
+        # partials is 7.3 MiB; values plus both losses' pullback peak below it.
+        rng = np.random.default_rng(0)
+        n, n_prox, plane_dim, dim = 100, 100, 3, 32
+        pts = _unit_rows(rng, n, dim)
+        bases = linalg.reorthonormalize(rng.standard_normal((n, plane_dim, dim)))[0]
+        frames = linalg.reorthonormalize(rng.standard_normal((n_prox, plane_dim, dim)))[0]
+        proxies = ProxySet(_unit_rows(rng, n_prox, dim), frames)
+        weights = rng.standard_normal((2, n, n_prox))
+        cfg = SimilarityConfig()
+        tracemalloc.start()
+        try:
+            similarity.proxy_similarity_batch(pts, bases, proxies, cfg)
+            similarity.proxy_pullback(pts, bases, proxies, cfg, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_prox * plane_dim * dim * 8
 
 
 def stacked_scene(data):
@@ -267,14 +303,43 @@ class TestStackedRoutesMatchLoops:
     def test_proxy_similarities(self, data):
         embeddings, bases, proxies, cells = stacked_scene(data)
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
-        with_grads = data.draw(st.booleans(), label="grads")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.proxy_similarity_batch(embeddings, bases, proxies, config, with_grads)
-        ref = oracles.proxy_similarity_loop(embeddings, bases, proxies, config, with_grads)
-        assert same_bits(got.values, ref.values)
-        assert same_bits(got.d_loc, ref.d_loc)
-        assert same_bits(got.d_frames, ref.d_frames)
+            got = similarity.proxy_similarity_batch(embeddings, bases, proxies, config)
+        ref = oracles.proxy_similarity_loop(embeddings, bases, proxies, config)[0]
+        assert same_bits(got, ref)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_proxy_pullback(self, data):
+        # Against each weight table contracted with the loop's full partial
+        # tables. Weights hold exact zeros (of both signs) and negative
+        # values; point frames may also be fitted to rank-deficient sets
+        # (their planes completed with axes) or to sets with a duplicated row.
+        embeddings, bases, proxies, cells = stacked_scene(data)
+        n, m, dim = bases.shape
+        config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
+        cells = data.draw(st.sampled_from([1, cells, similarity.STACK_CELLS]), label="cells")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="weight seed"))
+        fitted = data.draw(
+            st.sampled_from(["drawn", "rank-deficient", "duplicates"]), label="point frames"
+        )
+        if fitted != "drawn":
+            rank = rng.integers(0, m) if fitted == "rank-deficient" else m + 1
+            sets = rng.standard_normal((n, m + 2, rank)) @ rng.standard_normal((rank, dim))
+            if fitted == "duplicates":
+                sets[:, 1] = sets[:, 0]
+            bases = np.stack([linalg.pca_top_m(rows, m)[0].vectors for rows in sets])
+        k = data.draw(st.integers(1, 2), label="tables")
+        weights = rng.standard_normal((k, n, proxies.n_proxies))
+        weights[rng.random(weights.shape) < 0.3] = 0.0
+        weights[rng.random(weights.shape) < 0.1] = -0.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "STACK_CELLS", cells)
+            got = similarity.proxy_pullback(embeddings, bases, proxies, config, weights)
+        ref = oracles.proxy_pullback_tables(embeddings, bases, proxies, config, weights)
+        assert same_bits(got[0], ref[0])
+        assert same_bits(got[1], ref[1])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -293,7 +358,7 @@ class TestStackedRoutesMatchLoops:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.pairwise_similarity_matrix(embeddings, nbhds, config)
+            got = similarity.pairwise_similarity_matrix(embeddings, Neighborhoods.of(nbhds), config)
         assert same_bits(got, oracles.pairwise_similarity_loop(embeddings, nbhds, config))
 
     def test_blocks_cover_every_item_once(self, monkeypatch):

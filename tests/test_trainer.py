@@ -96,13 +96,25 @@ class TestPointLoss:
             point_loss(e, sims, LossConfig())
 
 
+def _pulled(anchor, bases, proxies, sim_cfg, loss_out):
+    # A loss's proxy gradients through its similarity weights (last slot).
+    grad_loc, grad_frames = similarity.proxy_pullback(
+        anchor, bases, proxies, sim_cfg, loss_out[-1][None]
+    )
+    return grad_loc[0], grad_frames[0]
+
+
 class TestProxyLoss:
     def test_gradients_match_finite_differences(self):
+        # The loss's own gradients composed with the pullback of its
+        # similarity weights, against differences of the whole loss.
         anchor, trained, nbhds, bases, proxies = _loss_scene(seed=3)
         sim_cfg = SimilarityConfig()
         loss_cfg = LossConfig()
         psim = similarity.proxy_similarity_batch(anchor, bases, proxies, sim_cfg)
-        _, grad_e, grad_loc, grad_frames = proxy_loss(trained, proxies, psim, loss_cfg)
+        out = proxy_loss(trained, proxies, psim, loss_cfg)
+        pulled_loc, grad_frames = _pulled(anchor, bases, proxies, sim_cfg, out)
+        grad_e, grad_loc = out[1], out[2] + pulled_loc
 
         def loss_of_embeds(e):
             return proxy_loss(e, proxies, psim, loss_cfg)[0]
@@ -112,7 +124,7 @@ class TestProxyLoss:
 
         def loss_of_locations(loc):
             mod = ProxySet(loc.copy(), proxies.frames.copy())
-            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg, with_grads=False)
+            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg)
             return proxy_loss(trained, mod, psim_mod, loss_cfg, with_grads=False)[0]
 
         numeric_loc = central_difference_gradient(loss_of_locations, proxies.locations.copy())
@@ -120,25 +132,31 @@ class TestProxyLoss:
 
         def loss_of_frames(frames):
             mod = ProxySet(proxies.locations.copy(), frames.copy())
-            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg, with_grads=False)
+            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg)
             return proxy_loss(trained, mod, psim_mod, loss_cfg, with_grads=False)[0]
 
         numeric_frames = central_difference_gradient(loss_of_frames, proxies.frames.copy())
         assert relative_gradient_error(grad_frames, numeric_frames) < 1e-5
 
-    def test_stopgrad_kills_similarity_route(self):
-        anchor, trained, nbhds, bases, proxies = _loss_scene(seed=4)
-        psim = similarity.proxy_similarity_batch(anchor, bases, proxies, SimilarityConfig())
-        _, _, _, grad_frames = proxy_loss(trained, proxies, psim, LossConfig(stopgrad_similarity=True))
-        assert np.all(grad_frames == 0.0)
+    def test_stopgrad_kills_similarity_route(self, monkeypatch):
+        # With the neighbourhood loss off, the frames feel the proxy loss
+        # only through the similarities: without stopgrad they get a
+        # gradient; with it they get none, and the pullback is not run.
+        dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=20, seed=4))
+        batch = dataset.features[:30]
 
-    def test_gradless_similarities_rejected_without_stopgrad(self):
-        anchor, trained, nbhds, bases, proxies = _loss_scene(seed=5)
-        psim = similarity.proxy_similarity_batch(
-            anchor, bases, proxies, SimilarityConfig(), with_grads=False
-        )
-        with pytest.raises(ValueError, match="without gradients"):
-            proxy_loss(trained, proxies, psim, LossConfig())
+        def frame_grads(stopgrad):
+            loss = LossConfig(neighborhood_weight=0.0, stopgrad_similarity=stopgrad)
+            config = TrainConfig(
+                sampler=SamplerConfig(batch_size=30, n_seeds=3),
+                manifold=ManifoldConfig(dim=2, pool_size=4),
+                hidden_sizes=(8,), embed_dim=4, n_proxies=5, loss=loss, seed=4,
+            )
+            return Trainer.initialize(dataset, config).step_gradients(batch)[3]
+
+        assert np.any(frame_grads(False) != 0.0)
+        monkeypatch.setattr(similarity, "proxy_pullback", None)
+        assert np.all(frame_grads(True) == 0.0)
 
 
 class TestNeighborhoodLoss:
@@ -146,24 +164,23 @@ class TestNeighborhoodLoss:
         # A proxy whose frame equals the point's plane and sims pinned at 1.
         anchor, trained, nbhds, bases, proxies = _loss_scene(seed=6, n_proxies=1)
         proxies.frames[0] = bases[0]
-        d = anchor.shape[1]
-        plane_dim = bases.shape[1]
-        psim = similarity.ProxySimilarities(
-            np.ones((1, 1)), np.zeros((1, 1, d)), np.zeros((1, 1, plane_dim, d))
-        )
-        value, _, _ = neighborhood_loss(bases[:1], proxies, psim, LossConfig())
+        value, _, _ = neighborhood_loss(bases[:1], proxies, np.ones((1, 1)), LossConfig())
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
+        # The frame gradient through the cosines plus the pullback of the
+        # similarity weights, against differences of the whole loss.
         anchor, trained, nbhds, bases, proxies = _loss_scene(seed=7)
         sim_cfg = SimilarityConfig()
         loss_cfg = LossConfig()
         psim = similarity.proxy_similarity_batch(anchor, bases, proxies, sim_cfg)
-        _, grad_loc, grad_frames = neighborhood_loss(bases, proxies, psim, loss_cfg)
+        out = neighborhood_loss(bases, proxies, psim, loss_cfg)
+        grad_loc, pulled_frames = _pulled(anchor, bases, proxies, sim_cfg, out)
+        grad_frames = out[1] + pulled_frames
 
         def loss_of_frames(frames):
             mod = ProxySet(proxies.locations.copy(), frames.copy())
-            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg, with_grads=False)
+            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg)
             return neighborhood_loss(bases, mod, psim_mod, loss_cfg, with_grads=False)[0]
 
         numeric_frames = central_difference_gradient(loss_of_frames, proxies.frames.copy())
@@ -171,7 +188,7 @@ class TestNeighborhoodLoss:
 
         def loss_of_locations(loc):
             mod = ProxySet(loc.copy(), proxies.frames.copy())
-            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg, with_grads=False)
+            psim_mod = similarity.proxy_similarity_batch(anchor, bases, mod, sim_cfg)
             return neighborhood_loss(bases, mod, psim_mod, loss_cfg, with_grads=False)[0]
 
         numeric_loc = central_difference_gradient(loss_of_locations, proxies.locations.copy())
@@ -183,7 +200,7 @@ class TestNeighborhoodLoss:
         # index: point 4, proxy 3, frame row 0.
         anchor, _, _, bases, proxies = _loss_scene(seed=8, n_proxies=5)
         psim = similarity.proxy_similarity_batch(anchor, bases, proxies, SimilarityConfig())
-        psim.values[4, 3] = np.nan
+        psim[4, 3] = np.nan
         monkeypatch.setattr(similarity, "STACK_CELLS", cells)
         with pytest.raises(FloatingPointError, match=r"neighborhood loss term at index \(4, 3, 0\)"):
             neighborhood_loss(bases, proxies, psim, LossConfig())
@@ -192,15 +209,15 @@ class TestNeighborhoodLoss:
     @given(st.data())
     def test_matches_point_loop_bitwise(self, data):
         # Against the loop over points it replaced (tests/oracles.py): the
-        # loss value and both gradients, signs of zeros included.
+        # loss value, the frame gradient and the similarity weights, signs
+        # of zeros included.
         embeddings, bases, proxies, cells = stacked_scene(data)
         binary = data.draw(st.booleans(), label="binary")
         with_grads = data.draw(st.booleans(), label="grads")
-        stopgrad = data.draw(st.booleans(), label="stopgrad")
         psim = similarity.proxy_similarity_batch(
-            embeddings, bases, proxies, SimilarityConfig(binary=binary), with_grads and not stopgrad
+            embeddings, bases, proxies, SimilarityConfig(binary=binary)
         )
-        config = LossConfig(stopgrad_similarity=stopgrad)
+        config = LossConfig()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
             got = neighborhood_loss(bases, proxies, psim, config, with_grads)
@@ -400,8 +417,9 @@ def _acceptance_recipe(seed: int) -> TrainConfig:
 def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
     # Four steps on 150 points, once as the library runs them and once with
     # the loops the stacked routes and the padded scan replaced
-    # (tests/oracles.py) patched in: weights, proxies, Adam moments, RNG
-    # states and history byte for byte.
+    # (tests/oracles.py) patched in, the pullback as einsums over the loop's
+    # full partial tables: weights, proxies, Adam moments, RNG states and
+    # history byte for byte.
     dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
 
     def train(path):
@@ -413,7 +431,10 @@ def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
 
     stacked = train(tmp_path / "stacked.plck")
     monkeypatch.setattr(similarity, "pairwise_similarity_matrix", oracles.pairwise_similarity_loop)
-    monkeypatch.setattr(similarity, "proxy_similarity_batch", oracles.proxy_similarity_loop)
+    monkeypatch.setattr(
+        similarity, "proxy_similarity_batch", lambda *args: oracles.proxy_similarity_loop(*args)[0]
+    )
+    monkeypatch.setattr(similarity, "proxy_pullback", oracles.proxy_pullback_tables)
     monkeypatch.setattr(trainer, "neighborhood_loss", oracles.neighborhood_loss_loop)
     monkeypatch.setattr(manifold, "_scan_pools", oracles.scan_pools_loop)
     looped = train(tmp_path / "looped.plck")
