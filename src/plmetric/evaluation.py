@@ -2,13 +2,15 @@
 
 All metrics are exact and deterministic. Recall reads each query's nearest
 neighbors from manifold.neighbor_lists, a blocked exact top-k whose memory
-grows with n, not n^2. Label purity is the mean majority fraction over
-groups, and the similarity correlation is Pearson's between continuous
+grows with n, not n^2; a full evaluation runs that k-NN once, to the larger
+of max(K) and the pool size, and hands its first columns to recall and to
+the neighborhood fit's pools. Label purity is the mean majority fraction
+over groups, and the similarity correlation is Pearson's between continuous
 similarities and the binary same-class indicator, over all pairs up to
 ALL_PAIRS_LIMIT points (read from the similarity matrix) and over a seeded
-sample of pairs beyond it (scored pair by pair, without the n x n matrix).
-The k-means baseline (Lloyd with k-means++ seeding) lives here so
-comparisons never depend on an external implementation.
+sample of pairs beyond it (scored a chunk of pairs at a time, without the
+n x n matrix). The k-means baseline (Lloyd with k-means++ seeding) lives
+here so comparisons never depend on an external implementation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
+    check_pool_size,
     fit_all_neighborhoods,
     neighbor_lists,
 )
@@ -43,26 +46,42 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
+    k_values = [int(k) for k in k_values]
+    if not k_values or min(k_values) < 1:
+        raise ValueError("K values must be positive")
+    if n < max(k_values) + 1:
+        raise ValueError(f"need at least max(K)+1 = {max(k_values) + 1} points, got {n}")
+    return k_values
+
+
 def recall_at_k(
-    embeddings: np.ndarray, labels: np.ndarray, k_values: Sequence[int]
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    k_values: Sequence[int],
+    *,
+    neighbors: np.ndarray | None = None,
 ) -> dict[int, float]:
     """Percentage of queries with a same-class sample among their K nearest.
 
     Exact Euclidean neighbors from manifold.neighbor_lists, query excluded
-    from its own candidates, ties broken toward the lower index. Returns
-    {K: percentage}.
+    from its own candidates, ties broken toward the lower index. A caller
+    that already holds neighbor_lists(embeddings, k) for some k >= max(K)
+    passes it as ``neighbors``; its first max(K) columns are the list this
+    would compute. Returns {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if labels is None:
         raise ValueError("recall requires labels")
     labels = np.asarray(labels)
     n = embeddings.shape[0]
-    k_values = [int(k) for k in k_values]
-    if not k_values or min(k_values) < 1:
-        raise ValueError("K values must be positive")
-    if n < max(k_values) + 1:
-        raise ValueError(f"need at least max(K)+1 = {max(k_values) + 1} points, got {n}")
-    match = labels[neighbor_lists(embeddings, max(k_values))] == labels[:, None]
+    k_values = _checked_ks(k_values, n)
+    depth = max(k_values)
+    if neighbors is None:
+        neighbors = neighbor_lists(embeddings, depth)
+    elif np.ndim(neighbors) != 2 or len(neighbors) != n or np.shape(neighbors)[1] < depth:
+        raise ValueError(f"neighbors shape {np.shape(neighbors)} is not ({n}, >= {depth})")
+    match = labels[neighbors[:, :depth]] == labels[:, None]
     out = {}
     for k in sorted(k_values):
         out[k] = float(np.mean(np.any(match[:, :k], axis=1)) * 100.0)
@@ -284,8 +303,17 @@ def evaluate_embeddings(
     labels = np.asarray(labels)
     n = embeddings.shape[0]
     classes = np.unique(labels)
-    recall = recall_at_k(embeddings, labels, recall_ks)
-    neighborhoods = fit_all_neighborhoods(embeddings, manifold_config)
+    # Recall and the fit's pools read one k-NN: each list is the prefix of
+    # the longest (neighbor_lists is a stable sort's first columns). Both
+    # inputs are checked first, so a short set raises its own error.
+    recall_ks = _checked_ks(recall_ks, n)
+    check_pool_size(n, manifold_config)
+    neighbors = neighbor_lists(embeddings, max(manifold_config.pool_size, *recall_ks))
+    recall = recall_at_k(embeddings, labels, recall_ks, neighbors=neighbors)
+    neighborhoods = fit_all_neighborhoods(
+        embeddings, manifold_config, pools=neighbors[:, : manifold_config.pool_size]
+    )
+    del neighbors
     nbhd_purity = neighborhood_purity(neighborhoods, labels)
     km = kmeans_baseline(embeddings, len(classes), seed)
     km_groups = [np.flatnonzero(km.assignments == c) for c in range(len(classes))]

@@ -255,6 +255,8 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     n = embeddings.shape[0]
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError(f"n_neighbors={n_neighbors} out of range for {n} points")
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("points contain non-finite entries")
     sq = np.sum(embeddings**2, axis=1)
     rows_per_block = max(1, NEIGHBOR_BLOCK_CELLS // n)
     out = np.empty((n, n_neighbors), dtype=np.int64)
@@ -483,7 +485,17 @@ def _fit_planes(
     return Neighborhoods(padded, sizes, linalg._fix_signs(vectors), centroids)
 
 
-def fit_all_neighborhoods(embeddings: np.ndarray, config: ManifoldConfig) -> Neighborhoods:
+def check_pool_size(n_points: int, config: ManifoldConfig) -> None:
+    """Raise unless n_points points leave every anchor a full pool."""
+    if n_points <= config.pool_size:
+        raise ValueError(
+            f"need more than pool_size={config.pool_size} points, got {n_points}"
+        )
+
+
+def fit_all_neighborhoods(
+    embeddings: np.ndarray, config: ManifoldConfig, *, pools: np.ndarray | None = None
+) -> Neighborhoods:
     """Fit one plane per point, pools drawn from the same set.
 
     Row i of the record is the plane around point i and matches calling
@@ -493,14 +505,17 @@ def fit_all_neighborhoods(embeddings: np.ndarray, config: ManifoldConfig) -> Nei
     sets it cannot decide safely to the exact per-size PCA. So the scan
     makes pool_size - dim + 1 accept calls. Each final plane equals
     linalg.pca_top_m of its members bit for bit.
+
+    ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
+    caller already holds it, as the first columns of a longer list are.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if n <= config.pool_size:
-        raise ValueError(
-            f"need more than pool_size={config.pool_size} points, got {n}"
-        )
-    pools = neighbor_lists(embeddings, config.pool_size)
+    check_pool_size(n, config)
+    if pools is None:
+        pools = neighbor_lists(embeddings, config.pool_size)
+    elif np.shape(pools) != (n, config.pool_size):
+        raise ValueError(f"pools shape {np.shape(pools)} is not {(n, config.pool_size)}")
     members, sizes = _scan_pools(embeddings, np.arange(n), pools, config)
     return _fit_planes(embeddings, members, sizes, config.dim)
 

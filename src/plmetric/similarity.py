@@ -119,10 +119,11 @@ def pair_similarities(
 ) -> np.ndarray:
     """Symmetric similarity of each pair (first[t], second[t]).
 
-    The entries pairwise_similarity_matrix would hold there, to rounding,
-    scored PAIR_CHUNK pairs at a time with the same arithmetic and no
-    (n, n) array, so memory grows with the number of pairs, not with n^2.
-    ``neighborhoods`` is as for pairwise_similarity_matrix.
+    The entries pairwise_similarity_matrix would hold there, equal to the
+    matrix entries to 1e-12 (bit for bit in binary mode), scored PAIR_CHUNK
+    pairs at a time with no (n, n) array, so memory grows with the number
+    of pairs, not with n^2. ``neighborhoods`` is as for
+    pairwise_similarity_matrix.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if len(neighborhoods) != embeddings.shape[0]:
@@ -138,11 +139,26 @@ def pair_similarities(
             forward = np.any(members[j] == i[:, None], axis=1).astype(np.float64)
             reverse = np.any(members[i] == j[:, None], axis=1).astype(np.float64)
         else:
-            diffs = (embeddings[i] - embeddings[j])[:, None, :]
-            forward = _directed(diffs, bases[j], config, False, False)[0][:, 0]
-            reverse = _directed(-diffs, bases[i], config, False, False)[0][:, 0]
+            # The reverse difference is -diffs; both norms are blind to
+            # the sign, so the same rows serve.
+            diffs = embeddings[i] - embeddings[j]
+            forward = _paired_directed(diffs, bases[j], config)
+            reverse = _paired_directed(diffs, bases[i], config)
         out[lo : lo + PAIR_CHUNK] = (forward + reverse) / 2.0
     return out
+
+
+def _paired_directed(diffs: np.ndarray, frames: np.ndarray, config: SimilarityConfig):
+    # Directed similarity of each (c, d) difference row seen from its own
+    # (c, m, d) frame: plane_split's products taken row by row, so no row
+    # costs a matmul call of its own. The residual is the explicit vector,
+    # never sqrt(|diff|^2 - p^2), which cancels near the plane.
+    coords = np.einsum("cd,cmd->cm", diffs, frames)
+    residual = diffs - np.einsum("cm,cmd->cd", coords, frames)
+    p = np.sqrt(np.einsum("cm,cm->c", coords, coords))
+    o = np.sqrt(np.einsum("cd,cd->c", residual, residual))
+    a, b = _decays(o, p, config)
+    return a * b
 
 
 def nearest_proxy_indices(embeddings: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -165,6 +181,11 @@ def _inv_or_zero(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _decays(o, p, config: SimilarityConfig):
+    # The orthogonal and in-plane decay factors of distances o and p.
+    return (1.0 + o / 2.0) ** (-config.orth_exponent), (1.0 + p) ** (-config.inplane_exponent)
+
+
 def _directed(
     diffs: np.ndarray, frame: np.ndarray, config: SimilarityConfig, grads: bool, frame_grads: bool
 ):
@@ -174,8 +195,7 @@ def _directed(
     # parts not asked for are None. Every product keeps the per-frame shape
     # of the unstacked call, so a stack gives the bits of a loop over it.
     coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
-    a = (1.0 + o / 2.0) ** (-config.orth_exponent)
-    b = (1.0 + p) ** (-config.inplane_exponent)
+    a, b = _decays(o, p, config)
     if not grads:
         return a * b, None, None
     da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)

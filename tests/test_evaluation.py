@@ -65,6 +65,18 @@ class TestRecallAtK:
             recall_at_k(np.eye(3), None, [1])
         with pytest.raises(ValueError, match="points"):
             recall_at_k(np.eye(3), np.array([0, 1, 2]), [3])
+        with pytest.raises(ValueError, match="neighbors shape"):
+            recall_at_k(np.eye(4), np.arange(4), [2], neighbors=np.zeros((4, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        pts = np.random.default_rng(4).standard_normal((20, 3))
+        pts[7, 1] = bad
+        labels = np.arange(20) % 2
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
+            recall_at_k(pts, labels, [1, 2])
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
+            evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=5), SimilarityConfig(), (1, 2))
 
 
 class TestPurity:
@@ -235,8 +247,8 @@ class TestEvaluateEmbeddings:
         assert -1.0 <= report.kmeans_correlation <= 1.0
 
     def test_sampled_pairs_are_scored_without_the_matrix(self, monkeypatch):
-        # Above ALL_PAIRS_LIMIT the sampled pairs are scored one by one and
-        # correlate as the matrix entries they stand for.
+        # Above ALL_PAIRS_LIMIT the sampled pairs are scored a chunk at a
+        # time and correlate as the matrix entries they stand for.
         monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 50)
         monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
         ds = data.generate_synthetic(
@@ -257,6 +269,53 @@ class TestEvaluateEmbeddings:
             same = (ds.labels[first] == ds.labels[second]).astype(np.float64)
             expected = similarity_correlation(sims[first, second], same)
             assert report.similarity_correlation == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("pair_limit", [evaluation.ALL_PAIRS_LIMIT, 50])
+    @pytest.mark.parametrize("recall_ks", [(1, 2), (1, 4, 12)])
+    def test_one_knn_serves_recall_and_fit(self, monkeypatch, pair_limit, recall_ks):
+        # One neighbor_lists call, to the larger of max(K) and the pool
+        # size, and one fit whose positional arguments are exactly
+        # (embeddings, config), as bench/workloads.py unpacks them. The
+        # report equals separate recall and fit calls.
+        monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", pair_limit)
+        monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
+        ds = data.generate_synthetic(
+            data.SyntheticSpec(n_classes=3, ambient_dim=16, points_per_class=30, seed=2)
+        )
+        mcfg, cfg = ManifoldConfig(dim=3, quality_threshold=90.0, pool_size=8), SimilarityConfig()
+        recall = recall_at_k(ds.features, ds.labels, recall_ks)
+        nbhds = manifold.fit_all_neighborhoods(ds.features, mcfg)
+        first, second = sample_pairs(90, seed=3)
+        sims = similarity.pairwise_similarity_matrix(ds.features, nbhds, cfg)
+        correlation = similarity_correlation(sims[first, second], ds.labels[first] == ds.labels[second])
+
+        calls = {"neighbor_lists": [], "fit_all_neighborhoods": []}
+        for name, raw in [(name, getattr(manifold, name)) for name in calls]:
+
+            def counted(*args, _raw=raw, _calls=calls[name], **kwargs):
+                _calls.append((args, kwargs))
+                return _raw(*args, **kwargs)
+
+            monkeypatch.setattr(manifold, name, counted)
+            monkeypatch.setattr(evaluation, name, counted)
+        report = evaluate_embeddings(ds.features, ds.labels, mcfg, cfg, recall_ks, seed=3)
+        assert len(calls["neighbor_lists"]) == 1
+        assert calls["neighbor_lists"][0][0][1] == max(mcfg.pool_size, *recall_ks)
+        [(args, kwargs)] = calls["fit_all_neighborhoods"]
+        assert len(args) == 2 and np.array_equal(args[0], ds.features) and args[1] == mcfg
+        assert set(kwargs) == {"pools"}
+        assert report.recall_at == recall
+        assert report.neighborhood_purity == neighborhood_purity(nbhds, ds.labels)
+        assert report.similarity_correlation == pytest.approx(correlation, abs=1e-12)
+
+    def test_short_sets_raise_the_input_errors(self):
+        # Checked before the shared k-NN, with the messages the CLI shows.
+        pts = np.random.default_rng(5).standard_normal((9, 3))
+        labels = np.arange(9) % 3
+        with pytest.raises(ValueError, match=r"need more than pool_size=10 points, got 9"):
+            evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=10), SimilarityConfig(), (1,))
+        with pytest.raises(ValueError, match=r"need at least max\(K\)\+1 = 10 points, got 9"):
+            evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=4), SimilarityConfig(), (9,))
 
     def test_memory_above_pair_limit_stays_below_one_n_by_n_matrix(self):
         n = 2400

@@ -12,7 +12,7 @@ from plmetric import linalg, manifold
 from plmetric.manifold import LinearNeighborhood, ManifoldConfig, Neighborhoods, ProxySet
 
 import oracles
-from oracles import greedy_plane_scan, reconstruction_qualities
+from oracles import greedy_plane_scan, reconstruction_qualities, same_bits
 
 # Trial sets whose worst member lands this close to the threshold are decided
 # by rounding; two eigensolvers may legitimately disagree there.
@@ -188,8 +188,12 @@ class TestNeighborLists:
         cells = data.draw(
             st.sampled_from([manifold.NEIGHBOR_BLOCK_CELLS, n * n, n * n - 1, 3 * n, 1])
         )
+        longer = data.draw(st.integers(k, n - 1))
         with mock.patch.object(manifold, "NEIGHBOR_BLOCK_CELLS", cells):
             got = manifold.neighbor_lists(pts, k)
+            # A shorter list is the prefix of a longer one, which evaluation
+            # relies on to share one k-NN between recall and the fit's pools.
+            np.testing.assert_array_equal(manifold.neighbor_lists(pts, longer)[:, :k], got)
         ref = oracles.neighbor_lists(pts, k)
         if cells >= n * n or kind == "grid":
             np.testing.assert_array_equal(got, ref)
@@ -215,6 +219,12 @@ class TestFitAllNeighborhoods:
         cfg = ManifoldConfig(dim=2, pool_size=10)
         with pytest.raises(ValueError, match="pool_size"):
             manifold.fit_all_neighborhoods(np.eye(5), cfg)
+
+    def test_pools_of_another_width_rejected(self):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        with pytest.raises(ValueError, match="pools shape"):
+            manifold.fit_all_neighborhoods(pts, cfg, pools=manifold.neighbor_lists(pts, 5))
 
     def test_one_accept_call_per_pool_position(self):
         # Trial sets of several sizes at each position still take one call.
@@ -245,6 +255,12 @@ class TestFitAllNeighborhoods:
             pts = rng.standard_normal((n, d))
             pools = manifold.neighbor_lists(pts, cfg.pool_size)
             batched = manifold.fit_all_neighborhoods(pts, cfg)
+            # Pools handed in as the prefix of a longer list fit the same.
+            given = manifold.fit_all_neighborhoods(
+                pts, cfg, pools=manifold.neighbor_lists(pts, n - 1)[:, : cfg.pool_size]
+            )
+            for field in ("members", "sizes", "bases", "centroids"):
+                assert same_bits(getattr(given, field), getattr(batched, field))
             for i, got in enumerate(batched):
                 ref = manifold.fit_neighborhood(pts, i, pools[i], cfg)
                 assert np.array_equal(got.member_indices, ref.member_indices)

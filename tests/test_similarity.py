@@ -130,6 +130,43 @@ class TestPointSimilarity:
         got = similarity.pair_similarities(pts, nbhds, binary, first, second)
         np.testing.assert_array_equal(got, mat[first, second])
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pair_route_matches_scalar_oracle(self, data):
+        # Chunks of 7 pairs, full ones and a short last one. Pairs with
+        # i == j, and the last row against the first, which the scene may
+        # have duplicated (diff = 0). Planes drawn, planes holding every
+        # point (the first m axes, points with no other coordinate: o = 0
+        # exactly), or full rank (m = d: o = 0 for every pair).
+        embeddings, bases, _, _ = stacked_scene(data)
+        n, m, dim = bases.shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="pair seed"))
+        planes = data.draw(st.sampled_from(["drawn", "holding the points", "full rank"]), label="planes")
+        if planes == "holding the points":
+            bases = np.broadcast_to(np.eye(dim)[:m], bases.shape).copy()
+            embeddings[:, m:] = 0.0
+        elif planes == "full rank":
+            bases = linalg.reorthonormalize(rng.standard_normal((n, dim, dim)))[0]
+        first, second = rng.integers(n, size=(2, data.draw(st.integers(1, 40), label="pairs")))
+        first, second = np.r_[first, np.arange(n), 0], np.r_[second, np.arange(n), n - 1]
+        nbhds = Neighborhoods.of(
+            LinearNeighborhood(
+                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame), row
+            )
+            for j, (frame, row) in enumerate(zip(bases, embeddings))
+        )
+        for config in (SimilarityConfig(), SimilarityConfig(binary=True)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(similarity, "PAIR_CHUNK", 7)
+                got = similarity.pair_similarities(embeddings, nbhds, config, first, second)
+            ref = np.array(
+                [symmetric_similarity(i, j, embeddings, nbhds, config) for i, j in zip(first, second)]
+            )
+            if config.binary:
+                assert same_bits(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)
         cfg = SimilarityConfig(binary=True)
