@@ -5,7 +5,8 @@ validation failures), 2 internal error. All subcommands honor a global
 ``--threads`` flag; with ``--threads 1`` (the default) runs are bit
 reproducible for a fixed root seed. The cap is applied through
 ``threadpoolctl``; without it the CLI warns on stderr and leaves BLAS as the
-environment set it.
+environment set it. It caps BLAS threads only: a large evaluation also runs
+on manifold.WORKERS threads, with the same bits for any count.
 
 ``train`` and ``diagnose`` read a flat JSON run configuration (RunConfig):
 TrainConfig's field names, with ``manifold_dim`` and ``binary_similarity``
@@ -169,7 +170,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="plmetric", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="intra-step thread cap")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="BLAS thread cap; evaluation workers follow CPU affinity"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic linear-patch dataset")

@@ -11,6 +11,10 @@ ALL_PAIRS_LIMIT points (read from the similarity matrix) and over a seeded
 sample of pairs beyond it (scored a chunk of pairs at a time, without the
 n x n matrix). The k-means baseline (Lloyd with k-means++ seeding) lives
 here so comparisons never depend on an external implementation.
+
+On large sets the neighborhood scan and the sampled-pair scoring run on
+every usable core (manifold.WORKERS threads, the caller included); the
+report is the same to the bit for any number of them.
 """
 
 from __future__ import annotations

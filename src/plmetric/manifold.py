@@ -7,10 +7,21 @@ fit_all_neighborhoods returns the planes of a point set as one Neighborhoods
 record of stacked arrays. Proxies are a compact learnable stand-in for the
 full neighborhood set: each proxy carries a location on the unit sphere plus
 its own plane frame.
+
+Large evaluations run on every usable core. _run_blocks runs independent
+blocks of work on the calling thread plus WORKERS - 1 helper threads (numpy
+releases the GIL inside its array loops); each block writes its own slice of
+a preallocated output, so the result is the same bits for any WORKERS. The
+greedy scan of at least 2 * SCAN_SHARE anchors is split into contiguous
+shares that way, and similarity.pair_similarities splits its pair chunks.
+Smaller fits, every fit a training step or initialisation makes among them,
+run serially and start no thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,6 +44,68 @@ NEIGHBOR_BLOCK_CELLS = 1 << 18
 QUALITY_MARGIN = 1e-6
 EIGEN_TIE_TOL = 1e-5
 CENTROID_TOL = 1e-9
+
+
+# Threads _run_blocks works on, the caller included: the cores this process
+# may run on, so `taskset` limits them.
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:
+    WORKERS = os.cpu_count() or 1
+# Anchors in a share of the greedy scan: n anchors make n // SCAN_SHARE
+# contiguous shares, so below 2 * SCAN_SHARE the scan is one serial share
+# (smaller shares spend their time in per-call overhead). A share's
+# temporaries, which a helper's malloc arena keeps resident after it, stay
+# bounded however many anchors there are.
+SCAN_SHARE = 400
+
+
+def _run_blocks(fn, blocks) -> None:
+    """Call fn(block) for every block, on this thread and up to WORKERS - 1 helpers.
+
+    The caller and each helper take blocks in order from one shared
+    iterator until it runs dry, so every block runs exactly once; fn must
+    write only its block's own part of the output. Helpers are joined
+    before return and the first exception raised in any block is raised
+    here; no thread outlives the call. With one block, or WORKERS == 1,
+    this is a plain loop on the calling thread.
+    """
+    blocks = list(blocks)
+    n_helpers = min(WORKERS, len(blocks)) - 1
+    if n_helpers <= 0:
+        for block in blocks:
+            fn(block)
+        return
+    pending = iter(blocks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    done = object()
+
+    def work() -> None:
+        while True:
+            with lock:
+                block = done if errors else next(pending, done)
+            if block is done:
+                return
+            try:
+                fn(block)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = []
+    try:
+        for _ in range(n_helpers):
+            helper = threading.Thread(target=work, name="plmetric-block", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -508,6 +581,14 @@ def fit_all_neighborhoods(
 
     ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
     caller already holds it, as the first columns of a longer list are.
+
+    From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
+    SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
+    (_run_blocks). The member lists do not depend on the split:
+    _batched_accepts hands every set it cannot decide by more than
+    QUALITY_MARGIN to the exact route, so no decision depends on which sets
+    share a padded call. The final planes are fitted once, on the calling
+    thread.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -516,7 +597,18 @@ def fit_all_neighborhoods(
         pools = neighbor_lists(embeddings, config.pool_size)
     elif np.shape(pools) != (n, config.pool_size):
         raise ValueError(f"pools shape {np.shape(pools)} is not {(n, config.pool_size)}")
-    members, sizes = _scan_pools(embeddings, np.arange(n), pools, config)
+    anchors = np.arange(n)
+    members = np.empty((n, config.pool_size + 1), dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
+
+    def scan(share: slice) -> None:
+        members[share], sizes[share] = _scan_pools(
+            embeddings, anchors[share], pools[share], config
+        )
+
+    n_shares = max(1, n // SCAN_SHARE)
+    edges = [n * k // n_shares for k in range(n_shares + 1)]
+    _run_blocks(scan, (slice(lo, hi) for lo, hi in zip(edges, edges[1:])))
     return _fit_planes(embeddings, members, sizes, config.dim)
 
 

@@ -14,6 +14,11 @@ in-plane drift, hence separate exponents.
 The training losses treat point-proxy similarities as differentiable
 functions of the proxies (but never of the encoder): proxy_pullback turns a
 loss's weights dL/ds into gradients w.r.t. proxy locations and frames.
+
+pair_similarities, which evaluation calls above ALL_PAIRS_LIMIT points,
+scores its PAIR_CHUNK chunks on every usable core (manifold._run_blocks),
+with the same bits for any number of threads; the training routes are
+serial.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .manifold import Neighborhoods, ProxySet
+from .manifold import Neighborhoods, ProxySet, _run_blocks
 
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
@@ -68,7 +73,8 @@ def stack_blocks(count: int, cells_per_item: int) -> list[slice]:
 def orthogonal_decay(distance, exponent: float):
     """Similarity factor for the orthogonal component, (1 + o/2) ** -exponent."""
     distance = np.asarray(distance, dtype=np.float64)
-    if np.any(distance < 0.0):
+    # Written so that NaN fails it too.
+    if not np.all(distance >= 0.0):
         raise ValueError("orthogonal distance must be non-negative")
     out = (1.0 + distance / 2.0) ** (-exponent)
     return float(out) if out.ndim == 0 else out
@@ -77,7 +83,8 @@ def orthogonal_decay(distance, exponent: float):
 def inplane_decay(distance, exponent: float):
     """Similarity factor for the in-plane component, (1 + p) ** -exponent."""
     distance = np.asarray(distance, dtype=np.float64)
-    if np.any(distance < 0.0):
+    # Written so that NaN fails it too.
+    if not np.all(distance >= 0.0):
         raise ValueError("in-plane distance must be non-negative")
     out = (1.0 + distance) ** (-exponent)
     return float(out) if out.ndim == 0 else out
@@ -123,16 +130,25 @@ def pair_similarities(
     matrix entries to 1e-12 (bit for bit in binary mode), scored PAIR_CHUNK
     pairs at a time with no (n, n) array, so memory grows with the number
     of pairs, not with n^2. ``neighborhoods`` is as for
-    pairwise_similarity_matrix.
+    pairwise_similarity_matrix. ``first`` and ``second`` must be
+    equal-length 1-d arrays of indices in [0, n). The chunks run on the
+    calling thread plus up to manifold.WORKERS - 1 helpers, each writing
+    its own slice of the output, so the bits do not depend on the count.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if len(neighborhoods) != embeddings.shape[0]:
+    n = embeddings.shape[0]
+    if len(neighborhoods) != n:
         raise ValueError("need one neighborhood per embedding row")
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ValueError("first and second must be 1-d index arrays of equal length")
+    if first.size and (min(first.min(), second.min()) < 0 or max(first.max(), second.max()) >= n):
+        raise ValueError(f"pair indices must lie in [0, {n})")
     members, bases = neighborhoods.members, neighborhoods.bases
     out = np.empty(first.size)
-    for lo in range(0, first.size, PAIR_CHUNK):
+
+    def score(lo: int) -> None:
         i, j = first[lo : lo + PAIR_CHUNK], second[lo : lo + PAIR_CHUNK]
         if config.binary:
             # Padding is -1, which no point index matches.
@@ -145,6 +161,8 @@ def pair_similarities(
             forward = _paired_directed(diffs, bases[j], config)
             reverse = _paired_directed(diffs, bases[i], config)
         out[lo : lo + PAIR_CHUNK] = (forward + reverse) / 2.0
+
+    _run_blocks(score, range(0, first.size, PAIR_CHUNK))
     return out
 
 

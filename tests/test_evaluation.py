@@ -1,5 +1,6 @@
 """Tests for retrieval metrics, purity, correlation, and the k-means baseline."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -307,6 +308,35 @@ class TestEvaluateEmbeddings:
         assert report.recall_at == recall
         assert report.neighborhood_purity == neighborhood_purity(nbhds, ds.labels)
         assert report.similarity_correlation == pytest.approx(correlation, abs=1e-12)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_report_is_the_same_on_one_or_two_threads(self, monkeypatch, binary):
+        # Above ALL_PAIRS_LIMIT, with shares and chunks small enough that
+        # the scan and the pair scoring both split: helpers start, and the
+        # report equals the one-thread report exactly.
+        monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 50)
+        monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
+        monkeypatch.setattr(manifold, "SCAN_SHARE", 20)
+        monkeypatch.setattr(similarity, "PAIR_CHUNK", 128)
+        ds = data.generate_synthetic(
+            data.SyntheticSpec(n_classes=3, ambient_dim=16, points_per_class=30, seed=2)
+        )
+        args = (ManifoldConfig(dim=3, quality_threshold=90.0, pool_size=8), SimilarityConfig(binary=binary))
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(manifold, "WORKERS", workers)
+            reports.append(evaluate_embeddings(ds.features, ds.labels, *args, seed=3))
+        assert reports[0] == reports[1]
+        # One helper for the scan and one for the pairs, on the second run.
+        assert len(started) == 2
 
     def test_short_sets_raise_the_input_errors(self):
         # Checked before the shared k-NN, with the messages the CLI shows.

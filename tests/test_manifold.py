@@ -1,6 +1,8 @@
 """Tests for neighborhood fitting, k-NN pools, and proxy initialization."""
 
 import dataclasses
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -515,6 +517,121 @@ def _hand_rows(points, record, dim):
         basis, centroid = linalg.pca_top_m(points[members], dim)
         rows.append(LinearNeighborhood(members[0], np.array(members), basis, centroid))
     return rows
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 7])
+    def test_every_block_runs_once(self, monkeypatch, workers, n_blocks):
+        monkeypatch.setattr(manifold, "WORKERS", workers)
+        before = threading.enumerate()
+        out = np.zeros(n_blocks, dtype=np.int64)
+
+        def fn(block):
+            out[block] += block + 1
+
+        manifold._run_blocks(fn, range(n_blocks))
+        np.testing.assert_array_equal(out, np.arange(1, n_blocks + 1))
+        assert threading.enumerate() == before
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # Eight threads switching every microsecond over 3000 tiny blocks: a
+        # block lost or taken twice from the shared iterator shows as a
+        # count other than one.
+        monkeypatch.setattr(manifold, "WORKERS", 8)
+        counts = [0] * 3000
+
+        def fn(block):
+            counts[block] += 1
+
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manifold._run_blocks(fn, range(len(counts)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * len(counts)
+        assert threading.enumerate() == before
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        # The caller's first block waits until a helper has raised in its
+        # own block, so the error surely comes from a helper thread.
+        monkeypatch.setattr(manifold, "WORKERS", 2)
+        caller = threading.current_thread()
+        raised = threading.Event()
+        ran = []
+
+        def fn(block):
+            if threading.current_thread() is caller:
+                assert raised.wait(timeout=30.0)
+                ran.append(block)
+                return
+            raised.set()
+            raise KeyError(f"block {block} failed in a helper")
+
+        before = threading.enumerate()
+        with pytest.raises(KeyError, match="failed in a helper") as info:
+            manifold._run_blocks(fn, range(50))
+        assert type(info.value) is KeyError
+        assert threading.enumerate() == before
+        # After the error no one takes a new block.
+        assert len(ran) <= 1
+
+    def test_caller_exception_joins_helpers_first(self, monkeypatch):
+        # Each helper holds its first block until the caller has raised.
+        monkeypatch.setattr(manifold, "WORKERS", 3)
+        caller = threading.current_thread()
+        raised = threading.Event()
+
+        def fn(block):
+            if threading.current_thread() is caller:
+                raised.set()
+                raise ValueError("caller block failed")
+            assert raised.wait(timeout=30.0)
+
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="caller block failed"):
+            manifold._run_blocks(fn, range(20))
+        assert threading.enumerate() == before
+
+
+class TestThreadedScan:
+    # Shares of the greedy scan on helper threads, against one serial scan,
+    # bit for bit: grids (ties and duplicate rows), lines (rank below the
+    # plane dim), Gram and scatter trial sets, and the knn_only ablation.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(record_cases(), st.integers(1, 4))
+    def test_equals_one_thread(self, case, share):
+        points, cfg = case
+        with mock.patch.object(manifold, "WORKERS", 1):
+            serial = manifold.fit_all_neighborhoods(points, cfg)
+        for workers in (1, 2, 3):
+            with mock.patch.multiple(manifold, WORKERS=workers, SCAN_SHARE=share):
+                got = manifold.fit_all_neighborhoods(points, cfg)
+            for field in ("members", "sizes", "bases", "centroids"):
+                assert same_bits(getattr(got, field), getattr(serial, field)), (workers, field)
+
+    def test_small_fits_start_no_thread(self, monkeypatch):
+        # Below 2 * SCAN_SHARE anchors the scan is one share on the caller.
+        monkeypatch.setattr(manifold, "WORKERS", 4)
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        points = np.random.default_rng(5).standard_normal((2 * manifold.SCAN_SHARE - 1, 4))
+        manifold.fit_all_neighborhoods(points, ManifoldConfig(dim=2, pool_size=6))
+
+    def test_large_fit_splits_into_shares(self, monkeypatch):
+        monkeypatch.setattr(manifold, "WORKERS", 3)
+        monkeypatch.setattr(manifold, "SCAN_SHARE", 10)
+        points = np.random.default_rng(6).standard_normal((35, 4))
+        cfg = ManifoldConfig(dim=2, quality_threshold=80.0, pool_size=6)
+        with mock.patch.object(manifold, "_scan_pools", wraps=manifold._scan_pools) as scans:
+            manifold.fit_all_neighborhoods(points, cfg)
+        shares = sorted(tuple(call.args[1][[0, -1]]) for call in scans.call_args_list)
+        assert shares == [(0, 10), (11, 22), (23, 34)]
 
 
 class TestNeighborhoodsRecord:

@@ -1,6 +1,7 @@
 """Tests for decay curves, symmetric similarities, and the proxy pullback."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestDecayCurves:
             similarity.orthogonal_decay(-0.1, 4.0)
         with pytest.raises(ValueError, match="non-negative"):
             similarity.inplane_decay(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan]], ids=["scalar", "in-array"])
+    def test_nan_distance_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            similarity.orthogonal_decay(bad, 4.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            similarity.inplane_decay(bad, 0.5)
+
+    def test_infinite_distance_decays_to_zero(self):
+        assert similarity.orthogonal_decay(np.inf, 4.0) == 0.0
+        assert similarity.inplane_decay(np.inf, 0.5) == 0.0
 
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.0, 0.5, 2.0])
@@ -166,6 +178,51 @@ class TestPointSimilarity:
                 assert same_bits(got, ref)
             else:
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pair_route_threads_equal_one_thread(self, data):
+        # Chunks spread over 1, 2 and 3 threads give the bits of one
+        # serial pass, in decay and binary mode, i == j pairs included.
+        pts, nbhds, _ = _embedded_scene(seed=data.draw(st.integers(0, 50), label="scene"), n=30)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="pair seed"))
+        first, second = rng.integers(30, size=(2, data.draw(st.integers(0, 120), label="pairs")))
+        first, second = np.r_[first, np.arange(30)], np.r_[second, np.arange(30)]
+        chunk = data.draw(st.integers(1, 40), label="chunk")
+        for config in (SimilarityConfig(), SimilarityConfig(binary=True)):
+            with mock.patch.object(manifold, "WORKERS", 1):
+                serial = similarity.pair_similarities(pts, nbhds, config, first, second)
+            for workers in (1, 2, 3):
+                with mock.patch.object(manifold, "WORKERS", workers), mock.patch.object(
+                    similarity, "PAIR_CHUNK", chunk
+                ):
+                    got = similarity.pair_similarities(pts, nbhds, config, first, second)
+                assert same_bits(got, serial), (workers, config)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ([0, -1], [3, 5], "lie in"),
+            ([0, 1], [3, 20], "lie in"),
+            ([-20, 1], [3, 5], "lie in"),
+            ([0, 1, 2], [3, 5], "equal length"),
+            ([[0, 1]], [[3, 5]], "1-d"),
+        ],
+    )
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_pair_route_rejects_bad_indices(self, first, second, message, binary):
+        # Index -1 would wrap to the last point, and in binary mode match
+        # the -1 member padding (pair (-1, 5) scored 0.5).
+        pts, nbhds, _ = _embedded_scene(seed=9, n=20)
+        with pytest.raises(ValueError, match=message):
+            similarity.pair_similarities(
+                pts, nbhds, SimilarityConfig(binary=binary), np.array(first), np.array(second)
+            )
+
+    def test_pair_route_takes_no_pairs(self):
+        pts, nbhds, _ = _embedded_scene(seed=9, n=20)
+        got = similarity.pair_similarities(pts, nbhds, SimilarityConfig(), [], [])
+        assert got.shape == (0,)
 
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)

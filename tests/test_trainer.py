@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -479,6 +480,31 @@ def test_hot_path_builds_no_per_anchor_objects(monkeypatch, recipe):
     dataclasses.replace(row, member_indices=row.member_indices)
     linalg.pca_top_m(dataset.features[:5], 2)
     assert built == ["Neighborhoods", "LinearNeighborhood", "OrthonormalBasis"]
+
+
+@pytest.mark.parametrize(
+    "recipe, n_train",
+    [(_acceptance_recipe, 300), (lambda seed: TrainConfig(seed=seed), 500)],
+    ids=["bench", "default"],
+)
+def test_training_starts_no_thread(monkeypatch, recipe, n_train):
+    # At the benchmark's training shapes (the acceptance recipe on 300
+    # points, the TrainConfig defaults on 500), set-up, an epoch of steps
+    # and an evaluation of 300 points all run on the calling thread,
+    # however many cores there are.
+    monkeypatch.setattr(manifold, "WORKERS", 8)
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    dataset = generate_synthetic(SyntheticSpec(n_classes=n_train // 100, seed=3))
+    run = Trainer.initialize(dataset, recipe(5))
+    assert len(run.run_epoch()) == n_train // run.config.sampler.batch_size
+    cfg = run.config
+    evaluation.evaluate_embeddings(
+        run.embed(dataset.features[:300]), dataset.labels[:300], cfg.manifold, cfg.similarity
+    )
 
 
 class TestCheckpoints:
