@@ -661,9 +661,6 @@ class ProxySet:
             raise ValueError("proxy locations are not unit norm")
         linalg.check_frames(self.frames)
 
-    def copy(self) -> "ProxySet":
-        return ProxySet(self.locations.copy(), self.frames.copy())
-
 
 def init_proxies(
     embeddings: np.ndarray,

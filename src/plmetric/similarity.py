@@ -72,21 +72,20 @@ def stack_blocks(count: int, cells_per_item: int) -> list[slice]:
 
 def orthogonal_decay(distance, exponent: float):
     """Similarity factor for the orthogonal component, (1 + o/2) ** -exponent."""
-    distance = np.asarray(distance, dtype=np.float64)
-    # Written so that NaN fails it too.
-    if not np.all(distance >= 0.0):
-        raise ValueError("orthogonal distance must be non-negative")
-    out = (1.0 + distance / 2.0) ** (-exponent)
-    return float(out) if out.ndim == 0 else out
+    return _checked_decay("orthogonal", distance, lambda o: _decays(o, 0.0, exponent, 0.0)[0])
 
 
 def inplane_decay(distance, exponent: float):
     """Similarity factor for the in-plane component, (1 + p) ** -exponent."""
+    return _checked_decay("in-plane", distance, lambda p: _decays(0.0, p, 0.0, exponent)[1])
+
+
+def _checked_decay(kind: str, distance, decay):
     distance = np.asarray(distance, dtype=np.float64)
     # Written so that NaN fails it too.
     if not np.all(distance >= 0.0):
-        raise ValueError("in-plane distance must be non-negative")
-    out = (1.0 + distance) ** (-exponent)
+        raise ValueError(f"{kind} distance must be non-negative")
+    out = decay(distance)
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,7 +174,7 @@ def _paired_directed(diffs: np.ndarray, frames: np.ndarray, config: SimilarityCo
     residual = diffs - np.einsum("cm,cmd->cd", coords, frames)
     p = np.sqrt(np.einsum("cm,cm->c", coords, coords))
     o = np.sqrt(np.einsum("cd,cd->c", residual, residual))
-    a, b = _decays(o, p, config)
+    a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
     return a * b
 
 
@@ -199,9 +198,9 @@ def _inv_or_zero(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decays(o, p, config: SimilarityConfig):
+def _decays(o, p, orth_exponent: float, inplane_exponent: float):
     # The orthogonal and in-plane decay factors of distances o and p.
-    return (1.0 + o / 2.0) ** (-config.orth_exponent), (1.0 + p) ** (-config.inplane_exponent)
+    return (1.0 + o / 2.0) ** (-orth_exponent), (1.0 + p) ** (-inplane_exponent)
 
 
 def _directed(
@@ -213,7 +212,7 @@ def _directed(
     # parts not asked for are None. Every product keeps the per-frame shape
     # of the unstacked call, so a stack gives the bits of a loop over it.
     coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
-    a, b = _decays(o, p, config)
+    a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
     if not grads:
         return a * b, None, None
     da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)

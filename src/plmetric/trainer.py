@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import embedder, manifold, similarity
 from .data import FeatureDataset
-from .embedder import AdamState, EmbedderPair, MLPParams
+from .embedder import AdamState, EmbedderPair
 from .manifold import ManifoldConfig, ProxySet
 from .similarity import SimilarityConfig
 
@@ -144,22 +145,14 @@ class StepMetrics:
     total: float
 
     def as_record(self) -> dict:
-        rec = {"kind": "step"}
-        rec.update(asdict(self))
-        return rec
-
-
-def _first_non_finite(arr: np.ndarray) -> tuple:
-    bad = np.argwhere(~np.isfinite(arr))
-    return tuple(int(v) for v in bad[0])
+        return {"kind": "step", **asdict(self)}
 
 
 def _check_terms(name: str, terms: np.ndarray, first_row: int = 0) -> None:
     # first_row: the table row of terms[0] when terms is a block of rows.
     if not np.all(np.isfinite(terms)):
-        row, *rest = _first_non_finite(terms)
-        idx = (row + first_row, *rest)
-        raise FloatingPointError(f"non-finite {name} loss term at index {idx}")
+        row, *rest = (int(v) for v in np.argwhere(~np.isfinite(terms))[0])
+        raise FloatingPointError(f"non-finite {name} loss term at index {(row + first_row, *rest)}")
 
 
 def point_loss(
@@ -335,8 +328,6 @@ class Trainer:
         config: TrainConfig,
         pair: EmbedderPair,
         proxies: ProxySet,
-        adam_encoder: AdamState,
-        adam_proxies: AdamState,
         rng_sampler: np.random.Generator,
         rng_augment: np.random.Generator,
         epoch: int = 0,
@@ -349,8 +340,10 @@ class Trainer:
         self.config = config
         self.pair = pair
         self.proxies = proxies
-        self.adam_encoder = adam_encoder
-        self.adam_proxies = adam_proxies
+        self.adam_encoder = AdamState.for_tensors(pair.trained.tensors(), config.lr)
+        self.adam_proxies = AdamState.for_tensors(
+            [proxies.locations, proxies.frames], config.lr * config.proxy_lr_scale
+        )
         self.rng_sampler = rng_sampler
         self.rng_augment = rng_augment
         self.epoch = epoch
@@ -376,17 +369,11 @@ class Trainer:
         start_embeds = embedder.forward(pair.averaged, dataset.features)
         neighborhoods = manifold.fit_all_neighborhoods(start_embeds, config.manifold)
         proxies = manifold.init_proxies(start_embeds, neighborhoods, config.n_proxies, proxy_seq)
-        adam_encoder = AdamState.for_tensors(pair.trained.tensors(), config.lr)
-        adam_proxies = AdamState.for_tensors(
-            [proxies.locations, proxies.frames], config.lr * config.proxy_lr_scale
-        )
         return cls(
             dataset,
             config,
             pair,
             proxies,
-            adam_encoder,
-            adam_proxies,
             np.random.default_rng(sampler_seq),
             np.random.default_rng(augment_seq),
         )
@@ -566,7 +553,10 @@ def save_checkpoint(trainer: Trainer, path: str | Path) -> None:
     """Serialize the full training state, bit-exactly, to one file.
 
     Layout: magic, u16 version, u64 manifest length, JSON manifest, then the
-    raw float64 little-endian tensor payloads in manifest order.
+    raw float64 little-endian tensor payloads in manifest order, one per
+    ``_tensor_entries`` name. The bytes go to a sibling temporary file that
+    is renamed over ``path`` once complete, so a failed save leaves the file
+    already at ``path`` intact and removes its temporary file.
     """
     entries = _tensor_entries(trainer)
     manifest = {
@@ -582,12 +572,18 @@ def save_checkpoint(trainer: Trainer, path: str | Path) -> None:
         "tensors": [{"name": name, "shape": list(t.shape)} for name, t in entries],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HQ", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, tensor in entries:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    partial = Path(f"{path}.{os.getpid()}.part")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<HQ", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            for _, tensor in entries:
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # The keys save_checkpoint writes; a manifest lacking one is malformed.
@@ -602,8 +598,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
 
     Raises CheckpointFormatError for a file that is not a well-formed
     checkpoint: bad header, truncated or trailing bytes, a manifest missing
-    a required key, a tensor entry without a name or a list of
-    non-negative int dimensions, or a config that config_from_dict rejects.
+    a required key, a counter that is not a non-negative int, a history
+    that is not a list, an RNG state that numpy rejects, a tensor entry
+    without a name or a list of non-negative int dimensions, a name stored
+    twice, or a config that config_from_dict rejects. Tensor names and
+    shapes are checked against the config by trainer_from_checkpoint.
     """
     blob = Path(path).read_bytes()
     header = 4 + struct.calcsize("<HQ")
@@ -623,6 +622,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise CheckpointFormatError(f"{path}: manifest is missing {', '.join(missing)}")
+    for key in ("epoch", "global_step", "adam_encoder_steps", "adam_proxies_steps"):
+        if type(manifest[key]) is not int or manifest[key] < 0:
+            raise CheckpointFormatError(f"{path}: {key} {manifest[key]!r} is not a count")
+    if not isinstance(manifest["history"], list):
+        raise CheckpointFormatError(f"{path}: history is not a list")
+    for key in ("rng_sampler", "rng_augment"):
+        try:
+            _restore_rng(manifest[key])
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise CheckpointFormatError(f"{path}: bad {key} state ({exc})") from None
     try:
         config_from_dict(manifest["config"])
     except (TypeError, ValueError) as exc:
@@ -640,6 +649,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
             or not isinstance(entry.get("name"), str)
         ):
             raise CheckpointFormatError(f"{path}: bad tensor entry {entry!r}")
+        if entry["name"] in tensors:
+            raise CheckpointFormatError(f"{path}: tensor {entry['name']} is stored twice")
         shape = tuple(shape)
         size = math.prod(shape)
         nbytes = size * 8
@@ -656,19 +667,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
     return manifest, tensors
 
 
-def _params_from_tensors(prefix: str, tensors: dict) -> MLPParams:
-    weights = []
-    biases = []
-    idx = 0
-    while f"{prefix}.{idx}" in tensors:
-        weights.append(tensors[f"{prefix}.{idx}"].copy())
-        biases.append(tensors[f"{prefix}.{idx + 1}"].copy())
-        idx += 2
-    if not weights:
-        raise CheckpointFormatError(f"checkpoint is missing {prefix} tensors")
-    return MLPParams(weights, biases)
-
-
 def _restore_rng(state: dict) -> np.random.Generator:
     rng = np.random.default_rng()
     rng.bit_generator.state = state
@@ -676,47 +674,47 @@ def _restore_rng(state: dict) -> np.random.Generator:
 
 
 def trainer_from_checkpoint(path: str | Path, dataset: FeatureDataset) -> Trainer:
-    """Rebuild a Trainer mid-run; resuming continues the exact step stream."""
+    """Rebuild a Trainer mid-run; resuming continues the exact step stream.
+
+    The stored config shapes a blank run: zero networks of (dataset.dim,
+    *hidden_sizes, embed_dim), zero proxies of (n_proxies, embed_dim) and
+    (n_proxies, manifold.dim, embed_dim), and Adam states to match. Each
+    stored tensor is copied into the array that ``_tensor_entries``, the
+    list save_checkpoint writes, names for it. CheckpointFormatError names a
+    tensor that is missing, unexpected or of another shape; it is raised for
+    proxies off their invariants too. An input dim other than the dataset's
+    raises ValueError.
+    """
     manifest, tensors = load_checkpoint(path)
     config = config_from_dict(manifest["config"])
-    trained = _params_from_tensors("trained", tensors)
-    averaged = _params_from_tensors("averaged", tensors)
-    if trained.layer_sizes[0] != dataset.dim:
-        raise ValueError(
-            f"checkpoint expects input dim {trained.layer_sizes[0]}, dataset has {dataset.dim}"
-        )
-    pair = EmbedderPair(trained, averaged, momentum=config.momentum)
+    # Zero gain draws every weight from U(0, 0): two zero networks.
+    sizes = (dataset.dim, *config.hidden_sizes, config.embed_dim)
+    pair = EmbedderPair.initialize(sizes, 0, momentum=config.momentum, gain=0.0)
+    p, d = config.n_proxies, config.embed_dim
+    proxies = ProxySet(np.zeros((p, d)), np.zeros((p, config.manifold.dim, d)))
+    run = Trainer(
+        dataset, config, pair, proxies,
+        _restore_rng(manifest["rng_sampler"]), _restore_rng(manifest["rng_augment"]),
+        manifest["epoch"], manifest["global_step"], manifest["history"],
+    )
+    run.adam_encoder.step_count = manifest["adam_encoder_steps"]
+    run.adam_proxies.step_count = manifest["adam_proxies_steps"]
+    entries = _tensor_entries(run)
+    w0 = tensors.get(next(name for name, t in entries if t is pair.trained.weights[0]))
+    if w0 is not None and w0.ndim == 2 and w0.shape[0] != dataset.dim:
+        raise ValueError(f"checkpoint expects input dim {w0.shape[0]}, dataset has {dataset.dim}")
+    for name, target in entries:
+        stored = tensors.pop(name, None)
+        if stored is None or stored.shape != target.shape:
+            found = "missing" if stored is None else f"of shape {list(stored.shape)}"
+            raise CheckpointFormatError(
+                f"{path}: tensor {name} is {found}, the config implies {list(target.shape)}"
+            )
+        target[...] = stored
+    if tensors:
+        raise CheckpointFormatError(f"{path}: unexpected tensors {sorted(tensors)}")
     try:
-        proxies = ProxySet(tensors["proxies.locations"].copy(), tensors["proxies.frames"].copy())
-        proxies.validate()
+        run.proxies.validate()
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: invalid proxies ({exc})") from None
-    adam_encoder = AdamState.for_tensors(pair.trained.tensors(), config.lr)
-    adam_encoder.step_count = manifest["adam_encoder_steps"]
-    adam_encoder.m = [_grab(tensors, f"adam_encoder.m.{i}") for i in range(len(adam_encoder.m))]
-    adam_encoder.v = [_grab(tensors, f"adam_encoder.v.{i}") for i in range(len(adam_encoder.v))]
-    adam_proxies = AdamState.for_tensors(
-        [proxies.locations, proxies.frames], config.lr * config.proxy_lr_scale
-    )
-    adam_proxies.step_count = manifest["adam_proxies_steps"]
-    adam_proxies.m = [_grab(tensors, f"adam_proxies.m.{i}") for i in range(2)]
-    adam_proxies.v = [_grab(tensors, f"adam_proxies.v.{i}") for i in range(2)]
-    return Trainer(
-        dataset,
-        config,
-        pair,
-        proxies,
-        adam_encoder,
-        adam_proxies,
-        _restore_rng(manifest["rng_sampler"]),
-        _restore_rng(manifest["rng_augment"]),
-        epoch=manifest["epoch"],
-        global_step=manifest["global_step"],
-        history=list(manifest["history"]),
-    )
-
-
-def _grab(tensors: dict, name: str) -> np.ndarray:
-    if name not in tensors:
-        raise CheckpointFormatError(f"checkpoint is missing tensor {name}")
-    return tensors[name].copy()
+    return run

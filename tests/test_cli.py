@@ -13,6 +13,8 @@ from plmetric.cli import RunConfig, UserError, main
 from plmetric.data import SyntheticSpec
 from plmetric.trainer import TrainConfig
 
+from test_trainer import _rewrite_manifest
+
 
 def _gen(tmp_path, name="bench.plmf", **kwargs) -> str:
     path = str(tmp_path / name)
@@ -357,6 +359,46 @@ class TestDiagnose:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: m["config"].update(hidden_sizes=[8]), "tensor trained.0 is of shape"),
+            (lambda m: m["config"].update(embed_dim=7), "tensor trained.2 is of shape"),
+            (lambda m: m["config"].update(n_proxies=4), "tensor proxies.locations is of shape"),
+            (lambda m: m["config"]["manifold"].update(dim=3), "tensor proxies.frames is of shape"),
+            (lambda m: m["tensors"][4].update(shape=[16, 12]), "tensor averaged.0 is of shape"),
+            (lambda m: m["tensors"].append({"name": "extra", "shape": [0]}), "unexpected tensors"),
+            (lambda m: m["tensors"][0].update(name="w"), "tensor trained.0 is missing"),
+            (lambda m: m.update(epoch="0"), "epoch '0' is not a count"),
+            (lambda m: m.update(adam_encoder_steps=-3), "adam_encoder_steps -3 is not a count"),
+            (lambda m: m.update(rng_sampler=5), "bad rng_sampler state"),
+            (lambda m: m.update(history="abc"), "history is not a list"),
+        ],
+        ids=[
+            "hidden_sizes", "embed_dim", "n_proxies", "manifold_dim", "transposed",
+            "extra", "renamed", "epoch", "adam_steps", "rng", "history",
+        ],
+    )
+    def test_malformed_checkpoint_is_a_one_line_user_error(
+        self, tmp_path, capsys, monkeypatch, command, edit, named
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        dataset = _gen(tmp_path)
+        assert main(_train_args(dataset, tmp_path / "run", "epochs=1")) == 0
+        ckpt = tmp_path / "run" / "checkpoint.plck"
+        _rewrite_manifest(ckpt, edit)
+        if command == "train":
+            argv = _train_args(dataset, tmp_path / "more", "epochs=2") + ["--resume", str(ckpt)]
+        else:
+            argv = ["eval", "--checkpoint", str(ckpt), "--dataset", dataset]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["train", "--bogus"]) == 1
         assert "error:" in capsys.readouterr().err

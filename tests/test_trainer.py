@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from plmetric.trainer import (
 
 from oracles import central_difference_gradient, relative_gradient_error, same_bits
 from test_similarity import stacked_scene
+
+FIXTURE = Path(__file__).parent / "fixtures" / "tiny_epoch1.plck"
 
 
 def _unit_rows(rng, n, d):
@@ -565,6 +568,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="input dim"):
             trainer_from_checkpoint(path, other)
 
+    def test_stored_file_resumes_and_resaves_byte_for_byte(self, tmp_path):
+        # The fixture pins the file format across refactors: the state of
+        # Trainer.initialize(_tiny_dataset(seed=12), _tiny_config()) after one
+        # epoch, as save_checkpoint wrote it at commit 3ee25ef.
+        ds = _tiny_dataset(seed=12)
+        resumed = trainer_from_checkpoint(FIXTURE, ds)
+        again = tmp_path / "again.plck"
+        save_checkpoint(resumed, again)
+        assert again.read_bytes() == FIXTURE.read_bytes()
+        resumed.run_epoch()
+        straight = Trainer.initialize(ds, _tiny_config())
+        for _ in range(2):
+            straight.run_epoch()
+        save_checkpoint(resumed, tmp_path / "resumed.plck")
+        save_checkpoint(straight, tmp_path / "straight.plck")
+        assert (tmp_path / "resumed.plck").read_bytes() == (tmp_path / "straight.plck").read_bytes()
+
     def test_config_with_every_field_off_default_round_trips(self, tmp_path):
         cfg = TrainConfig(
             manifold=ManifoldConfig(dim=2, quality_threshold=75.0, pool_size=5, knn_only=True),
@@ -615,6 +635,38 @@ def _set_shape(manifest, shape):
     manifest["tensors"][0]["shape"] = shape
 
 
+def _tensor_entry(manifest, name):
+    return next(entry for entry in manifest["tensors"] if entry["name"] == name)
+
+
+# Manifest edits that leave a file load_checkpoint reads, but whose tensors
+# no longer match what the stored config (_tiny_config) implies.
+LAYOUT_EDITS = [
+    (
+        lambda m: m["config"].update(hidden_sizes=[8]),
+        r"tensor trained\.0 is of shape \[8, 16\], the config implies \[8, 8\]",
+    ),
+    (lambda m: m["config"].update(embed_dim=7), r"tensor trained\.2 is of shape \[16, 6\]"),
+    (
+        lambda m: m["config"].update(n_proxies=4),
+        r"tensor proxies\.locations is of shape \[6, 6\], the config implies \[4, 6\]",
+    ),
+    (
+        lambda m: m["config"]["manifold"].update(dim=3),
+        r"tensor proxies\.frames is of shape \[6, 2, 6\], the config implies \[6, 3, 6\]",
+    ),
+    (
+        lambda m: _tensor_entry(m, "adam_encoder.m.0").update(shape=[16, 8]),
+        r"tensor adam_encoder\.m\.0 is of shape \[16, 8\], the config implies \[8, 16\]",
+    ),
+    (
+        lambda m: m["tensors"].append({"name": "extra", "shape": [0]}),
+        r"unexpected tensors \['extra'\]",
+    ),
+    (lambda m: m["tensors"][0].update(name="trained.first"), r"tensor trained\.0 is missing"),
+]
+
+
 class TestMalformedCheckpoints:
     @pytest.mark.parametrize(
         "edit, message",
@@ -639,6 +691,16 @@ class TestMalformedCheckpoints:
                 lambda m: m["config"]["loss"].update(distance_scale=float("inf")),
                 "bad config: distance_scale",
             ),
+            (lambda m: m.update(epoch="0"), "epoch '0' is not a count"),
+            (lambda m: m.update(adam_encoder_steps=-3), "adam_encoder_steps -3 is not a count"),
+            (lambda m: m.update(adam_proxies_steps=2.5), "adam_proxies_steps 2.5 is not a count"),
+            (lambda m: m.update(global_step=True), "global_step True is not a count"),
+            (lambda m: m.update(rng_sampler=5), "bad rng_sampler state"),
+            (lambda m: m["rng_augment"].update(bit_generator="MT19937"), "bad rng_augment state"),
+            (lambda m: m["rng_sampler"]["state"].update(inc=-1), "bad rng_sampler state"),
+            (lambda m: m["rng_augment"].pop("has_uint32"), "bad rng_augment state"),
+            (lambda m: m.update(history="abc"), "history is not a list"),
+            (lambda m: m["tensors"][1].update(name="trained.0"), "trained.0 is stored twice"),
         ],
     )
     def test_rejected_with_format_error(self, tmp_path, edit, message):
@@ -667,6 +729,43 @@ class TestMalformedCheckpoints:
         save_checkpoint(run, path)
         with pytest.raises(trainer.CheckpointFormatError, match=f"invalid proxies.*{message}"):
             trainer_from_checkpoint(path, ds)
+
+    @pytest.mark.parametrize("edit, message", LAYOUT_EDITS)
+    def test_tensors_must_match_the_stored_config(self, tmp_path, edit, message):
+        # load_checkpoint reads the file as it is; the layout that the
+        # stored config implies is checked when the run is rebuilt.
+        ds = _tiny_dataset(seed=10)
+        path = tmp_path / "bad.plck"
+        save_checkpoint(Trainer.initialize(ds, _tiny_config()), path)
+        _rewrite_manifest(path, edit)
+        load_checkpoint(path)
+        with pytest.raises(trainer.CheckpointFormatError, match=message):
+            trainer_from_checkpoint(path, ds)
+
+    @pytest.mark.parametrize("failure", [OSError("No space left on device"), KeyboardInterrupt()])
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch, failure):
+        class Unwritable:
+            shape = (3,)
+
+            def __array__(self, *args, **kwargs):
+                raise failure
+
+        ds = _tiny_dataset(seed=10)
+        run = Trainer.initialize(ds, _tiny_config())
+        path = tmp_path / "keep.plck"
+        save_checkpoint(run, path)
+        before = path.read_bytes()
+        run.run_epoch()
+        # The header, the manifest and every tensor of the run are written
+        # before the appended entry fails.
+        entries = trainer._tensor_entries(run)
+        monkeypatch.setattr(
+            trainer, "_tensor_entries", lambda t: entries + [("late", Unwritable())]
+        )
+        with pytest.raises(type(failure)):
+            save_checkpoint(run, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.plck"]
 
     def test_rewritten_but_intact_manifest_still_loads(self, tmp_path):
         ds = _tiny_dataset(seed=10)
