@@ -59,6 +59,26 @@ def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
     return k_values
 
 
+def _checked_labels(labels, n: int | None, what: str) -> np.ndarray:
+    # The rule FeatureDataset applies: a 1-d integer array of n (any
+    # number when n is None) non-negative labels.
+    if labels is None:
+        raise ValueError(f"{what} requires labels")
+    labels = np.asarray(labels)
+    if (
+        labels.ndim != 1
+        or (n is not None and len(labels) != n)
+        or not np.issubdtype(labels.dtype, np.integer)
+        or np.any(labels < 0)
+    ):
+        want = "" if n is None else f"{n} "
+        raise ValueError(
+            f"labels must be a 1-d array of {want}non-negative integers, "
+            f"got shape {labels.shape} of dtype {labels.dtype}"
+        )
+    return labels
+
+
 def recall_at_k(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -75,10 +95,8 @@ def recall_at_k(
     would compute. Returns {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if labels is None:
-        raise ValueError("recall requires labels")
-    labels = np.asarray(labels)
     n = embeddings.shape[0]
+    labels = _checked_labels(labels, n, "recall")
     k_values = _checked_ks(k_values, n)
     depth = max(k_values)
     if neighbors is None:
@@ -94,7 +112,7 @@ def recall_at_k(
 
 def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
     """Mean majority-label fraction over groups of indices."""
-    labels = np.asarray(labels)
+    labels = _checked_labels(labels, None, "purity")
     if len(groups) == 0:
         raise ValueError("need at least one group")
     fractions = []
@@ -112,10 +130,9 @@ def neighborhood_purity(neighborhoods: Neighborhoods, labels: np.ndarray) -> flo
 
     Equals group_purity over the rows' member sets.
     """
-    if labels is None:
-        raise ValueError("purity requires labels")
+    labels = _checked_labels(labels, len(neighborhoods), "purity")
     held = neighborhoods.members >= 0
-    member_labels = np.asarray(labels)[neighborhoods.members]
+    member_labels = labels[neighborhoods.members]
     # Slot s of a row counts the members that share its label; the largest
     # count over a row's members is its majority.
     same = (member_labels[:, :, None] == member_labels[:, None, :]) & held[:, None, :]
@@ -300,12 +317,12 @@ def evaluate_embeddings(
     Fits neighborhoods on the given embeddings, compares their purity and
     similarity-vs-label correlation against a k-means baseline run with
     n_clusters equal to the true class count, over the same sampled pairs.
+    ``labels`` must be a 1-d integer array of n non-negative labels, as
+    for recall_at_k and the purities; anything else is a ValueError.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if labels is None:
-        raise ValueError("labeled evaluation requires labels")
-    labels = np.asarray(labels)
     n = embeddings.shape[0]
+    labels = _checked_labels(labels, n, "labeled evaluation")
     classes = np.unique(labels)
     # Recall and the fit's pools read one k-NN: each list is the prefix of
     # the longest (neighbor_lists is a stable sort's first columns). Both

@@ -12,8 +12,10 @@ it symmetric. Orthogonal drift is meant to be punished much harder than
 in-plane drift, hence separate exponents.
 
 The training losses treat point-proxy similarities as differentiable
-functions of the proxies (but never of the encoder): proxy_pullback turns a
-loss's weights dL/ds into gradients w.r.t. proxy locations and frames.
+functions of the proxies (but never of the encoder). One proxy_pass per step
+splits every proxy and point plane once: it returns the values and, when
+asked, keeps what its pullback needs to turn the losses' weights dL/ds into
+gradients w.r.t. proxy locations and frames without splitting again.
 
 pair_similarities, which evaluation calls above ALL_PAIRS_LIMIT points,
 scores its PAIR_CHUNK chunks on every usable core (manifold._run_blocks),
@@ -149,16 +151,18 @@ def pair_similarities(
 
     def score(lo: int) -> None:
         i, j = first[lo : lo + PAIR_CHUNK], second[lo : lo + PAIR_CHUNK]
+        # Rows are gathered with np.take: the same bytes as fancy
+        # indexing, several times faster on a 1-d index.
         if config.binary:
             # Padding is -1, which no point index matches.
-            forward = np.any(members[j] == i[:, None], axis=1).astype(np.float64)
-            reverse = np.any(members[i] == j[:, None], axis=1).astype(np.float64)
+            forward = np.any(np.take(members, j, axis=0) == i[:, None], axis=1).astype(np.float64)
+            reverse = np.any(np.take(members, i, axis=0) == j[:, None], axis=1).astype(np.float64)
         else:
             # The reverse difference is -diffs; both norms are blind to
             # the sign, so the same rows serve.
-            diffs = embeddings[i] - embeddings[j]
-            forward = _paired_directed(diffs, bases[j], config)
-            reverse = _paired_directed(diffs, bases[i], config)
+            diffs = np.take(embeddings, i, axis=0) - np.take(embeddings, j, axis=0)
+            forward = _paired_directed(diffs, np.take(bases, j, axis=0), config)
+            reverse = _paired_directed(diffs, np.take(bases, i, axis=0), config)
         out[lo : lo + PAIR_CHUNK] = (forward + reverse) / 2.0
 
     _run_blocks(score, range(0, first.size, PAIR_CHUNK))
@@ -215,19 +219,25 @@ def _directed(
     a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
     if not grads:
         return a * b, None, None
+    return a * b, *_directed_grads(diffs, coords, inplane_vec, ovec, p, o, a, b, config, frame_grads)
+
+
+def _directed_grads(diffs, coords, inplane_vec, ovec, p, o, a, b, config, frame_grads):
+    # d s / d diff and, with frame_grads, d s / d frame (else None), from
+    # one plane split of diffs and its decays a, b.
     da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)
     db = -config.inplane_exponent * (1.0 + p) ** (-config.inplane_exponent - 1.0)
     w_orth = da * b * _inv_or_zero(o)
     w_plane = a * db * _inv_or_zero(p)
     ds_ddiff = w_orth[..., None] * ovec + w_plane[..., None] * inplane_vec
     if not frame_grads:
-        return a * b, ds_ddiff, None
+        return ds_ddiff, None
     # d s / d psi_k splits across the two decay factors: the in-plane
     # distance varies along the full difference vector, the orthogonal
     # distance only along the off-plane residual.
     plane_part = np.einsum("...nk,...nd->...nkd", coords * w_plane[..., None], diffs)
     orth_part = np.einsum("...nk,...nd->...nkd", coords * w_orth[..., None], ovec)
-    return a * b, ds_ddiff, plane_part - orth_part
+    return ds_ddiff, plane_part - orth_part
 
 
 def _proxy_dims(embeddings, point_bases, proxies):
@@ -237,83 +247,116 @@ def _proxy_dims(embeddings, point_bases, proxies):
     return n, n_prox, plane_dim, dim
 
 
+@dataclass(frozen=True)
+class ProxyPass:
+    """One batch's point-proxy similarities and what their pullback reuses.
+
+    ``values`` is the (n, P) table. A pass built with_pullback also holds
+    its inputs, each forward block's plane coordinates (P_b, n, m), norms
+    and decays (P_b, n), and the (n, P, d) reverse-direction location
+    partials; a values-only pass holds only the table. The pass reads its
+    inputs again in pullback, so they must not change in between.
+    """
+
+    values: np.ndarray
+    inputs: tuple | None = None
+    forward: tuple = ()
+    reverse: np.ndarray | None = None
+
+    def pullback(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum_ij w[i, j] s_ij w.r.t. proxy locations and frames.
+
+        s is ``values``; each w of the (k, n, P) stack ``weights`` is one
+        loss's dL/ds. Returns the (k, P, d) location and (k, P, m, d) frame
+        gradients. Each forward block's in-plane vector and residual are
+        rebuilt from its kept coordinates with plane_split's own products,
+        its partials formed and contracted with each w in turn, so no
+        (n, P, m, d) table is held and no plane is split again. Binary
+        similarity is piecewise constant: both gradients are zero.
+        """
+        if self.inputs is None:
+            raise ValueError("this proxy pass was built without a pullback")
+        embeddings, proxies, config = self.inputs
+        n, n_prox = self.values.shape
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 3 or weights.shape[1:] != (n, n_prox):
+            raise ValueError(f"weights shape {weights.shape} is not (k, {n}, {n_prox})")
+        grad_loc = np.zeros((len(weights), n_prox, embeddings.shape[1]))
+        grad_frames = np.zeros((len(weights), *proxies.frames.shape))
+        for blk, coords, p, o, a, b in self.forward:
+            diffs = embeddings - proxies.locations[blk, None, :]
+            inplane_vec = np.matmul(coords, proxies.frames[blk])
+            ds_ddiff, frame_part = _directed_grads(
+                diffs, coords, inplane_vec, diffs - inplane_vec, p, o, a, b, config, True
+            )
+            # Per proxy: (n, d) and (n, m, d), d s_ij / d rho_j and d psi_j.
+            loc_part = self.reverse[:, blk].swapaxes(0, 1) - 0.5 * ds_ddiff
+            frame_part *= 0.5
+            for w, loc, frames in zip(weights[:, :, blk], grad_loc[:, blk], grad_frames[:, blk]):
+                loc[...] = np.einsum("np,pnd->pd", w, loc_part)
+                frames[...] = np.einsum("np,pnkd->pkd", w, frame_part)
+        return grad_loc, grad_frames
+
+
+def proxy_pass(
+    embeddings: np.ndarray,
+    point_bases: np.ndarray,
+    proxies: ProxySet,
+    config: SimilarityConfig,
+    *,
+    with_pullback: bool,
+) -> ProxyPass:
+    """All symmetric point-proxy similarities for one batch, as a ProxyPass.
+
+    ``embeddings`` (n, d) is the embedded batch (momentum encoder output),
+    ``point_bases`` (n, m, d) its neighborhood frames, one per point. The
+    forward direction measures the point from the proxy's plane, the
+    reverse direction measures the proxy from the point's neighborhood
+    plane; the values are their average. Each direction splits a block of
+    planes at a time (stack_blocks), with the bits of a loop over single
+    planes, and splits each block once: ``with_pullback`` keeps what
+    ProxyPass.pullback needs of the forward splits and forms the reverse
+    location partials while each reverse split is in hand. In binary mode
+    the similarity is the nearest-proxy indicator.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    point_bases = np.asarray(point_bases, dtype=np.float64)
+    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
+    inputs = (embeddings, proxies, config) if with_pullback else None
+    values = np.zeros((n, n_prox))
+    if config.binary:
+        values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
+        return ProxyPass(values, inputs)
+
+    # Reverse direction: a block of point planes, each seeing all proxies.
+    # Its location partials fill one (n, P, d) buffer in point blocks
+    # (proxy blocks would change the matmul shapes, and so the last bits).
+    # It runs first, so its temporaries never meet the kept forward splits.
+    reverse = np.empty((n, n_prox, dim)) if with_pullback else None
+    for blk in stack_blocks(n, n_prox * dim):
+        diffs = proxies.locations - embeddings[blk, None, :]
+        values[blk], ds_ddiff, _ = _directed(diffs, point_bases[blk], config, with_pullback, False)
+        if with_pullback:
+            reverse[blk] = 0.5 * ds_ddiff
+
+    # Forward direction: a block of proxy planes, each seeing the whole
+    # batch. The sum with the reverse value is the same either way round.
+    forward = []
+    for blk in stack_blocks(n_prox, n * plane_dim * dim):
+        diffs = embeddings - proxies.locations[blk, None, :]
+        coords, _, _, p, o = linalg.plane_split(diffs, proxies.frames[blk])
+        a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
+        values[:, blk] = (values[:, blk] + (a * b).T) / 2.0
+        if with_pullback:
+            forward.append((blk, coords, p, o, a, b))
+    return ProxyPass(values, inputs, tuple(forward), reverse)
+
+
 def proxy_similarity_batch(
     embeddings: np.ndarray,
     point_bases: np.ndarray,
     proxies: ProxySet,
     config: SimilarityConfig,
 ) -> np.ndarray:
-    """All symmetric point-proxy similarities for one batch, (n, P).
-
-    ``embeddings`` (n, d) is the embedded batch (momentum encoder output),
-    ``point_bases`` (n, m, d) its neighborhood frames, one per point. The
-    forward direction measures the point from the proxy's plane, the
-    reverse direction measures the proxy from the point's neighborhood
-    plane; the result is their average. Each direction runs a block of
-    planes at a time (stack_blocks), with the bits of a loop over single
-    planes. In binary mode the similarity is the nearest-proxy indicator.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    point_bases = np.asarray(point_bases, dtype=np.float64)
-    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
-    values = np.zeros((n, n_prox))
-    if config.binary:
-        values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
-        return values
-
-    # Forward direction: a block of proxy planes, each seeing the whole batch.
-    for blk in stack_blocks(n_prox, n * plane_dim * dim):
-        diffs = embeddings - proxies.locations[blk, None, :]
-        values[:, blk] = _directed(diffs, proxies.frames[blk], config, False, False)[0].T
-
-    # Reverse direction: a block of point planes, each seeing all proxies.
-    for blk in stack_blocks(n, n_prox * dim):
-        diffs = proxies.locations - embeddings[blk, None, :]
-        value = _directed(diffs, point_bases[blk], config, False, False)[0]
-        values[blk] = (values[blk] + value) / 2.0
-    return values
-
-
-def proxy_pullback(
-    embeddings: np.ndarray,
-    point_bases: np.ndarray,
-    proxies: ProxySet,
-    config: SimilarityConfig,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum_ij w[i, j] s_ij w.r.t. proxy locations and frames.
-
-    s is what proxy_similarity_batch returns for the same arguments; each w
-    of the (k, n, P) stack ``weights`` is one loss's dL/ds. Returns the
-    (k, P, d) location and (k, P, m, d) frame gradients. The reverse
-    direction's location partials fill one (n, P, d) buffer in point blocks
-    (proxy blocks would change the matmul shapes, and so the last bits); the
-    forward partials are recomputed a block of proxies at a time and
-    contracted with each w in turn, so no (n, P, m, d) table is held. Binary
-    similarity is piecewise constant: both gradients are zero.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    point_bases = np.asarray(point_bases, dtype=np.float64)
-    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 3 or weights.shape[1:] != (n, n_prox):
-        raise ValueError(f"weights shape {weights.shape} is not (k, {n}, {n_prox})")
-    grad_loc = np.zeros((len(weights), n_prox, dim))
-    grad_frames = np.zeros((len(weights), n_prox, plane_dim, dim))
-    if config.binary:
-        return grad_loc, grad_frames
-
-    reverse = np.empty((n, n_prox, dim))
-    for blk in stack_blocks(n, n_prox * dim):
-        diffs = proxies.locations - embeddings[blk, None, :]
-        reverse[blk] = 0.5 * _directed(diffs, point_bases[blk], config, True, False)[1]
-    for blk in stack_blocks(n_prox, n * plane_dim * dim):
-        diffs = embeddings - proxies.locations[blk, None, :]
-        _, ds_ddiff, frame_part = _directed(diffs, proxies.frames[blk], config, True, True)
-        # Per proxy: (n, d) and (n, m, d), d s_ij / d rho_j and d psi_j.
-        loc_part = reverse[:, blk].swapaxes(0, 1) - 0.5 * ds_ddiff
-        frame_part *= 0.5
-        for w, loc, frames in zip(weights[:, :, blk], grad_loc[:, blk], grad_frames[:, blk]):
-            loc[...] = np.einsum("np,pnd->pd", w, loc_part)
-            frames[...] = np.einsum("np,pnkd->pkd", w, frame_part)
-    return grad_loc, grad_frames
+    """The (n, P) values of a values-only proxy_pass."""
+    return proxy_pass(embeddings, point_bases, proxies, config, with_pullback=False).values

@@ -206,10 +206,10 @@ def proxy_loss(
 
     Every (point, proxy) pair contributes the squared gap between the target
     distance distance_scale * (1 - s_ij) and |e_i - rho_j|, with s the (n, P)
-    table of proxy_similarity_batch. Returns the loss, its gradients w.r.t.
+    values of a similarity.proxy_pass. Returns the loss, its gradients w.r.t.
     the embeddings and, through the distances, the proxy locations, and its
-    weights dL/ds (n, P): similarity.proxy_pullback turns those into the
-    proxy gradients that flow through the similarities themselves.
+    weights dL/ds (n, P): the pass's pullback turns those into the proxy
+    gradients that flow through the similarities themselves.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     locations = proxies.locations
@@ -252,8 +252,9 @@ def neighborhood_loss(
     norm). The loss pushes that cosine toward the point-proxy similarity s
     (n, P), so frames of proxies near a point rotate into the point's local
     plane. Returns the loss, its frame gradient through the cosines, and its
-    weights dL/ds for similarity.proxy_pullback. A non-finite term is
-    reported by its (point, proxy, frame row) index. ``config`` is unused.
+    weights dL/ds for the pullback of a similarity.proxy_pass. A non-finite
+    term is reported by its (point, proxy, frame row) index. ``config`` is
+    unused.
 
     The projections run for a block of points at a time
     (``similarity.stack_blocks``); the loss and the frame gradient then add
@@ -390,9 +391,16 @@ class Trainer:
         point_sims = similarity.pairwise_similarity_matrix(
             anchor_embeds, neighborhoods, cfg.similarity
         )
-        proxy_sims = similarity.proxy_similarity_batch(
-            anchor_embeds, bases, self.proxies, cfg.similarity
+        # One pass splits every plane once; its pullback, when the losses
+        # reach the proxies through the similarities, reuses the splits.
+        proxy_pass = similarity.proxy_pass(
+            anchor_embeds,
+            bases,
+            self.proxies,
+            cfg.similarity,
+            with_pullback=with_grads and not cfg.loss.stopgrad_similarity,
         )
+        proxy_sims = proxy_pass.values
         if with_grads:
             trained_embeds, cache = embedder.forward_cached(self.pair.trained, x_batch)
         else:
@@ -422,9 +430,7 @@ class Trainer:
         g_loc_n = np.zeros_like(self.proxies.locations)
         if not w.stopgrad_similarity:
             # Both losses also reach the proxies through the similarities.
-            pulled_loc, pulled_frames = similarity.proxy_pullback(
-                anchor_embeds, bases, self.proxies, cfg.similarity, np.stack([d_sim_p, d_sim_n])
-            )
+            pulled_loc, pulled_frames = proxy_pass.pullback(np.stack([d_sim_p, d_sim_n]))
             g_loc_p = g_loc_p + pulled_loc[0]
             g_frames_p, g_loc_n = pulled_frames[0], pulled_loc[1]
             g_frames_n = g_frames_n + pulled_frames[1]

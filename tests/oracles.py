@@ -18,6 +18,7 @@ member count, the reference of the library's padded scan.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -414,12 +415,24 @@ def proxy_similarity_loop(embeddings, point_bases, proxies, config):
 
 
 def proxy_pullback_tables(embeddings, point_bases, proxies, config, weights):
-    """The reference of ``similarity.proxy_pullback``: each weight table
+    """The reference of ``similarity.ProxyPass.pullback``: each weight table
     contracted with the full partial tables of proxy_similarity_loop."""
     _, d_loc, d_frames = proxy_similarity_loop(embeddings, point_bases, proxies, config)
     grad_loc = np.stack([np.einsum("np,npd->pd", w, d_loc) for w in weights])
     grad_frames = np.stack([np.einsum("np,npkd->pkd", w, d_frames) for w in weights])
     return grad_loc, grad_frames
+
+
+def proxy_pass_loop(embeddings, point_bases, proxies, config, *, with_pullback):
+    """The reference of ``similarity.proxy_pass``: values from
+    proxy_similarity_loop and, with_pullback, proxy_pullback_tables as the
+    pullback (None without)."""
+    values = proxy_similarity_loop(embeddings, point_bases, proxies, config)[0]
+    pullback = None
+    if with_pullback:
+        def pullback(weights):
+            return proxy_pullback_tables(embeddings, point_bases, proxies, config, weights)
+    return SimpleNamespace(values=values, pullback=pullback)
 
 
 def neighborhood_loss_loop(point_bases, proxies, proxy_sims, config, with_grads=True):

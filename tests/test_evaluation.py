@@ -1,5 +1,6 @@
 """Tests for retrieval metrics, purity, correlation, and the k-means baseline."""
 
+import re
 import threading
 import tracemalloc
 
@@ -115,6 +116,59 @@ class TestPurity:
         labels = rng.integers(0, 2 + seed, size=60)
         want = group_purity([nb.member_indices for nb in nbhds], labels)
         assert neighborhood_purity(nbhds, labels) == want
+
+
+# Label arrays that break the rule at n = 60, and the shape each error names.
+_BAD_LABELS = {
+    "short": (np.arange(50) % 3, "(50,)"),
+    "long": (np.arange(70) % 3, "(70,)"),
+    "column": ((np.arange(60) % 3)[:, None], "(60, 1)"),
+    "float": (np.arange(60) % 3 * 1.0, "(60,)"),
+    "negative": (np.arange(60) % 3 - 1, "(60,)"),
+}
+
+
+class TestLabelChecks:
+    # Every labelled entry point applies FeatureDataset's rule: a 1-d
+    # integer array of n non-negative labels, else one ValueError naming
+    # the shape, where a wrong length must not be read as its first n.
+    @staticmethod
+    def _calls():
+        rng = np.random.default_rng(6)
+        pts = rng.standard_normal((60, 4))
+        nbhds = manifold.fit_all_neighborhoods(pts, ManifoldConfig(dim=2, pool_size=9))
+        groups = [np.arange(0, 30), np.arange(30, 60)]
+        return {
+            "evaluate": lambda y: evaluate_embeddings(
+                pts, y, ManifoldConfig(dim=2, pool_size=9), SimilarityConfig(), (1, 2)
+            ),
+            "recall": lambda y: recall_at_k(pts, y, [1, 2]),
+            "neighborhood_purity": lambda y: neighborhood_purity(nbhds, y),
+            "group_purity": lambda y: group_purity(groups, y),
+        }
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            (entry, bad)
+            for entry in ("evaluate", "recall", "neighborhood_purity", "group_purity")
+            for bad in _BAD_LABELS
+            # group_purity takes no point count, so any length is its own.
+            if not (entry == "group_purity" and bad in ("short", "long"))
+        ],
+    )
+    def test_bad_labels_raise_one_error(self, entry, bad):
+        labels, shape = _BAD_LABELS[bad]
+        with pytest.raises(ValueError, match=rf"non-negative integers, got shape {re.escape(shape)}"):
+            self._calls()[entry](labels)
+
+    def test_valid_labels_of_any_integer_type_agree(self):
+        labels = np.arange(60) % 3
+        for call in self._calls().values():
+            want = call(labels)
+            assert call(labels.astype(np.int32)) == want
+            assert call(labels.astype(np.uint8)) == want
+            assert call(labels.tolist()) == want
 
 
 class TestKMeans:

@@ -1,4 +1,4 @@
-"""Tests for decay curves, symmetric similarities, and the proxy pullback."""
+"""Tests for decay curves, symmetric similarities, and the proxy pass."""
 
 import tracemalloc
 from unittest import mock
@@ -266,7 +266,7 @@ class TestProxySimilarities:
         weights = np.zeros((len(cells), len(pts), proxies.n_proxies))
         for t, cell in enumerate(cells):
             weights[(t, *cell)] = 1.0
-        return similarity.proxy_pullback(pts, bases, proxies, cfg, weights)
+        return similarity.proxy_pass(pts, bases, proxies, cfg, with_pullback=True).pullback(weights)
 
     def test_location_partials_match_finite_differences(self):
         pts, nbhds, proxies = _embedded_scene(seed=9, n=6, n_proxies=3)
@@ -301,22 +301,24 @@ class TestProxySimilarities:
         pts, nbhds, proxies = _embedded_scene(seed=11, n=6, n_proxies=3)
         proxies.locations[0] = pts[0]
         cfg = SimilarityConfig()
-        out = similarity.proxy_similarity_batch(pts, nbhds.bases, proxies, cfg)
+        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg, with_pullback=True)
+        out = proxy_pass.values
         assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
         weights = np.ones((1, *out.shape))
-        grad_loc, grad_frames = similarity.proxy_pullback(pts, nbhds.bases, proxies, cfg, weights)
+        grad_loc, grad_frames = proxy_pass.pullback(weights)
         assert np.all(np.isfinite(grad_loc))
         assert np.all(np.isfinite(grad_frames))
 
     def test_binary_mode_marks_nearest_proxy(self):
         pts, nbhds, proxies = _embedded_scene(seed=12)
         cfg = SimilarityConfig(binary=True)
-        out = similarity.proxy_similarity_batch(pts, nbhds.bases, proxies, cfg)
+        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg, with_pullback=True)
+        out = proxy_pass.values
         np.testing.assert_array_equal(out.sum(axis=1), np.ones(len(pts)))
         nearest = similarity.nearest_proxy_indices(pts, proxies.locations)
         np.testing.assert_array_equal(np.argmax(out, axis=1), nearest)
         weights = np.ones((2, *out.shape))
-        grad_loc, grad_frames = similarity.proxy_pullback(pts, nbhds.bases, proxies, cfg, weights)
+        grad_loc, grad_frames = proxy_pass.pullback(weights)
         assert np.all(grad_loc == 0.0)
         assert np.all(grad_frames == 0.0)
 
@@ -325,16 +327,27 @@ class TestProxySimilarities:
         bases = nbhds.bases[:, :1, :]
         with pytest.raises(ValueError, match="point_bases"):
             similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig())
-        with pytest.raises(ValueError, match="point_bases"):
-            similarity.proxy_pullback(pts, bases, proxies, SimilarityConfig(), np.ones((1, 20, 4)))
+        for with_pullback in (False, True):
+            with pytest.raises(ValueError, match="point_bases"):
+                similarity.proxy_pass(
+                    pts, bases, proxies, SimilarityConfig(), with_pullback=with_pullback
+                )
+        full = similarity.proxy_pass(pts, nbhds.bases, proxies, SimilarityConfig(), with_pullback=True)
         with pytest.raises(ValueError, match="weights"):
-            similarity.proxy_pullback(
-                pts, nbhds.bases, proxies, SimilarityConfig(), np.ones((20, 4))
-            )
+            full.pullback(np.ones((20, 4)))
+        with pytest.raises(ValueError, match="weights"):
+            full.pullback(np.ones((1, 20, 3)))
+        values_only = similarity.proxy_pass(
+            pts, nbhds.bases, proxies, SimilarityConfig(), with_pullback=False
+        )
+        with pytest.raises(ValueError, match="without a pullback"):
+            values_only.pullback(np.ones((1, 20, 4)))
 
     def test_pullback_memory_stays_below_one_frame_table(self):
         # At n = P = 100, m = 3, d = 32 one (n, P, m, d) table of frame
-        # partials is 7.3 MiB; values plus both losses' pullback peak below it.
+        # partials is 7.3 MiB. A pass that keeps its splits, (n, P, d)
+        # reverse partials and (P, n, m) forward coordinates, plus both
+        # losses' pullback peaks at 4.6 MiB; the limit is 5 MiB.
         rng = np.random.default_rng(0)
         n, n_prox, plane_dim, dim = 100, 100, 3, 32
         pts = _unit_rows(rng, n, dim)
@@ -345,12 +358,11 @@ class TestProxySimilarities:
         cfg = SimilarityConfig()
         tracemalloc.start()
         try:
-            similarity.proxy_similarity_batch(pts, bases, proxies, cfg)
-            similarity.proxy_pullback(pts, bases, proxies, cfg, weights)
+            similarity.proxy_pass(pts, bases, proxies, cfg, with_pullback=True).pullback(weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n_prox * plane_dim * dim * 8
+        assert peak < 5 * 2**20 < n * n_prox * plane_dim * dim * 8
 
 
 def stacked_scene(data):
@@ -395,13 +407,20 @@ class TestStackedRoutesMatchLoops:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_proxy_similarities(self, data):
+        # The values of both routes of the pass, and of the values-only
+        # wrapper.
         embeddings, bases, proxies, cells = stacked_scene(data)
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
+        with_pullback = data.draw(st.booleans(), label="with pullback")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.proxy_similarity_batch(embeddings, bases, proxies, config)
+            got = similarity.proxy_pass(
+                embeddings, bases, proxies, config, with_pullback=with_pullback
+            ).values
+            wrapped = similarity.proxy_similarity_batch(embeddings, bases, proxies, config)
         ref = oracles.proxy_similarity_loop(embeddings, bases, proxies, config)[0]
         assert same_bits(got, ref)
+        assert same_bits(wrapped, ref)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -430,8 +449,11 @@ class TestStackedRoutesMatchLoops:
         weights[rng.random(weights.shape) < 0.1] = -0.0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.proxy_pullback(embeddings, bases, proxies, config, weights)
+            proxy_pass = similarity.proxy_pass(embeddings, bases, proxies, config, with_pullback=True)
+            got = proxy_pass.pullback(weights)
+        values = oracles.proxy_similarity_loop(embeddings, bases, proxies, config)[0]
         ref = oracles.proxy_pullback_tables(embeddings, bases, proxies, config, weights)
+        assert same_bits(proxy_pass.values, values)
         assert same_bits(got[0], ref[0])
         assert same_bits(got[1], ref[1])
 

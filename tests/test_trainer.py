@@ -102,9 +102,8 @@ class TestPointLoss:
 
 def _pulled(anchor, bases, proxies, sim_cfg, loss_out):
     # A loss's proxy gradients through its similarity weights (last slot).
-    grad_loc, grad_frames = similarity.proxy_pullback(
-        anchor, bases, proxies, sim_cfg, loss_out[-1][None]
-    )
+    proxy_pass = similarity.proxy_pass(anchor, bases, proxies, sim_cfg, with_pullback=True)
+    grad_loc, grad_frames = proxy_pass.pullback(loss_out[-1][None])
     return grad_loc[0], grad_frames[0]
 
 
@@ -145,9 +144,27 @@ class TestProxyLoss:
     def test_stopgrad_kills_similarity_route(self, monkeypatch):
         # With the neighbourhood loss off, the frames feel the proxy loss
         # only through the similarities: without stopgrad they get a
-        # gradient; with it they get none, and the pullback is not run.
+        # gradient; with it they get none, and no pass keeps a pullback or
+        # runs one.
         dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=20, seed=4))
         batch = dataset.features[:30]
+        built, pulled = [], []
+        original_pass = similarity.proxy_pass
+
+        def counted_pass(*args, with_pullback):
+            built.append(with_pullback)
+            proxy_pass = original_pass(*args, with_pullback=with_pullback)
+
+            class Counted:
+                values = proxy_pass.values
+
+                def pullback(self, weights):
+                    pulled.append(weights.shape)
+                    return proxy_pass.pullback(weights)
+
+            return Counted()
+
+        monkeypatch.setattr(similarity, "proxy_pass", counted_pass)
 
         def frame_grads(stopgrad):
             loss = LossConfig(neighborhood_weight=0.0, stopgrad_similarity=stopgrad)
@@ -159,8 +176,11 @@ class TestProxyLoss:
             return Trainer.initialize(dataset, config).step_gradients(batch)[3]
 
         assert np.any(frame_grads(False) != 0.0)
-        monkeypatch.setattr(similarity, "proxy_pullback", None)
+        assert built == [True] and pulled == [(2, 30, 5)]
+        built.clear()
+        pulled.clear()
         assert np.all(frame_grads(True) == 0.0)
+        assert built == [False] and pulled == []
 
 
 class TestNeighborhoodLoss:
@@ -421,9 +441,9 @@ def _acceptance_recipe(seed: int) -> TrainConfig:
 def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
     # Four steps on 150 points, once as the library runs them and once with
     # the loops the stacked routes and the padded scan replaced
-    # (tests/oracles.py) patched in, the pullback as einsums over the loop's
-    # full partial tables: weights, proxies, Adam moments, RNG states and
-    # history byte for byte.
+    # (tests/oracles.py) patched in, the proxy pass's pullback as einsums
+    # over the loop's full partial tables: weights, proxies, Adam moments,
+    # RNG states and history byte for byte.
     dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
 
     def train(path):
@@ -435,10 +455,7 @@ def test_stacked_routes_keep_training_bits(tmp_path, monkeypatch, recipe):
 
     stacked = train(tmp_path / "stacked.plck")
     monkeypatch.setattr(similarity, "pairwise_similarity_matrix", oracles.pairwise_similarity_loop)
-    monkeypatch.setattr(
-        similarity, "proxy_similarity_batch", lambda *args: oracles.proxy_similarity_loop(*args)[0]
-    )
-    monkeypatch.setattr(similarity, "proxy_pullback", oracles.proxy_pullback_tables)
+    monkeypatch.setattr(similarity, "proxy_pass", oracles.proxy_pass_loop)
     monkeypatch.setattr(trainer, "neighborhood_loss", oracles.neighborhood_loss_loop)
     monkeypatch.setattr(manifold, "_scan_pools", oracles.scan_pools_loop)
     looped = train(tmp_path / "looped.plck")
@@ -483,6 +500,48 @@ def test_hot_path_builds_no_per_anchor_objects(monkeypatch, recipe):
     dataclasses.replace(row, member_indices=row.member_indices)
     linalg.pca_top_m(dataset.features[:5], 2)
     assert built == ["Neighborhoods", "LinearNeighborhood", "OrthonormalBasis"]
+
+
+@pytest.mark.parametrize(
+    "recipe", [_acceptance_recipe, lambda seed: TrainConfig(seed=seed)], ids=["bench", "default"]
+)
+def test_step_splits_each_plane_block_once(monkeypatch, recipe):
+    # One step_gradients at the benchmark's step shapes (batch 100, 100
+    # proxies, 3-d planes in 4 or 32 dims) splits each block of proxy
+    # planes and each block of point planes once, for the similarity
+    # values and the pullback together, plus each block of the pair
+    # matrix. Splits inside the neighbourhood fit (its exact accept
+    # route) are not counted.
+    dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
+    run = Trainer.initialize(dataset, recipe(5))
+    pools = manifold.neighbor_lists(run.embed(dataset.features, averaged=True), 9)
+    batch = sample_batch(pools, run.config.sampler, run.rng_sampler)
+    original_split, original_fit = linalg.plane_split, manifold.fit_all_neighborhoods
+    fitting, split_planes = [], []
+
+    def fit(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return original_fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    def split(diffs, frames):
+        if not fitting:
+            split_planes.append(len(frames))
+        return original_split(diffs, frames)
+
+    monkeypatch.setattr(manifold, "fit_all_neighborhoods", fit)
+    monkeypatch.setattr(linalg, "plane_split", split)
+    run.step_gradients(dataset.features[batch])
+    n, (n_prox, plane_dim, dim) = len(batch), run.proxies.frames.shape
+    blocks = (
+        similarity.stack_blocks(n_prox, n * plane_dim * dim)
+        + similarity.stack_blocks(n, n_prox * dim)
+        + similarity.stack_blocks(n, n * dim)
+    )
+    assert n == n_prox == 100 and dim in (4, 32)
+    assert sorted(split_planes) == sorted(blk.stop - blk.start for blk in blocks)
 
 
 @pytest.mark.parametrize(
