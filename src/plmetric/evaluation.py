@@ -12,9 +12,10 @@ sample of pairs beyond it (scored a chunk of pairs at a time, without the
 n x n matrix). The k-means baseline (Lloyd with k-means++ seeding) lives
 here so comparisons never depend on an external implementation.
 
-On large sets the neighborhood scan and the sampled-pair scoring run on
-every usable core (manifold.WORKERS threads, the caller included); the
-report is the same to the bit for any number of them.
+On large sets the k-NN, the neighborhood scan and the sampled-pair scoring
+run on every usable core (manifold.WORKERS threads, the caller included),
+and k-means runs beside the pair draw; the report is the same to the bit
+for any number of them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
+    _run_blocks,
     check_pool_size,
     fit_all_neighborhoods,
     neighbor_lists,
@@ -174,7 +176,8 @@ def kmeans_baseline(
     """Lloyd's algorithm with k-means++ seeding, capped at 100 iterations.
 
     Empty clusters are refilled with the point currently farthest from its
-    assigned center. The within-cluster sum of squares is tracked every
+    assigned center among clusters of two or more members, so no cluster
+    stays empty. The within-cluster sum of squares is tracked every
     iteration and verified non-increasing.
     """
     points = np.asarray(embeddings, dtype=np.float64)
@@ -190,10 +193,13 @@ def kmeans_baseline(
         dist = _pairwise_distances(points, centers)
         new_assignments = np.argmin(dist, axis=1)
         point_cost = dist[np.arange(n), new_assignments] ** 2
-        for cluster in range(n_clusters):
-            if np.any(new_assignments == cluster):
-                continue
-            stray = int(np.argmax(point_cost))
+        counts = np.bincount(new_assignments, minlength=n_clusters)
+        for cluster in np.flatnonzero(counts == 0):
+            # Taking a cluster's only member would empty it in turn; with
+            # a cluster empty and n_clusters <= n, some cluster has two.
+            stray = int(np.argmax(np.where(counts[new_assignments] > 1, point_cost, -np.inf)))
+            counts[new_assignments[stray]] -= 1
+            counts[cluster] += 1
             centers[cluster] = points[stray]
             new_assignments[stray] = cluster
             point_cost[stray] = 0.0
@@ -336,10 +342,27 @@ def evaluate_embeddings(
     )
     del neighbors
     nbhd_purity = neighborhood_purity(neighborhoods, labels)
-    km = kmeans_baseline(embeddings, len(classes), seed)
+    km = first = second = None
+
+    def cluster() -> None:
+        nonlocal km
+        km = kmeans_baseline(embeddings, len(classes), seed)
+
+    def draw() -> None:
+        nonlocal first, second
+        first, second = sample_pairs(n, seed)
+
+    # k-means and the pair draw share nothing, and each seeds its own
+    # generator. Above ALL_PAIRS_LIMIT, where drawing PAIR_SAMPLE_SIZE pairs
+    # is the longest serial phase left, they run side by side; smaller sets
+    # start no thread.
+    if n > ALL_PAIRS_LIMIT:
+        _run_blocks(lambda job: job(), (cluster, draw))
+    else:
+        cluster()
+        draw()
     km_groups = [np.flatnonzero(km.assignments == c) for c in range(len(classes))]
     km_purity = group_purity(km_groups, labels)
-    first, second = sample_pairs(n, seed)
     same_class = labels[first] == labels[second]
     same_cluster = km.assignments[first] == km.assignments[second]
     if n > ALL_PAIRS_LIMIT:

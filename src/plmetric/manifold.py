@@ -12,10 +12,11 @@ Large evaluations run on every usable core. _run_blocks runs independent
 blocks of work on the calling thread plus WORKERS - 1 helper threads (numpy
 releases the GIL inside its array loops); each block writes its own slice of
 a preallocated output, so the result is the same bits for any WORKERS. The
-greedy scan of at least 2 * SCAN_SHARE anchors is split into contiguous
-shares that way, and similarity.pair_similarities splits its pair chunks.
-Smaller fits, every fit a training step or initialisation makes among them,
-run serially and start no thread.
+exact k-NN (neighbor_lists) of more than 512 points runs its query blocks
+that way, the greedy scan of at least 2 * SCAN_SHARE anchors is split into
+contiguous shares, and similarity.pair_similarities splits its pair chunks.
+Smaller sets run serially and start no thread: every training step's batch
+and, up to 512 training points, the initial fit and each epoch's pool k-NN.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ from .linalg import OrthonormalBasis
 # Frames whose Gram matrix is already this close to identity are left
 # untouched by maintenance passes, keeping no-op steps bit-stable.
 FRAME_DRIFT_TOL = 1e-12
-# Distances held at once by neighbor_lists: 2**18 cells keep every n <= 512,
-# each training-time call among them, in one block.
+# neighbor_lists runs every n with n * n <= NEIGHBOR_BLOCK_CELLS (n <= 512,
+# the benchmark's training sets among them) as one block on the calling
+# thread. Larger sets go in blocks of about NEIGHBOR_SPLIT_CELLS distances
+# over WORKERS threads: two workers then hold less than one 2**18-cell
+# block, which a helper's malloc arena would keep resident after it.
 NEIGHBOR_BLOCK_CELLS = 1 << 18
+NEIGHBOR_SPLIT_CELLS = 1 << 16
 # The padded accept test (_batched_accepts) leaves a trial set to the exact
 # route unless it is decided by more than QUALITY_MARGIN; an eigenvalue gap
 # below EIGEN_TIE_TOL * lambda_1 counts as a tie, and a member off the
@@ -321,8 +326,12 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
 
     Exact, and equal to the first columns of a stable sort of each row's
     squared distances, so ties break toward the lower index. Query rows go
-    in blocks of at most NEIGHBOR_BLOCK_CELLS distances, each partially
-    sorted, so memory grows with n, not n^2.
+    in blocks, each partially sorted, so memory grows with n, not n^2. Up to
+    n * n = NEIGHBOR_BLOCK_CELLS all rows are one block on the calling
+    thread. Above it, blocks of NEIGHBOR_SPLIT_CELLS // n rows (at least
+    two; a one-row tail joins the block before it) run on WORKERS threads
+    (_run_blocks). The split depends on n alone, so the lists are the same
+    for any WORKERS.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -331,18 +340,30 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("points contain non-finite entries")
     sq = np.sum(embeddings**2, axis=1)
-    rows_per_block = max(1, NEIGHBOR_BLOCK_CELLS // n)
     out = np.empty((n, n_neighbors), dtype=np.int64)
-    for start in range(0, n, rows_per_block):
-        stop = min(start + rows_per_block, n)
+
+    def query(start: int, stop: int) -> None:
         # A basic slice, never a gather: with one block the product is
         # E @ E.T itself, which numpy runs as syrk, and a gathered copy
         # would run gemm, whose last bits differ.
         block = embeddings[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ embeddings.T)
+        # sq_i + sq_j - 2 * (E_i . E_j), in place: the same operations on
+        # the same operands as the plain expression, so the same bits,
+        # with two fresh block-sized arrays rather than four.
+        d2 = np.add(sq[start:stop, None], sq[None, :])
+        product = block @ embeddings.T
+        product *= 2.0
+        d2 -= product
+        del product
         rows = np.arange(stop - start)
         d2[rows, start + rows] = np.inf
         out[start:stop] = _smallest_stable(d2, n_neighbors)
+
+    # A one-row tail joins the block before it: numpy runs a one-row
+    # product as gemv, whose last bits differ from gemm's.
+    rows_per_block = n if n * n <= NEIGHBOR_BLOCK_CELLS else max(2, NEIGHBOR_SPLIT_CELLS // n)
+    edges = [*range(0, n - 1, rows_per_block), n]
+    _run_blocks(lambda edge: query(*edge), zip(edges, edges[1:]))
     return out
 
 

@@ -3,9 +3,12 @@
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmetric import data, evaluation, manifold, similarity
 from plmetric.evaluation import (
@@ -214,6 +217,35 @@ class TestKMeans:
         with pytest.raises(ValueError, match="n_clusters"):
             kmeans_baseline(np.eye(3), 4, seed=0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_no_cluster_empties_on_duplicate_heavy_sets(self, data):
+        # Points in {0, 1}: argmin ties leave clusters empty, and a refill
+        # that took another cluster's only member averaged an empty slice
+        # next (a warning, 100 iterations, NaN centres).
+        n = data.draw(st.integers(1, 8))
+        d = data.draw(st.integers(1, 2))
+        pts = np.array(
+            data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d), min_size=n, max_size=n))
+        )
+        k = data.draw(st.integers(1, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans_baseline(pts, k, seed=data.draw(st.integers(0, 2**16)))
+        assert np.bincount(result.assignments, minlength=k).min() >= 1
+        assert np.all(np.isfinite(result.centers))
+        assert np.all(np.diff(result.inertia_history) <= 1e-9)
+        assert result.inertia <= result.inertia_history[0] + 1e-9
+
+    def test_refill_leaves_no_cluster_empty(self):
+        pts = np.array([[1.0], [0.0], [0.0], [0.0], [0.0], [0.0], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans_baseline(pts, 5, seed=0)
+        assert sorted(np.bincount(result.assignments).tolist()) == [1, 1, 1, 1, 3]
+        assert result.inertia == 0.0
+        assert result.n_iter < evaluation.KMEANS_MAX_ITER
+
 
 class TestSamplePairs:
     def test_small_n_gives_all_pairs(self):
@@ -365,12 +397,15 @@ class TestEvaluateEmbeddings:
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_report_is_the_same_on_one_or_two_threads(self, monkeypatch, binary):
-        # Above ALL_PAIRS_LIMIT, with shares and chunks small enough that
-        # the scan and the pair scoring both split: helpers start, and the
-        # report equals the one-thread report exactly.
+        # Above ALL_PAIRS_LIMIT, with blocks, shares and chunks small enough
+        # that the k-NN, the scan and the pair scoring all split, and with
+        # k-means beside the pair draw: helpers start, and the report equals
+        # the one-thread report exactly.
         monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 50)
         monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
         monkeypatch.setattr(manifold, "SCAN_SHARE", 20)
+        monkeypatch.setattr(manifold, "NEIGHBOR_BLOCK_CELLS", 1000)
+        monkeypatch.setattr(manifold, "NEIGHBOR_SPLIT_CELLS", 1000)
         monkeypatch.setattr(similarity, "PAIR_CHUNK", 128)
         ds = data.generate_synthetic(
             data.SyntheticSpec(n_classes=3, ambient_dim=16, points_per_class=30, seed=2)
@@ -389,8 +424,9 @@ class TestEvaluateEmbeddings:
             monkeypatch.setattr(manifold, "WORKERS", workers)
             reports.append(evaluate_embeddings(ds.features, ds.labels, *args, seed=3))
         assert reports[0] == reports[1]
-        # One helper for the scan and one for the pairs, on the second run.
-        assert len(started) == 2
+        # One helper each for the k-NN, the scan, k-means beside the pair
+        # draw, and the pair scoring, on the second run.
+        assert len(started) == 4
 
     def test_short_sets_raise_the_input_errors(self):
         # Checked before the shared k-NN, with the messages the CLI shows.

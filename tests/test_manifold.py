@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -173,31 +174,28 @@ class TestNeighborLists:
     @given(st.data())
     def test_equals_full_sort(self, data):
         # Random points, integer grids (exact ties) and duplicated rows, in
-        # one block or in many (down to one row per block). One block runs
+        # one block or in many (down to two rows per block). One block runs
         # the full sort's own product and must give its bits; across blocks
         # a row's product may round differently, which grid points cannot.
         n = data.draw(st.integers(2, 70))
         d = data.draw(st.integers(1, 5))
         k = data.draw(st.integers(1, n - 1))
-        kind = data.draw(st.sampled_from(["random", "grid", "duplicates"]))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if kind == "grid":
-            pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
-        else:
-            pts = rng.standard_normal((n, d)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
-            if kind == "duplicates":
-                pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n, size=n // 2)]
-        cells = data.draw(
+        pts, kind = _knn_points(data, n, d)
+        limit = data.draw(
             st.sampled_from([manifold.NEIGHBOR_BLOCK_CELLS, n * n, n * n - 1, 3 * n, 1])
         )
+        cells = data.draw(
+            st.sampled_from([manifold.NEIGHBOR_SPLIT_CELLS, n * n, 3 * n, 2 * n + 1, 1])
+        )
         longer = data.draw(st.integers(k, n - 1))
-        with mock.patch.object(manifold, "NEIGHBOR_BLOCK_CELLS", cells):
+        with mock.patch.multiple(manifold, NEIGHBOR_BLOCK_CELLS=limit, NEIGHBOR_SPLIT_CELLS=cells):
             got = manifold.neighbor_lists(pts, k)
             # A shorter list is the prefix of a longer one, which evaluation
             # relies on to share one k-NN between recall and the fit's pools.
             np.testing.assert_array_equal(manifold.neighbor_lists(pts, longer)[:, :k], got)
         ref = oracles.neighbor_lists(pts, k)
-        if cells >= n * n or kind == "grid":
+        one_block = limit >= n * n or max(2, cells // n) >= n - 1
+        if one_block or kind == "grid":
             np.testing.assert_array_equal(got, ref)
             return
         assert np.all(got != np.arange(n)[:, None])
@@ -206,6 +204,111 @@ class TestNeighborLists:
         want = np.sum((pts[:, None, :] - pts[ref]) ** 2, axis=2)
         scale = float(np.max(np.sum(pts**2, axis=1)))
         np.testing.assert_allclose(dist, want, rtol=0.0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_same_bits_on_any_worker_count(self, data):
+        # Above the one-block limit the query blocks run on helper threads;
+        # the split depends on n alone, so every worker count gives the
+        # one-worker lists to the bit.
+        n = data.draw(st.integers(3, 70))
+        pts, _ = _knn_points(data, n, data.draw(st.integers(1, 5)))
+        k = data.draw(st.integers(1, n - 1))
+        cells = data.draw(st.sampled_from([1, 2 * n, 3 * n, 2 * n + 1, 5 * n - 1]))
+        with mock.patch.multiple(
+            manifold, NEIGHBOR_BLOCK_CELLS=n * n - 1, NEIGHBOR_SPLIT_CELLS=cells, WORKERS=1
+        ):
+            serial = manifold.neighbor_lists(pts, k)
+            for workers in (2, 3):
+                with mock.patch.object(manifold, "WORKERS", workers):
+                    assert same_bits(manifold.neighbor_lists(pts, k), serial), workers
+
+    @pytest.mark.parametrize(
+        "n, cells, rows",
+        [
+            (7, 21, [3, 4]),  # a one-row tail joins the block before it
+            (9, 27, [3, 3, 3]),
+            (10, 30, [3, 3, 4]),
+            (11, 33, [3, 3, 3, 2]),
+            (5, 1, [2, 3]),  # never fewer than two rows, however few cells
+            (6, 1, [2, 2, 2]),
+            (6, 36, [6]),
+        ],
+    )
+    def test_blocks_cover_the_rows_and_never_hold_one(self, monkeypatch, n, cells, rows):
+        # Integer points, so every block's product is exact.
+        pts = np.random.default_rng(n).integers(-3, 4, size=(n, 3)).astype(np.float64)
+        seen = []
+        run_blocks = manifold._run_blocks
+
+        def recorded(fn, blocks):
+            blocks = list(blocks)
+            seen.extend(blocks)
+            run_blocks(fn, blocks)
+
+        monkeypatch.setattr(manifold, "_run_blocks", recorded)
+        for workers in (1, 3):
+            seen.clear()
+            with mock.patch.multiple(
+                manifold, NEIGHBOR_BLOCK_CELLS=1, NEIGHBOR_SPLIT_CELLS=cells, WORKERS=workers
+            ):
+                got = manifold.neighbor_lists(pts, 2)
+            assert [start for start, _ in seen] == [0, *(stop for _, stop in seen[:-1])]
+            assert seen[-1][1] == n
+            assert [stop - start for start, stop in seen] == rows
+            np.testing.assert_array_equal(got, oracles.neighbor_lists(pts, 2))
+
+    def test_one_block_calls_start_no_thread(self, monkeypatch):
+        # Up to n * n = NEIGHBOR_BLOCK_CELLS (n = 512), the benchmark's
+        # training k-NN among them, the call is one block on the caller;
+        # one point more and helpers start.
+        monkeypatch.setattr(manifold, "WORKERS", 4)
+        n = 512
+        assert n * n == manifold.NEIGHBOR_BLOCK_CELLS
+        pts = np.random.default_rng(7).standard_normal((n + 1, 4))
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        manifold.neighbor_lists(pts[:n], 10)
+        assert started == []
+        manifold.neighbor_lists(pts, 10)
+        assert len(started) == 3
+
+    def test_memory_on_two_workers_at_the_eval_shape(self, monkeypatch):
+        # 2400 points, the benchmark's evaluation size: two blocks of at
+        # most NEIGHBOR_SPLIT_CELLS distances in flight (2.5 MB measured),
+        # where one 2**18-cell block alone peaked at 6.7 MB.
+        monkeypatch.setattr(manifold, "WORKERS", 2)
+        n = 2400
+        labels = np.repeat(np.arange(6), n // 6)
+        rng = np.random.default_rng(0)
+        pts = 3.0 * rng.standard_normal((6, 4))[labels] + rng.standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            manifold.neighbor_lists(pts, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _knn_points(data, n, d):
+    # Random points at three scales, integer grids (exact ties) or random
+    # points with duplicated rows, and which of the three they are.
+    kind = data.draw(st.sampled_from(["random", "grid", "duplicates"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        pts = rng.standard_normal((n, d)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        if kind == "duplicates":
+            pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n, size=n // 2)]
+    return pts, kind
 
 
 class TestFitAllNeighborhoods:
@@ -619,9 +722,13 @@ class TestThreadedScan:
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
         points = np.random.default_rng(5).standard_normal((2 * manifold.SCAN_SHARE - 1, 4))
-        manifold.fit_all_neighborhoods(points, ManifoldConfig(dim=2, pool_size=6))
+        cfg = ManifoldConfig(dim=2, pool_size=6)
+        # The pools' own k-NN (799 * 799 distances) splits into blocks on
+        # helpers, so it runs before threads are refused.
+        pools = manifold.neighbor_lists(points, cfg.pool_size)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        manifold.fit_all_neighborhoods(points, cfg, pools=pools)
 
     def test_large_fit_splits_into_shares(self, monkeypatch):
         monkeypatch.setattr(manifold, "WORKERS", 3)
