@@ -76,7 +76,7 @@ def forward_cached(params: MLPParams, x: np.ndarray):
 
     Returns:
         (y, cache): y is the (n, d_out) row-normalized embedding; cache holds
-        the per-layer inputs, the pre-normalization output, and its row norms.
+        the per-layer inputs, the pre-normalization output's row norms and y.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -98,7 +98,7 @@ def forward_cached(params: MLPParams, x: np.ndarray):
     if np.any(norms < NORM_FLOOR):
         raise FloatingPointError("embedding collapsed to the origin before normalization")
     y = h / norms[:, None]
-    cache = {"layer_inputs": layer_inputs, "pre_norm": h, "norms": norms, "y": y}
+    cache = {"layer_inputs": layer_inputs, "norms": norms, "y": y}
     return y, cache
 
 

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
@@ -41,15 +42,6 @@ PAIR_SAMPLE_SIZE = 1_000_000
 KMEANS_MAX_ITER = 100
 # Recall cut-offs reported when the caller names none; the CLI's default too.
 RECALL_KS = (1, 2, 4, 8)
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(a**2, axis=1)[:, None]
-        - 2.0 * a @ b.T
-        + np.sum(b**2, axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
 
 
 def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
@@ -94,7 +86,8 @@ def recall_at_k(
     from its own candidates, ties broken toward the lower index. A caller
     that already holds neighbor_lists(embeddings, k) for some k >= max(K)
     passes it as ``neighbors``; its first max(K) columns are the list this
-    would compute. Returns {K: percentage}.
+    would compute. Its entries must lie in [0, n), none the query's own
+    index. Returns {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -105,6 +98,8 @@ def recall_at_k(
         neighbors = neighbor_lists(embeddings, depth)
     elif np.ndim(neighbors) != 2 or len(neighbors) != n or np.shape(neighbors)[1] < depth:
         raise ValueError(f"neighbors shape {np.shape(neighbors)} is not ({n}, >= {depth})")
+    elif np.any((neighbors < 0) | (neighbors >= n) | (neighbors == np.arange(n)[:, None])):
+        raise ValueError(f"neighbors must hold indices in [0, {n}), no query its own neighbor")
     match = labels[neighbors[:, :depth]] == labels[:, None]
     out = {}
     for k in sorted(k_values):
@@ -190,7 +185,7 @@ def kmeans_baseline(
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
-        dist = _pairwise_distances(points, centers)
+        dist = np.sqrt(np.maximum(squared_distances(points, centers), 0.0))
         new_assignments = np.argmin(dist, axis=1)
         point_cost = dist[np.arange(n), new_assignments] ** 2
         counts = np.bincount(new_assignments, minlength=n_clusters)

@@ -3,8 +3,8 @@
 Each primitive runs on stacks of sets or frames, one call for many: top-m
 principal subspace extraction with deterministic sign and rank-deficiency
 conventions, the split of difference vectors into in-plane and orthogonal
-parts relative to an orthonormal frame, and Gram-Schmidt re-orthonormalization
-of drifted frames.
+parts relative to an orthonormal frame, Gram-Schmidt re-orthonormalization
+of drifted frames, and the table of squared distances between two row sets.
 """
 
 from __future__ import annotations
@@ -215,6 +215,12 @@ def plane_split(diffs: np.ndarray, frames: np.ndarray):
     residual = diffs - in_plane
     in_norm, out_norm = np.linalg.norm(coords, axis=-1), np.linalg.norm(residual, axis=-1)
     return coords, in_plane, residual, in_norm, out_norm
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, k) table |a_i|^2 - 2 a_i . b_j + |b_j|^2 of (n, d) and (k, d) rows,
+    summed in that order; rounding can leave entries slightly below zero."""
+    return np.sum(a**2, axis=1)[:, None] - 2.0 * a @ b.T + np.sum(b**2, axis=1)[None, :]
 
 
 def _gram_schmidt(vecs: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:

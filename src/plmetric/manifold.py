@@ -325,13 +325,15 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     """(n, n_neighbors) nearest-neighbor indices, ascending distance, self excluded.
 
     Exact, and equal to the first columns of a stable sort of each row's
-    squared distances, so ties break toward the lower index. Query rows go
-    in blocks, each partially sorted, so memory grows with n, not n^2. Up to
-    n * n = NEIGHBOR_BLOCK_CELLS all rows are one block on the calling
-    thread. Above it, blocks of NEIGHBOR_SPLIT_CELLS // n rows (at least
-    two; a one-row tail joins the block before it) run on WORKERS threads
-    (_run_blocks). The split depends on n alone, so the lists are the same
-    for any WORKERS.
+    squared distances, so equal distances break toward the lower index.
+    Query rows go in blocks, each partially sorted, so memory grows with n,
+    not n^2. Up to n * n = NEIGHBOR_BLOCK_CELLS all rows are one block on
+    the calling thread. Above it, blocks of NEIGHBOR_SPLIT_CELLS // n rows
+    (at least two; a one-row tail joins the block before it) run on WORKERS
+    threads (_run_blocks). The split is fixed by n, never by WORKERS, so the
+    lists are the same for any WORKERS; but for n not a multiple of 8 a
+    distance's last bits can depend on its row's place in a block, so
+    another split may reorder exactly tied neighbors.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -601,7 +603,9 @@ def fit_all_neighborhoods(
     linalg.pca_top_m of its members bit for bit.
 
     ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
-    caller already holds it, as the first columns of a longer list are.
+    caller already holds it, as the first columns of a longer list are;
+    like fit_neighborhood, it rejects an index outside [0, n) or an anchor
+    in its own pool.
 
     From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
     SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
@@ -618,6 +622,8 @@ def fit_all_neighborhoods(
         pools = neighbor_lists(embeddings, config.pool_size)
     elif np.shape(pools) != (n, config.pool_size):
         raise ValueError(f"pools shape {np.shape(pools)} is not {(n, config.pool_size)}")
+    elif np.any((pools < 0) | (pools >= n) | (pools == np.arange(n)[:, None])):
+        raise ValueError(f"pools must hold indices in [0, {n}), no anchor in its own pool")
     anchors = np.arange(n)
     members = np.empty((n, config.pool_size + 1), dtype=np.int64)
     sizes = np.empty(n, dtype=np.int64)

@@ -13,9 +13,9 @@ in-plane drift, hence separate exponents.
 
 The training losses treat point-proxy similarities as differentiable
 functions of the proxies (but never of the encoder). One proxy_pass per step
-splits every proxy and point plane once: it returns the values and, when
-asked, keeps what its pullback needs to turn the losses' weights dL/ds into
-gradients w.r.t. proxy locations and frames without splitting again.
+splits every proxy and point plane once: it returns the values and keeps
+what its pullback needs to turn the losses' weights dL/ds into gradients
+w.r.t. proxy locations and frames without splitting again.
 
 pair_similarities, which evaluation calls above ALL_PAIRS_LIMIT points,
 scores its PAIR_CHUNK chunks on every usable core (manifold._run_blocks),
@@ -186,12 +186,7 @@ def nearest_proxy_indices(embeddings: np.ndarray, locations: np.ndarray) -> np.n
     """Index of the closest proxy per embedding row, ties to the lowest index."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     locations = np.asarray(locations, dtype=np.float64)
-    d2 = (
-        np.sum(embeddings**2, axis=1)[:, None]
-        - 2.0 * embeddings @ locations.T
-        + np.sum(locations**2, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+    return np.argmin(linalg.squared_distances(embeddings, locations), axis=1)
 
 
 def _inv_or_zero(values: np.ndarray) -> np.ndarray:
@@ -251,15 +246,14 @@ def _proxy_dims(embeddings, point_bases, proxies):
 class ProxyPass:
     """One batch's point-proxy similarities and what their pullback reuses.
 
-    ``values`` is the (n, P) table. A pass built with_pullback also holds
-    its inputs, each forward block's plane coordinates (P_b, n, m), norms
-    and decays (P_b, n), and the (n, P, d) reverse-direction location
-    partials; a values-only pass holds only the table. The pass reads its
-    inputs again in pullback, so they must not change in between.
+    ``values`` is the (n, P) table. The pass also holds its inputs, which
+    pullback reads again and so must not change in between, and, outside
+    binary mode, each forward block's plane coordinates (P_b, n, m), norms
+    and decays (P_b, n) and the (n, P, d) reverse-direction location partials.
     """
 
     values: np.ndarray
-    inputs: tuple | None = None
+    inputs: tuple
     forward: tuple = ()
     reverse: np.ndarray | None = None
 
@@ -274,8 +268,6 @@ class ProxyPass:
         (n, P, m, d) table is held and no plane is split again. Binary
         similarity is piecewise constant: both gradients are zero.
         """
-        if self.inputs is None:
-            raise ValueError("this proxy pass was built without a pullback")
         embeddings, proxies, config = self.inputs
         n, n_prox = self.values.shape
         weights = np.asarray(weights, dtype=np.float64)
@@ -303,8 +295,6 @@ def proxy_pass(
     point_bases: np.ndarray,
     proxies: ProxySet,
     config: SimilarityConfig,
-    *,
-    with_pullback: bool,
 ) -> ProxyPass:
     """All symmetric point-proxy similarities for one batch, as a ProxyPass.
 
@@ -314,30 +304,27 @@ def proxy_pass(
     reverse direction measures the proxy from the point's neighborhood
     plane; the values are their average. Each direction splits a block of
     planes at a time (stack_blocks), with the bits of a loop over single
-    planes, and splits each block once: ``with_pullback`` keeps what
-    ProxyPass.pullback needs of the forward splits and forms the reverse
-    location partials while each reverse split is in hand. In binary mode
-    the similarity is the nearest-proxy indicator.
+    planes, and splits each block once. Every pass keeps what its pullback
+    needs; a caller with no use for proxy gradients never calls it. In
+    binary mode the similarity is the nearest-proxy indicator.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
     n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
-    inputs = (embeddings, proxies, config) if with_pullback else None
     values = np.zeros((n, n_prox))
     if config.binary:
         values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0
-        return ProxyPass(values, inputs)
+        return ProxyPass(values, (embeddings, proxies, config))
 
     # Reverse direction: a block of point planes, each seeing all proxies.
     # Its location partials fill one (n, P, d) buffer in point blocks
     # (proxy blocks would change the matmul shapes, and so the last bits).
     # It runs first, so its temporaries never meet the kept forward splits.
-    reverse = np.empty((n, n_prox, dim)) if with_pullback else None
+    reverse = np.empty((n, n_prox, dim))
     for blk in stack_blocks(n, n_prox * dim):
         diffs = proxies.locations - embeddings[blk, None, :]
-        values[blk], ds_ddiff, _ = _directed(diffs, point_bases[blk], config, with_pullback, False)
-        if with_pullback:
-            reverse[blk] = 0.5 * ds_ddiff
+        values[blk], ds_ddiff, _ = _directed(diffs, point_bases[blk], config, True, False)
+        reverse[blk] = 0.5 * ds_ddiff
 
     # Forward direction: a block of proxy planes, each seeing the whole
     # batch. The sum with the reverse value is the same either way round.
@@ -347,9 +334,8 @@ def proxy_pass(
         coords, _, _, p, o = linalg.plane_split(diffs, proxies.frames[blk])
         a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
         values[:, blk] = (values[:, blk] + (a * b).T) / 2.0
-        if with_pullback:
-            forward.append((blk, coords, p, o, a, b))
-    return ProxyPass(values, inputs, tuple(forward), reverse)
+        forward.append((blk, coords, p, o, a, b))
+    return ProxyPass(values, (embeddings, proxies, config), tuple(forward), reverse)
 
 
 def proxy_similarity_batch(
@@ -358,5 +344,5 @@ def proxy_similarity_batch(
     proxies: ProxySet,
     config: SimilarityConfig,
 ) -> np.ndarray:
-    """The (n, P) values of a values-only proxy_pass."""
-    return proxy_pass(embeddings, point_bases, proxies, config, with_pullback=False).values
+    """The (n, P) values of a proxy_pass."""
+    return proxy_pass(embeddings, point_bases, proxies, config).values

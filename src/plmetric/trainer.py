@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embedder, manifold, similarity
+from . import embedder, linalg, manifold, similarity
 from .data import FeatureDataset
 from .embedder import AdamState, EmbedderPair
 from .manifold import ManifoldConfig, ProxySet
@@ -217,12 +217,7 @@ def proxy_loss(
     n, n_prox = s.shape
     if e.shape[0] != n or locations.shape[0] != n_prox:
         raise ValueError("similarity table does not match embeddings/proxies")
-    diff_sq = (
-        np.sum(e**2, axis=1)[:, None]
-        - 2.0 * e @ locations.T
-        + np.sum(locations**2, axis=1)[None, :]
-    )
-    dist = np.sqrt(np.maximum(diff_sq, 0.0))
+    dist = np.sqrt(np.maximum(linalg.squared_distances(e, locations), 0.0))
     resid = config.distance_scale * (1.0 - s) - dist
     _check_terms("proxy", resid)
     count = n * n_prox
@@ -381,7 +376,16 @@ class Trainer:
 
     # -- one optimization step -------------------------------------------
 
-    def _forward_losses(self, x_batch: np.ndarray, with_grads: bool):
+    def loss_values(self, x_batch: np.ndarray) -> LossBreakdown:
+        """Loss evaluation at the current state: step_gradients' losses."""
+        return self.step_gradients(x_batch)[0]
+
+    def step_gradients(self, x_batch: np.ndarray):
+        """Losses plus analytic gradients, without touching any state.
+
+        Returns (losses, encoder_grads, grad_locations, grad_frames) where
+        encoder_grads aligns with ``pair.trained.tensors()``.
+        """
         cfg = self.config
         anchor_embeds = embedder.forward(self.pair.averaged, x_batch)
         neighborhoods = manifold.Neighborhoods.of(
@@ -393,26 +397,14 @@ class Trainer:
         )
         # One pass splits every plane once; its pullback, when the losses
         # reach the proxies through the similarities, reuses the splits.
-        proxy_pass = similarity.proxy_pass(
-            anchor_embeds,
-            bases,
-            self.proxies,
-            cfg.similarity,
-            with_pullback=with_grads and not cfg.loss.stopgrad_similarity,
-        )
+        proxy_pass = similarity.proxy_pass(anchor_embeds, bases, self.proxies, cfg.similarity)
         proxy_sims = proxy_pass.values
-        if with_grads:
-            trained_embeds, cache = embedder.forward_cached(self.pair.trained, x_batch)
-        else:
-            trained_embeds = embedder.forward(self.pair.trained, x_batch)
-            cache = None
-        l_point, g_point = point_loss(trained_embeds, point_sims, cfg.loss, with_grads)
+        trained_embeds, cache = embedder.forward_cached(self.pair.trained, x_batch)
+        l_point, g_point = point_loss(trained_embeds, point_sims, cfg.loss)
         l_proxy, g_proxy_e, g_loc_p, d_sim_p = proxy_loss(
-            trained_embeds, self.proxies, proxy_sims, cfg.loss, with_grads
+            trained_embeds, self.proxies, proxy_sims, cfg.loss
         )
-        l_nbhd, g_frames_n, d_sim_n = neighborhood_loss(
-            bases, self.proxies, proxy_sims, cfg.loss, with_grads
-        )
+        l_nbhd, g_frames_n, d_sim_n = neighborhood_loss(bases, self.proxies, proxy_sims, cfg.loss)
         w = cfg.loss
         losses = LossBreakdown(
             l_point,
@@ -420,8 +412,6 @@ class Trainer:
             l_nbhd,
             w.point_weight * l_point + w.proxy_weight * l_proxy + w.neighborhood_weight * l_nbhd,
         )
-        if not with_grads:
-            return losses, None, None, None
         # Routing: the encoder feels only the two distance losses, the proxy
         # parameters only the proxy and neighborhood losses.
         grad_embeds = w.point_weight * g_point + w.proxy_weight * g_proxy_e
@@ -437,19 +427,6 @@ class Trainer:
         grad_loc = w.proxy_weight * g_loc_p + w.neighborhood_weight * g_loc_n
         grad_frames = w.proxy_weight * g_frames_p + w.neighborhood_weight * g_frames_n
         return losses, encoder_grads, grad_loc, grad_frames
-
-    def loss_values(self, x_batch: np.ndarray) -> LossBreakdown:
-        """Pure loss evaluation at the current state, no gradients."""
-        losses, _, _, _ = self._forward_losses(np.asarray(x_batch, dtype=np.float64), False)
-        return losses
-
-    def step_gradients(self, x_batch: np.ndarray):
-        """Losses plus analytic gradients, without touching any state.
-
-        Returns (losses, encoder_grads, grad_locations, grad_frames) where
-        encoder_grads aligns with ``pair.trained.tensors()``.
-        """
-        return self._forward_losses(np.asarray(x_batch, dtype=np.float64), True)
 
     def _augment(self, x_batch: np.ndarray) -> np.ndarray:
         sigma = self.config.sampler.augment_sigma

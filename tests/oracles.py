@@ -423,15 +423,14 @@ def proxy_pullback_tables(embeddings, point_bases, proxies, config, weights):
     return grad_loc, grad_frames
 
 
-def proxy_pass_loop(embeddings, point_bases, proxies, config, *, with_pullback):
+def proxy_pass_loop(embeddings, point_bases, proxies, config):
     """The reference of ``similarity.proxy_pass``: values from
-    proxy_similarity_loop and, with_pullback, proxy_pullback_tables as the
-    pullback (None without)."""
+    proxy_similarity_loop and proxy_pullback_tables as the pullback."""
     values = proxy_similarity_loop(embeddings, point_bases, proxies, config)[0]
-    pullback = None
-    if with_pullback:
-        def pullback(weights):
-            return proxy_pullback_tables(embeddings, point_bases, proxies, config, weights)
+
+    def pullback(weights):
+        return proxy_pullback_tables(embeddings, point_bases, proxies, config, weights)
+
     return SimpleNamespace(values=values, pullback=pullback)
 
 

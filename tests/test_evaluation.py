@@ -73,6 +73,16 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="neighbors shape"):
             recall_at_k(np.eye(4), np.arange(4), [2], neighbors=np.zeros((4, 1), dtype=np.int64))
 
+    @pytest.mark.parametrize("row, entry", [(0, 0), (3, -1), (5, 10)], ids=["self", "negative", "n"])
+    def test_neighbors_with_bad_indices_rejected(self, row, entry):
+        # Unchecked, -1 entries read the last label and misreported recall,
+        # and an index of n raised a bare IndexError.
+        pts = np.random.default_rng(5).standard_normal((10, 3))
+        neighbors = manifold.neighbor_lists(pts, 3)
+        neighbors[row, 0] = entry
+        with pytest.raises(ValueError, match=r"neighbors must hold indices in \[0, 10\)"):
+            recall_at_k(pts, np.arange(10) % 2, [1, 2], neighbors=neighbors)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_embeddings_rejected(self, bad):
         pts = np.random.default_rng(4).standard_normal((20, 3))

@@ -194,6 +194,44 @@ class TestDecompose:
             linalg.plane_split(np.zeros((1, 4)), np.eye(3)[:1])
 
 
+class TestSquaredDistances:
+    # linalg.squared_distances, the one |a|^2 - 2 a.b + |b|^2 table of the
+    # library (proxy loss, nearest proxy, k-means).
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_explicit_row_differences(self, data):
+        # Integer grid rows make every product and sum exact, so exact
+        # ties must come out exactly tied: the table equals the explicit
+        # one bit for bit. Generic rows agree to 1e-12 relative plus an
+        # absolute floor for the cancellation near zero distances.
+        n = data.draw(st.integers(1, 12), label="rows of a")
+        k = data.draw(st.integers(1, 12), label="rows of b")
+        d = data.draw(st.integers(1, 8), label="dim")
+        grid = data.draw(st.booleans(), label="grid rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def rows(m):
+            if grid:
+                return rng.integers(-3, 4, size=(m, d)).astype(np.float64)
+            return rng.standard_normal((m, d)) * 10.0 ** rng.integers(-3, 4)
+
+        a, b = rows(n), rows(k)
+        if data.draw(st.booleans(), label="duplicate rows"):
+            a[-1] = a[0]
+            b[0] = a[0]
+        if data.draw(st.booleans(), label="zero rows"):
+            a[n // 2] = 0.0
+            b[-1] = 0.0
+        got = linalg.squared_distances(a, b)
+        ref = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        assert got.shape == (n, k)
+        if grid:
+            assert np.array_equal(got, ref)
+        else:
+            scale = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-14 * scale)
+
+
 def _frames_case(data):
     # A (k, m, d) stack, random or an exact orthonormal frame, some of whose
     # rows are then replaced by a copy of an earlier row, a zero row, the

@@ -331,6 +331,18 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError, match="pools shape"):
             manifold.fit_all_neighborhoods(pts, cfg, pools=manifold.neighbor_lists(pts, 5))
 
+    @pytest.mark.parametrize("row, entry", [(0, 0), (3, -1), (5, 12)], ids=["self", "negative", "n"])
+    def test_pools_with_bad_indices_rejected(self, row, entry):
+        # fit_neighborhood's rule: no anchor in its own pool, every index
+        # in [0, n). Unchecked, an anchor became its own duplicate member
+        # and a negative index wrapped around.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = manifold.neighbor_lists(pts, cfg.pool_size)
+        pools[row, -1] = entry
+        with pytest.raises(ValueError, match=r"pools must hold indices in \[0, 12\)"):
+            manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
+
     def test_one_accept_call_per_pool_position(self):
         # Trial sets of several sizes at each position still take one call.
         rng = np.random.default_rng(23)

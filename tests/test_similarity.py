@@ -266,7 +266,7 @@ class TestProxySimilarities:
         weights = np.zeros((len(cells), len(pts), proxies.n_proxies))
         for t, cell in enumerate(cells):
             weights[(t, *cell)] = 1.0
-        return similarity.proxy_pass(pts, bases, proxies, cfg, with_pullback=True).pullback(weights)
+        return similarity.proxy_pass(pts, bases, proxies, cfg).pullback(weights)
 
     def test_location_partials_match_finite_differences(self):
         pts, nbhds, proxies = _embedded_scene(seed=9, n=6, n_proxies=3)
@@ -301,7 +301,7 @@ class TestProxySimilarities:
         pts, nbhds, proxies = _embedded_scene(seed=11, n=6, n_proxies=3)
         proxies.locations[0] = pts[0]
         cfg = SimilarityConfig()
-        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg, with_pullback=True)
+        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg)
         out = proxy_pass.values
         assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
         weights = np.ones((1, *out.shape))
@@ -312,7 +312,7 @@ class TestProxySimilarities:
     def test_binary_mode_marks_nearest_proxy(self):
         pts, nbhds, proxies = _embedded_scene(seed=12)
         cfg = SimilarityConfig(binary=True)
-        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg, with_pullback=True)
+        proxy_pass = similarity.proxy_pass(pts, nbhds.bases, proxies, cfg)
         out = proxy_pass.values
         np.testing.assert_array_equal(out.sum(axis=1), np.ones(len(pts)))
         nearest = similarity.nearest_proxy_indices(pts, proxies.locations)
@@ -327,21 +327,13 @@ class TestProxySimilarities:
         bases = nbhds.bases[:, :1, :]
         with pytest.raises(ValueError, match="point_bases"):
             similarity.proxy_similarity_batch(pts, bases, proxies, SimilarityConfig())
-        for with_pullback in (False, True):
-            with pytest.raises(ValueError, match="point_bases"):
-                similarity.proxy_pass(
-                    pts, bases, proxies, SimilarityConfig(), with_pullback=with_pullback
-                )
-        full = similarity.proxy_pass(pts, nbhds.bases, proxies, SimilarityConfig(), with_pullback=True)
+        with pytest.raises(ValueError, match="point_bases"):
+            similarity.proxy_pass(pts, bases, proxies, SimilarityConfig())
+        full = similarity.proxy_pass(pts, nbhds.bases, proxies, SimilarityConfig())
         with pytest.raises(ValueError, match="weights"):
             full.pullback(np.ones((20, 4)))
         with pytest.raises(ValueError, match="weights"):
             full.pullback(np.ones((1, 20, 3)))
-        values_only = similarity.proxy_pass(
-            pts, nbhds.bases, proxies, SimilarityConfig(), with_pullback=False
-        )
-        with pytest.raises(ValueError, match="without a pullback"):
-            values_only.pullback(np.ones((1, 20, 4)))
 
     def test_pullback_memory_stays_below_one_frame_table(self):
         # At n = P = 100, m = 3, d = 32 one (n, P, m, d) table of frame
@@ -358,7 +350,7 @@ class TestProxySimilarities:
         cfg = SimilarityConfig()
         tracemalloc.start()
         try:
-            similarity.proxy_pass(pts, bases, proxies, cfg, with_pullback=True).pullback(weights)
+            similarity.proxy_pass(pts, bases, proxies, cfg).pullback(weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,16 +399,12 @@ class TestStackedRoutesMatchLoops:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_proxy_similarities(self, data):
-        # The values of both routes of the pass, and of the values-only
-        # wrapper.
+        # The values of the pass and of the values wrapper.
         embeddings, bases, proxies, cells = stacked_scene(data)
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
-        with_pullback = data.draw(st.booleans(), label="with pullback")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.proxy_pass(
-                embeddings, bases, proxies, config, with_pullback=with_pullback
-            ).values
+            got = similarity.proxy_pass(embeddings, bases, proxies, config).values
             wrapped = similarity.proxy_similarity_batch(embeddings, bases, proxies, config)
         ref = oracles.proxy_similarity_loop(embeddings, bases, proxies, config)[0]
         assert same_bits(got, ref)
@@ -449,7 +437,7 @@ class TestStackedRoutesMatchLoops:
         weights[rng.random(weights.shape) < 0.1] = -0.0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            proxy_pass = similarity.proxy_pass(embeddings, bases, proxies, config, with_pullback=True)
+            proxy_pass = similarity.proxy_pass(embeddings, bases, proxies, config)
             got = proxy_pass.pullback(weights)
         values = oracles.proxy_similarity_loop(embeddings, bases, proxies, config)[0]
         ref = oracles.proxy_pullback_tables(embeddings, bases, proxies, config, weights)

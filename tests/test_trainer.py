@@ -102,7 +102,7 @@ class TestPointLoss:
 
 def _pulled(anchor, bases, proxies, sim_cfg, loss_out):
     # A loss's proxy gradients through its similarity weights (last slot).
-    proxy_pass = similarity.proxy_pass(anchor, bases, proxies, sim_cfg, with_pullback=True)
+    proxy_pass = similarity.proxy_pass(anchor, bases, proxies, sim_cfg)
     grad_loc, grad_frames = proxy_pass.pullback(loss_out[-1][None])
     return grad_loc[0], grad_frames[0]
 
@@ -144,16 +144,16 @@ class TestProxyLoss:
     def test_stopgrad_kills_similarity_route(self, monkeypatch):
         # With the neighbourhood loss off, the frames feel the proxy loss
         # only through the similarities: without stopgrad they get a
-        # gradient; with it they get none, and no pass keeps a pullback or
-        # runs one.
+        # gradient; with it they get none, and the step's one pass runs no
+        # pullback.
         dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=20, seed=4))
         batch = dataset.features[:30]
         built, pulled = [], []
         original_pass = similarity.proxy_pass
 
-        def counted_pass(*args, with_pullback):
-            built.append(with_pullback)
-            proxy_pass = original_pass(*args, with_pullback=with_pullback)
+        def counted_pass(*args):
+            built.append(len(args[0]))
+            proxy_pass = original_pass(*args)
 
             class Counted:
                 values = proxy_pass.values
@@ -176,11 +176,11 @@ class TestProxyLoss:
             return Trainer.initialize(dataset, config).step_gradients(batch)[3]
 
         assert np.any(frame_grads(False) != 0.0)
-        assert built == [True] and pulled == [(2, 30, 5)]
+        assert built == [30] and pulled == [(2, 30, 5)]
         built.clear()
         pulled.clear()
         assert np.all(frame_grads(True) == 0.0)
-        assert built == [False] and pulled == []
+        assert built == [30] and pulled == []
 
 
 class TestNeighborhoodLoss:
@@ -394,6 +394,31 @@ class TestTrainer:
         _, _, _, frames_a = with_nbhd.step_gradients(batch)
         _, _, _, frames_b = without_point.step_gradients(batch)
         assert np.array_equal(frames_a, frames_b)
+
+    @pytest.mark.parametrize(
+        "loss", [LossConfig(), LossConfig(stopgrad_similarity=True)], ids=["full", "stopgrad"]
+    )
+    def test_loss_values_are_the_step_losses(self, loss):
+        # loss_values is the step's own route: the same losses bit for bit
+        # as step_gradients, and as the loss functions run values-only on
+        # the momentum fit, the pass's values and the trained embeddings.
+        ds = _tiny_dataset(seed=5)
+        run = Trainer.initialize(ds, _tiny_config(loss=loss))
+        run.run_epoch()
+        batch = ds.features[:20]
+        assert run.loss_values(batch) == run.step_gradients(batch)[0]
+        cfg = run.config
+        anchor = run.embed(batch, averaged=True)
+        nbhds = manifold.fit_all_neighborhoods(anchor, cfg.manifold)
+        psim = similarity.proxy_similarity_batch(anchor, nbhds.bases, run.proxies, cfg.similarity)
+        trained = run.embed(batch)
+        point = point_loss(
+            trained, similarity.pairwise_similarity_matrix(anchor, nbhds, cfg.similarity), loss, False
+        )[0]
+        proxy = proxy_loss(trained, run.proxies, psim, loss, False)[0]
+        nbhd = neighborhood_loss(nbhds.bases, run.proxies, psim, loss, False)[0]
+        got = run.loss_values(batch)
+        assert (got.point, got.proxy, got.neighborhood) == (point, proxy, nbhd)
 
     def test_augmentation_doubles_effective_batch(self):
         ds = _tiny_dataset(seed=4)
