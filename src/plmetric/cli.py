@@ -252,9 +252,9 @@ def cmd_gen(args) -> int:
         fields = dataclasses.fields(SyntheticSpec)
         spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields})
         dataset = data.generate_synthetic(spec)
+        data.save_dataset(dataset, args.out, fmt=args.format)
     except ValueError as exc:
         raise UserError(str(exc)) from None
-    data.save_dataset(dataset, args.out, fmt=args.format)
     print(f"wrote {dataset.n_samples} x {dataset.dim} samples to {args.out}")
     return 0
 

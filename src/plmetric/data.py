@@ -106,12 +106,12 @@ class SyntheticSpec:
             raise ValueError("patch_dim must satisfy 1 <= patch_dim < ambient_dim")
         if self.points_per_class < 1:
             raise ValueError("points_per_class must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.patch_aspect < 1.0:
-            raise ValueError("patch_aspect must be at least 1")
-        if self.offset_scale is not None and self.offset_scale <= 0.0:
-            raise ValueError("offset_scale must be positive")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
+        if not 1.0 <= self.patch_aspect < np.inf:
+            raise ValueError("patch_aspect must be finite and at least 1")
+        if self.offset_scale is not None and not 0.0 < self.offset_scale < np.inf:
+            raise ValueError("offset_scale must be finite and positive")
 
     @property
     def patch_extents(self) -> np.ndarray:
@@ -175,16 +175,28 @@ def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:
 
 
 def save_binary(dataset: FeatureDataset, path: str | Path) -> None:
-    """Write the packed binary layout: header, float32 rows, optional labels."""
+    """Write the packed binary layout, refusing features beyond float32 and labels beyond uint32."""
     path = Path(path)
     n, d = dataset.features.shape
     has_labels = dataset.labels is not None
+    if np.max(np.abs(dataset.features)) > np.finfo("<f4").max:
+        raise ValueError(f"{path}: features beyond the float32 range cannot be stored")
+    if has_labels and np.max(dataset.labels) > np.iinfo("<u4").max:
+        raise ValueError(f"{path}: labels beyond the uint32 range cannot be stored")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HQQB", FORMAT_VERSION, n, d, int(has_labels)))
         fh.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
         if has_labels:
             fh.write(np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes())
+
+
+def _checked_dataset(path: Path, *arrays) -> FeatureDataset:
+    # Contents that FeatureDataset rejects are a format error of the file.
+    try:
+        return FeatureDataset(*arrays)
+    except (ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def load_binary(path: str | Path) -> FeatureDataset:
@@ -207,13 +219,12 @@ def load_binary(path: str | Path) -> FeatureDataset:
         raise DatasetFormatError(
             f"{path}: expected {expected} bytes for n={n} d={d}, found {len(blob)}"
         )
-    feats = np.frombuffer(blob, dtype="<f4", count=n * d, offset=header_size)
-    features = feats.reshape(n, d).astype(np.float64)
+    # FeatureDataset widens the float32 rows and uint32 labels to float64 and int64.
+    features = np.frombuffer(blob, dtype="<f4", count=n * d, offset=header_size).reshape(n, d)
     labels = None
     if label_flag:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=header_size + feat_bytes)
-        labels = labels.astype(np.int64)
-    return FeatureDataset(features, labels)
+    return _checked_dataset(path, features, labels)
 
 
 def save_csv(dataset: FeatureDataset, path: str | Path) -> None:
@@ -257,15 +268,11 @@ def load_csv(path: str | Path) -> FeatureDataset:
                 raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from None
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if np.all(labels_arr == -1):
-        final_labels = None
-    elif np.any(labels_arr == -1):
-        bad = int(np.argmax(labels_arr == -1)) + 2
+    unlabeled = np.asarray(labels) == -1
+    if 0 < np.count_nonzero(unlabeled) < len(rows):
+        bad = int(np.argmax(unlabeled)) + 2
         raise DatasetFormatError(f"{path}: row {bad}: mixed labeled and unlabeled rows")
-    else:
-        final_labels = labels_arr
-    return FeatureDataset(np.asarray(rows, dtype=np.float64), final_labels, np.asarray(ids, dtype=np.int64))
+    return _checked_dataset(path, rows, None if np.all(unlabeled) else labels, ids)
 
 
 def save_dataset(dataset: FeatureDataset, path: str | Path, fmt: str | None = None) -> None:

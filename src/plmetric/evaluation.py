@@ -13,9 +13,9 @@ n x n matrix). The k-means baseline (Lloyd with k-means++ seeding) lives
 here so comparisons never depend on an external implementation.
 
 On large sets the k-NN, the neighborhood scan and the sampled-pair scoring
-run on every usable core (manifold.WORKERS threads, the caller included),
-and k-means runs beside the pair draw; the report is the same to the bit
-for any number of them.
+run on every usable core (manifold.WORKERS threads, the caller included);
+k-means and the pair draw run on the calling thread. The report is the same
+to the bit for any number of threads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
-    _run_blocks,
     check_pool_size,
     fit_all_neighborhoods,
     neighbor_lists,
@@ -223,27 +222,20 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs for correlation: all unordered pairs, or a seeded sample.
 
-    Up to ALL_PAIRS_LIMIT points every unordered pair is used; beyond that a
-    uniform sample of PAIR_SAMPLE_SIZE pairs (i != j) is drawn.
+    Up to ALL_PAIRS_LIMIT points every unordered pair is used; beyond that
+    PAIR_SAMPLE_SIZE ordered pairs are drawn in one pass, each uniform over
+    the pairs (i, j) with i != j.
     """
     if n < 2:
         raise ValueError("need at least two points to form pairs")
     if n <= ALL_PAIRS_LIMIT:
         return np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
-    firsts, seconds = [], []
-    missing = PAIR_SAMPLE_SIZE
-    while missing > 0:
-        i = rng.integers(n, size=missing + missing // 8 + 16)
-        j = rng.integers(n, size=i.size)
-        keep = i != j
-        # One side at a time, so one draw is freed before the other is copied.
-        i = i[keep][:missing]
-        j = j[keep][:missing]
-        firsts.append(i)
-        seconds.append(j)
-        missing -= i.size
-    return np.concatenate(firsts), np.concatenate(seconds)
+    first = rng.integers(n, size=PAIR_SAMPLE_SIZE)
+    # Uniform over the n - 1 indices other than first: skip over first.
+    second = rng.integers(n - 1, size=PAIR_SAMPLE_SIZE)
+    second += second >= first
+    return first, second
 
 
 def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray) -> float:
@@ -337,25 +329,8 @@ def evaluate_embeddings(
     )
     del neighbors
     nbhd_purity = neighborhood_purity(neighborhoods, labels)
-    km = first = second = None
-
-    def cluster() -> None:
-        nonlocal km
-        km = kmeans_baseline(embeddings, len(classes), seed)
-
-    def draw() -> None:
-        nonlocal first, second
-        first, second = sample_pairs(n, seed)
-
-    # k-means and the pair draw share nothing, and each seeds its own
-    # generator. Above ALL_PAIRS_LIMIT, where drawing PAIR_SAMPLE_SIZE pairs
-    # is the longest serial phase left, they run side by side; smaller sets
-    # start no thread.
-    if n > ALL_PAIRS_LIMIT:
-        _run_blocks(lambda job: job(), (cluster, draw))
-    else:
-        cluster()
-        draw()
+    km = kmeans_baseline(embeddings, len(classes), seed)
+    first, second = sample_pairs(n, seed)
     km_groups = [np.flatnonzero(km.assignments == c) for c in range(len(classes))]
     km_purity = group_purity(km_groups, labels)
     same_class = labels[first] == labels[second]

@@ -22,7 +22,7 @@ _COMPLETION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Orthonormal frame stored row-per-vector, shape (rank, ambient_dim).
+    """Orthonormal frame stored row-per-vector, shape (m, d).
 
     Construction validates unit norms and pairwise orthogonality to 1e-9 and
     freezes the underlying array, so a held reference cannot drift.
@@ -37,18 +37,6 @@ class OrthonormalBasis:
         check_frames(vecs[None])
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Return the (d, d) orthogonal projector onto the spanned subspace."""
-        return self.vectors.T @ self.vectors
 
 
 def frame_drift(frames: np.ndarray) -> np.ndarray:

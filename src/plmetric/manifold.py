@@ -153,7 +153,6 @@ class LinearNeighborhood:
     anchor_index: int
     member_indices: np.ndarray
     basis: OrthonormalBasis
-    centroid: np.ndarray
 
     def __post_init__(self) -> None:
         members = np.asarray(self.member_indices, dtype=np.int64)
@@ -161,13 +160,8 @@ class LinearNeighborhood:
             raise ValueError("member_indices must be a non-empty 1-d array")
         if members[0] != self.anchor_index:
             raise ValueError(f"anchor {self.anchor_index} is not the first member")
-        centroid = np.asarray(self.centroid, dtype=np.float64)
-        if centroid.shape != (self.basis.ambient_dim,):
-            raise ValueError("centroid does not match the basis ambient dimension")
         members.setflags(write=False)
-        centroid.setflags(write=False)
         object.__setattr__(self, "member_indices", members)
-        object.__setattr__(self, "centroid", centroid)
 
     @property
     def size(self) -> int:
@@ -191,7 +185,6 @@ class Neighborhoods:
             anchor first, then -1 padding. width is the largest size.
         sizes: (n,) member counts.
         bases: (n, m, d) orthonormal plane frames, one per row.
-        centroids: (n, d) member means.
 
     Construction copies the arrays, validates them once (one
     linalg.check_frames over the whole stack) and makes them read-only.
@@ -203,21 +196,19 @@ class Neighborhoods:
     members: np.ndarray
     sizes: np.ndarray
     bases: np.ndarray
-    centroids: np.ndarray
 
     def __post_init__(self) -> None:
         arrays = {
             "members": np.array(self.members, dtype=np.int64),
             "sizes": np.array(self.sizes, dtype=np.int64),
             "bases": np.array(self.bases, dtype=np.float64),
-            "centroids": np.array(self.centroids, dtype=np.float64),
         }
-        members, sizes, bases, centroids = arrays.values()
+        members, sizes, bases = arrays.values()
         n = len(sizes)
         if members.ndim != 2 or sizes.shape != (n,) or bases.ndim != 3 or len(members) != n:
             raise ValueError("need (n, width) members, (n,) sizes and (n, m, d) bases")
-        if len(bases) != n or centroids.shape != (n, bases.shape[2]):
-            raise ValueError("need one (m, d) frame and one (d,) centroid per row")
+        if len(bases) != n:
+            raise ValueError("need one (m, d) frame per row")
         held = np.arange(members.shape[1]) < sizes[:, None]
         if np.any(sizes < 1) or members.shape[1] != np.max(sizes, initial=0):
             raise ValueError("every row needs a member, and width must be the largest size")
@@ -240,8 +231,7 @@ class Neighborhoods:
         members = np.full((len(rows), int(sizes.max())), -1, dtype=np.int64)
         for i, row in enumerate(rows):
             members[i, : row.size] = row.member_indices
-        bases = np.stack([row.basis.vectors for row in rows])
-        return cls(members, sizes, bases, np.stack([row.centroid for row in rows]))
+        return cls(members, sizes, np.stack([row.basis.vectors for row in rows]))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -251,11 +241,7 @@ class Neighborhoods:
         members = self.members[i, : self.sizes[i]]
         basis = _view(OrthonormalBasis, vectors=self.bases[i])
         return _view(
-            LinearNeighborhood,
-            anchor_index=int(members[0]),
-            member_indices=members,
-            basis=basis,
-            centroid=self.centroids[i],
+            LinearNeighborhood, anchor_index=int(members[0]), member_indices=members, basis=basis
         )
 
     def __iter__(self) -> Iterator[LinearNeighborhood]:
@@ -569,16 +555,15 @@ def _fit_planes(
     # members bit for bit, batched over rows of equal size.
     n, dim = len(sizes), embeddings.shape[1]
     vectors = np.empty((n, plane_dim, dim))
-    centroids = np.empty((n, dim))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
         points = embeddings[members[rows, :size]]
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain non-finite entries")
-        vectors[rows], centroids[rows] = linalg._pca_vectors_batch(points, plane_dim)
+        vectors[rows] = linalg._pca_vectors_batch(points, plane_dim)[0]
     width = int(sizes.max())
     padded = np.where(np.arange(width) < sizes[:, None], members[:, :width], -1)
-    return Neighborhoods(padded, sizes, linalg._fix_signs(vectors), centroids)
+    return Neighborhoods(padded, sizes, linalg._fix_signs(vectors))
 
 
 def check_pool_size(n_points: int, config: ManifoldConfig) -> None:

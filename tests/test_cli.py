@@ -146,6 +146,12 @@ class TestGen:
         assert code == 1
         assert "patch_dim" in capsys.readouterr().err
 
+    def test_features_beyond_float32_exit_one_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.plmf"
+        assert main(["gen", "--out", str(out), "--offset-scale", "1e39"]) == 1
+        assert "float32" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trains_and_writes_checkpoint(self, tmp_path, capsys):
@@ -348,6 +354,22 @@ class TestDiagnose:
         assert code == 1
         assert err.startswith("error: ") and "pool_size=80" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("nan.csv", b"id,label,f0\n0,0,nan\n1,1,1.0\n"),
+            ("label.csv", b"id,label,f0\n0,-2,0.0\n1,1,1.0\n"),
+            ("inf.plmf", data.MAGIC + struct.pack("<HQQB", 1, 1, 1, 0) + np.float32(np.inf).tobytes()),
+        ],
+        ids=["nan", "negative-label", "inf"],
+    )
+    def test_invalid_dataset_contents_are_a_one_line_user_error(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["diagnose", "--dataset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_unlabeled_dataset_rejected(self, tmp_path, capsys):
         ds = data.FeatureDataset(np.random.default_rng(0).standard_normal((30, 6)))

@@ -1,5 +1,8 @@
 """Tests for dataset formats and the synthetic benchmark generator."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,31 @@ class TestBinaryFormat:
         with pytest.raises(DatasetFormatError, match="version"):
             data.load_binary(path)
 
+    def test_non_finite_feature_is_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "inf.plmf"
+        data.save_binary(FeatureDataset(np.ones((2, 2))), path)
+        blob = bytearray(path.read_bytes())
+        header_size = 4 + struct.calcsize("<HQQB")
+        blob[header_size : header_size + 4] = np.float32(np.inf).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match=rf"{re.escape(str(path))}: .*non-finite"):
+            data.load_binary(path)
+
+    @pytest.mark.parametrize(
+        "ds, named",
+        [
+            (FeatureDataset(np.array([[1e39, 0.0]])), "float32"),
+            (FeatureDataset(np.array([[-1e39, 0.0]])), "float32"),
+            (FeatureDataset(np.zeros((2, 1)), labels=np.array([0, 2**32 + 5])), "uint32"),
+        ],
+        ids=["huge", "huge-negative", "wide-label"],
+    )
+    def test_values_the_layout_cannot_hold_are_refused_before_writing(self, tmp_path, ds, named):
+        path = tmp_path / "out.plmf"
+        with pytest.raises(ValueError, match=named):
+            data.save_binary(ds, path)
+        assert not path.exists()
+
 
 class TestCsvFormat:
     def test_round_trip_preserves_values(self, tmp_path):
@@ -116,6 +144,17 @@ class TestCsvFormat:
         path = tmp_path / "mixed.csv"
         path.write_text("id,label,f0\n0,1,0.5\n1,-1,0.25\n")
         with pytest.raises(DatasetFormatError, match="mixed"):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [("0,1,nan", "non-finite"), ("0,-2,1.0", "non-negative"), (f"{2**70},0,1.0", "too large")],
+        ids=["nan", "label", "wide-id"],
+    )
+    def test_invalid_contents_are_format_errors_naming_the_file(self, tmp_path, row, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,f0\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=rf"{re.escape(str(path))}: .*{named}"):
             data.load_csv(path)
 
     def test_bad_header_is_rejected(self, tmp_path):
@@ -197,3 +236,9 @@ class TestSyntheticBenchmark:
             SyntheticSpec(patch_dim=32, ambient_dim=32)
         with pytest.raises(ValueError, match="noise_sigma"):
             SyntheticSpec(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "patch_aspect", "offset_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spec_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SyntheticSpec(**{field: value})

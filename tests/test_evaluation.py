@@ -271,6 +271,23 @@ class TestSamplePairs:
         np.testing.assert_array_equal(first, f2)
         np.testing.assert_array_equal(second, s2)
 
+    def test_sample_is_uniform_over_ordered_pairs(self, monkeypatch):
+        # Above a lowered limit, each of the n(n-1) ordered pairs i != j gets
+        # a binomial share of the sample: within 5 sigma of its mean.
+        monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 3)
+        n, size = 7, evaluation.PAIR_SAMPLE_SIZE
+        first, second = sample_pairs(n, seed=4)
+        for side in (first, second):
+            assert side.dtype == np.int64 and side.shape == (size,)
+            assert side.min() >= 0 and side.max() < n
+        assert not np.any(first == second)
+        counts = np.bincount(first * n + second, minlength=n * n).reshape(n, n)
+        share = 1.0 / (n * (n - 1))
+        sigma = np.sqrt(size * share * (1.0 - share))
+        assert np.all(np.abs(counts[~np.eye(n, dtype=bool)] - size * share) < 5.0 * sigma)
+        for side, again in zip((first, second), sample_pairs(n, seed=4)):
+            np.testing.assert_array_equal(side, again)
+
 
 class TestSimilarityCorrelation:
     def test_perfect_agreement(self):
@@ -408,9 +425,8 @@ class TestEvaluateEmbeddings:
     @pytest.mark.parametrize("binary", [False, True])
     def test_report_is_the_same_on_one_or_two_threads(self, monkeypatch, binary):
         # Above ALL_PAIRS_LIMIT, with blocks, shares and chunks small enough
-        # that the k-NN, the scan and the pair scoring all split, and with
-        # k-means beside the pair draw: helpers start, and the report equals
-        # the one-thread report exactly.
+        # that the k-NN, the scan and the pair scoring all split: helpers
+        # start, and the report equals the one-thread report exactly.
         monkeypatch.setattr(evaluation, "ALL_PAIRS_LIMIT", 50)
         monkeypatch.setattr(evaluation, "PAIR_SAMPLE_SIZE", 3000)
         monkeypatch.setattr(manifold, "SCAN_SHARE", 20)
@@ -434,9 +450,9 @@ class TestEvaluateEmbeddings:
             monkeypatch.setattr(manifold, "WORKERS", workers)
             reports.append(evaluate_embeddings(ds.features, ds.labels, *args, seed=3))
         assert reports[0] == reports[1]
-        # One helper each for the k-NN, the scan, k-means beside the pair
-        # draw, and the pair scoring, on the second run.
-        assert len(started) == 4
+        # One helper each for the k-NN, the scan and the pair scoring, on the
+        # second run; k-means and the pair draw stay on the calling thread.
+        assert len(started) == 3
 
     def test_short_sets_raise_the_input_errors(self):
         # Checked before the shared k-NN, with the messages the CLI shows.

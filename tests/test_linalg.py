@@ -14,8 +14,7 @@ from oracles import jacobi_eigh, top_subspace_projector
 class TestOrthonormalBasis:
     def test_accepts_axis_frame(self):
         basis = linalg.OrthonormalBasis(np.eye(3)[:2])
-        assert basis.rank == 2
-        assert basis.ambient_dim == 3
+        assert basis.vectors.shape == (2, 3)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit length"):
@@ -38,7 +37,7 @@ class TestOrthonormalBasis:
     def test_projector_is_idempotent_and_symmetric(self):
         rng = np.random.default_rng(7)
         basis, _ = linalg.pca_top_m(rng.standard_normal((10, 5)), 3)
-        proj = basis.projector()
+        proj = basis.vectors.T @ basis.vectors
         np.testing.assert_allclose(proj, proj.T, atol=1e-12)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
 
@@ -78,7 +77,7 @@ class TestPcaTopM:
             pts = rng.standard_normal((n, d))
             basis, _ = linalg.pca_top_m(pts, m)
             oracle = top_subspace_projector(pts, m)
-            np.testing.assert_allclose(basis.projector(), oracle, atol=1e-8)
+            np.testing.assert_allclose(basis.vectors.T @ basis.vectors, oracle, atol=1e-8)
 
     def test_descending_variance_order(self):
         rng = np.random.default_rng(11)
@@ -282,7 +281,9 @@ class TestReorthonormalize:
         gram = cleaned[0] @ cleaned[0].T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
         # Span is preserved: projectors agree to the perturbation scale.
-        np.testing.assert_allclose(cleaned[0].T @ cleaned[0], basis.projector(), atol=1e-3)
+        np.testing.assert_allclose(
+            cleaned[0].T @ cleaned[0], basis.vectors.T @ basis.vectors, atol=1e-3
+        )
 
     def test_orthonormal_input_unchanged(self):
         rng = np.random.default_rng(53)

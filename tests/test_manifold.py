@@ -106,7 +106,8 @@ class TestFitNeighborhood:
         nbhd = manifold.fit_neighborhood(points, anchor, order, cfg)
         np.testing.assert_array_equal(nbhd.member_indices, [0, 1, 2, 3, 4])
         # The fitted plane is the xy-plane itself.
-        np.testing.assert_allclose(nbhd.basis.projector(), np.diag([1.0, 1.0, 0.0]), atol=1e-9)
+        vectors = nbhd.basis.vectors
+        np.testing.assert_allclose(vectors.T @ vectors, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
 
     def test_knn_only_accepts_everything(self):
         points, anchor, order = self._plane_with_outlier()
@@ -127,8 +128,9 @@ class TestFitNeighborhood:
         for seed in range(8):
             points, anchor, order = make_planted_fixture(seed + 100)
             nbhd = manifold.fit_neighborhood(points, anchor, order, cfg)
+            members = points[nbhd.member_indices]
             quality = manifold.reconstruction_quality(
-                points[nbhd.member_indices], nbhd.basis.vectors, nbhd.centroid
+                members, nbhd.basis.vectors, members.mean(axis=0)
             )
             assert np.all(quality >= 0.9 - 1e-12)
 
@@ -376,13 +378,12 @@ class TestFitAllNeighborhoods:
             given = manifold.fit_all_neighborhoods(
                 pts, cfg, pools=manifold.neighbor_lists(pts, n - 1)[:, : cfg.pool_size]
             )
-            for field in ("members", "sizes", "bases", "centroids"):
+            for field in ("members", "sizes", "bases"):
                 assert same_bits(getattr(given, field), getattr(batched, field))
             for i, got in enumerate(batched):
                 ref = manifold.fit_neighborhood(pts, i, pools[i], cfg)
                 assert np.array_equal(got.member_indices, ref.member_indices)
                 assert np.array_equal(got.basis.vectors, ref.basis.vectors)
-                assert np.array_equal(got.centroid, ref.centroid)
 
 
 def _closest_call(points, anchor, order, members, dim, threshold):
@@ -442,9 +443,8 @@ class TestScanAgainstOracle:
             if nb.member_indices.tolist() != expected:
                 margin = _closest_call(points, i, order, set(expected), cfg.dim, threshold)
                 assert margin <= QUALITY_MARGIN, (i, nb.member_indices.tolist(), expected)
-            basis, centroid = linalg.pca_top_m(points[nb.member_indices], cfg.dim)
+            basis, _ = linalg.pca_top_m(points[nb.member_indices], cfg.dim)
             assert np.array_equal(nb.basis.vectors, basis.vectors)
-            assert np.array_equal(nb.centroid, centroid)
 
 
 class TestScanAgainstLoop:
@@ -604,7 +604,7 @@ class TestLinearNeighborhood:
     def test_anchor_must_be_member(self):
         basis = linalg.OrthonormalBasis(np.eye(3)[:2])
         with pytest.raises(ValueError, match="anchor"):
-            LinearNeighborhood(7, np.array([0, 1, 2]), basis, np.zeros(3))
+            LinearNeighborhood(7, np.array([0, 1, 2]), basis)
 
 
 @st.composite
@@ -629,8 +629,8 @@ def _hand_rows(points, record, dim):
     rows = []
     for i in range(len(record)):
         members = record.members[i, : record.sizes[i]].tolist()
-        basis, centroid = linalg.pca_top_m(points[members], dim)
-        rows.append(LinearNeighborhood(members[0], np.array(members), basis, centroid))
+        basis, _ = linalg.pca_top_m(points[members], dim)
+        rows.append(LinearNeighborhood(members[0], np.array(members), basis))
     return rows
 
 
@@ -724,7 +724,7 @@ class TestThreadedScan:
         for workers in (1, 2, 3):
             with mock.patch.multiple(manifold, WORKERS=workers, SCAN_SHARE=share):
                 got = manifold.fit_all_neighborhoods(points, cfg)
-            for field in ("members", "sizes", "bases", "centroids"):
+            for field in ("members", "sizes", "bases"):
                 assert same_bits(getattr(got, field), getattr(serial, field)), (workers, field)
 
     def test_small_fits_start_no_thread(self, monkeypatch):
@@ -779,16 +779,15 @@ class TestNeighborhoodsRecord:
                     threshold = cfg.quality_threshold / 100.0
                     margin = _closest_call(points, i, order, set(expected), cfg.dim, threshold)
                     assert margin <= QUALITY_MARGIN, (i, members, expected)
-            basis, centroid = linalg.pca_top_m(points[members], cfg.dim)
+            basis, _ = linalg.pca_top_m(points[members], cfg.dim)
             assert record.bases[i].tobytes() == basis.vectors.tobytes()
-            assert record.centroids[i].tobytes() == centroid.tobytes()
 
     def test_arrays_are_read_only(self):
         _, _, record = _fitted_record()
         row = record[3]
         for array in (
-            record.members, record.sizes, record.bases, record.centroids,
-            row.member_indices, row.basis.vectors, row.centroid,
+            record.members, record.sizes, record.bases,
+            row.member_indices, row.basis.vectors,
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 0
@@ -812,7 +811,7 @@ class TestNeighborhoodsRecord:
         with pytest.raises(ValueError) as alone:
             linalg.OrthonormalBasis(bases[bad])
         with pytest.raises(ValueError) as stacked:
-            Neighborhoods(record.members, record.sizes, bases, record.centroids)
+            Neighborhoods(record.members, record.sizes, bases)
         assert str(stacked.value) == str(alone.value)
 
     def test_malformed_members_rejected(self):
@@ -822,14 +821,14 @@ class TestNeighborhoodsRecord:
         assert record.sizes[short] < record.members.shape[1]
         members[short, -1] = 0
         with pytest.raises(ValueError, match="padding"):
-            Neighborhoods(members, record.sizes, record.bases, record.centroids)
+            Neighborhoods(members, record.sizes, record.bases)
         with pytest.raises(ValueError, match="width"):
-            Neighborhoods(record.members, record.sizes - 1, record.bases, record.centroids)
+            Neighborhoods(record.members, record.sizes - 1, record.bases)
 
     def test_record_from_hand_made_rows_equals_the_fitted_one(self):
         points, cfg, record = _fitted_record()
         stacked = Neighborhoods.of(_hand_rows(points, record, cfg.dim))
-        for name in ("members", "sizes", "bases", "centroids"):
+        for name in ("members", "sizes", "bases"):
             assert getattr(stacked, name).tobytes() == getattr(record, name).tobytes(), name
         assert Neighborhoods.of(record) is record
         with pytest.raises(ValueError, match="at least one"):
@@ -843,7 +842,7 @@ class TestNeighborhoodsRecord:
         i = len(record) - 1
         assert row.anchor_index == i and row.size == record.sizes[i]
         np.testing.assert_array_equal(row.member_indices, record.members[i, : row.size])
-        assert row.basis.vectors is not None and row.basis.rank == record.bases.shape[1]
+        assert row.basis.vectors is not None and row.basis.vectors.shape == record.bases.shape[1:]
         swapped = row.member_indices.copy()
         swapped[-1] = int(np.argmax(np.linalg.norm(points - points[i], axis=1)))
         changed = dataclasses.replace(row, member_indices=swapped)

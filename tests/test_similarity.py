@@ -163,9 +163,9 @@ class TestPointSimilarity:
         first, second = np.r_[first, np.arange(n), 0], np.r_[second, np.arange(n), n - 1]
         nbhds = Neighborhoods.of(
             LinearNeighborhood(
-                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame), row
+                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
             )
-            for j, (frame, row) in enumerate(zip(bases, embeddings))
+            for j, frame in enumerate(bases)
         )
         for config in (SimilarityConfig(), SimilarityConfig(binary=True)):
             with pytest.MonkeyPatch.context() as patch:
@@ -456,9 +456,9 @@ class TestStackedRoutesMatchLoops:
         # stacks them into one record.
         nbhds = [
             LinearNeighborhood(
-                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame), row
+                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
             )
-            for j, (frame, row) in enumerate(zip(bases, embeddings))
+            for j, frame in enumerate(bases)
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
