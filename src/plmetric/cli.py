@@ -1,12 +1,13 @@
 """Command-line interface: gen, train, eval, diagnose.
 
-Exit codes: 0 success, 1 user error (bad arguments, unreadable files,
-validation failures), 2 internal error. All subcommands honor a global
-``--threads`` flag; with ``--threads 1`` (the default) runs are bit
-reproducible for a fixed root seed. The cap is applied through
+Exit codes: 0 success, 1 user error (bad arguments, unreadable or
+unwritable files, validation failures), 2 internal error. All subcommands
+honor a global ``--threads`` flag; with ``--threads 1`` (the default) runs
+are bit reproducible for a fixed root seed. The cap is applied through
 ``threadpoolctl``; without it the CLI warns on stderr and leaves BLAS as the
 environment set it. It caps BLAS threads only: a large evaluation also runs
-on manifold.WORKERS threads, with the same bits for any count.
+on manifold.WORKERS threads, with the same bits for any count when BLAS has
+one thread (a BLAS dot product splits its sum by BLAS thread count).
 
 ``train`` and ``diagnose`` read a flat JSON run configuration (RunConfig):
 TrainConfig's field names, with ``manifold_dim`` and ``binary_similarity``
@@ -71,8 +72,6 @@ class _RunSettings:
     def from_file(cls, path: str | Path) -> RunConfig:
         try:
             raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise UserError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UserError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -220,15 +219,6 @@ def _limit_threads(threads: int) -> None:
     threadpool_limits(limits=threads)
 
 
-def _load_dataset(path: str) -> data.FeatureDataset:
-    try:
-        return data.load_dataset(path)
-    except FileNotFoundError:
-        raise UserError(f"dataset not found: {path}") from None
-    except DatasetFormatError as exc:
-        raise UserError(str(exc)) from None
-
-
 def _load_run_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     config.apply_overrides(args.set)
@@ -263,12 +253,12 @@ def cmd_train(args) -> int:
     config = _load_run_config(args)
     if config.dataset is None:
         raise UserError("no dataset given (config `dataset` key or --dataset flag)")
-    dataset = _load_dataset(config.dataset)
+    dataset = data.load_dataset(config.dataset)
     train_config = config.train_config()
     if args.resume:
         try:
             run = trainer.trainer_from_checkpoint(args.resume, dataset)
-        except (trainer.CheckpointFormatError, FileNotFoundError, ValueError) as exc:
+        except (trainer.CheckpointFormatError, ValueError) as exc:
             raise UserError(f"cannot resume: {exc}") from None
         # Stored state wins on resume; only the target epoch count moves.
         run.config = dataclasses.replace(run.config, epochs=train_config.epochs)
@@ -312,10 +302,10 @@ def _evaluate(embeds, labels, config: TrainConfig, recall_ks) -> evaluation.Eval
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = data.load_dataset(args.dataset)
     try:
         run = trainer.trainer_from_checkpoint(args.checkpoint, dataset)
-    except (trainer.CheckpointFormatError, FileNotFoundError, ValueError) as exc:
+    except (trainer.CheckpointFormatError, ValueError) as exc:
         raise UserError(f"cannot load checkpoint: {exc}") from None
     embeds = run.embed(dataset.features)
     if dataset.labels is None:
@@ -330,7 +320,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     config = _load_run_config(args)
-    dataset = _load_dataset(args.dataset)
+    dataset = data.load_dataset(args.dataset)
     if dataset.labels is None:
         raise UserError("diagnose requires a labeled dataset")
     train_config = config.train_config()
@@ -361,7 +351,8 @@ def main(argv=None) -> int:
             "diagnose": cmd_diagnose,
         }[args.command]
         return handler(args)
-    except UserError as exc:
+    except (UserError, DatasetFormatError, OSError) as exc:
+        # OSError text names the file that could not be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -72,12 +72,6 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
-        return int(len(np.unique(self.labels)))
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -286,14 +280,12 @@ def save_dataset(dataset: FeatureDataset, path: str | Path, fmt: str | None = No
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def load_dataset(path: str | Path, fmt: str | None = None) -> FeatureDataset:
-    """Load either format; when ``fmt`` is None, sniff the binary magic."""
+def load_dataset(path: str | Path) -> FeatureDataset:
+    """Load either format: binary when the file starts with ``MAGIC``, else CSV.
+
+    An unreadable file raises OSError, contents that do not parse DatasetFormatError.
+    """
     path = Path(path)
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "csv"
-    if fmt == "csv":
-        return load_csv(path)
-    if fmt == "binary":
-        return load_binary(path)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == MAGIC
+    return load_binary(path) if binary else load_csv(path)

@@ -18,6 +18,8 @@ from typing import Sequence
 import numpy as np
 
 NORM_FLOOR = 1e-12
+# Adam's first and second moment decays and its denominator floor.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -164,16 +166,13 @@ class AdamState:
     """Adam with bias correction over a fixed list of parameter tensors."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_tensors(cls, tensors: Sequence[np.ndarray], lr: float, **kwargs) -> "AdamState":
-        state = cls(lr=lr, **kwargs)
+    def for_tensors(cls, tensors: Sequence[np.ndarray], lr: float) -> "AdamState":
+        state = cls(lr=lr)
         state.m = [np.zeros_like(t) for t in tensors]
         state.v = [np.zeros_like(t) for t in tensors]
         return state
@@ -185,12 +184,12 @@ def adam_step(state: AdamState, tensors: Sequence[np.ndarray], grads: Sequence[n
         raise ValueError("tensor/gradient lists do not match the optimizer state")
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for tensor, grad, m, v in zip(tensors, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad**2
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         tensor -= state.lr * update

@@ -14,8 +14,10 @@ here so comparisons never depend on an external implementation.
 
 On large sets the k-NN, the neighborhood scan and the sampled-pair scoring
 run on every usable core (manifold.WORKERS threads, the caller included);
-k-means and the pair draw run on the calling thread. The report is the same
-to the bit for any number of threads.
+k-means and the pair draw run on the calling thread. With BLAS on one
+thread the report is the same to the bit for any number of worker threads;
+with more, the similarity correlation's dot product splits its sum by BLAS
+thread count, so its last bits follow that count.
 """
 
 from __future__ import annotations

@@ -73,14 +73,10 @@ def _run_blocks(fn, blocks) -> None:
     write only its block's own part of the output. Helpers are joined
     before return and the first exception raised in any block is raised
     here; no thread outlives the call. With one block, or WORKERS == 1,
-    this is a plain loop on the calling thread.
+    there are no helpers and every block runs on the calling thread.
     """
     blocks = list(blocks)
     n_helpers = min(WORKERS, len(blocks)) - 1
-    if n_helpers <= 0:
-        for block in blocks:
-            fn(block)
-        return
     pending = iter(blocks)
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -293,16 +289,20 @@ def fit_neighborhood(
     reconstruction quality >= quality_threshold / 100. Rejected candidates
     are never revisited. With ``knn_only`` the whole pool is accepted and no
     fit test runs. This is the one-anchor case of the scan that
-    fit_all_neighborhoods runs.
+    fit_all_neighborhoods runs. An index outside [0, n), the anchor in its
+    own pool, or a non-finite point raises ValueError.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("points contain non-finite entries")
     order = np.asarray(neighbor_order, dtype=np.int64)
     if order.size < config.dim:
         raise ValueError(
             f"need at least dim={config.dim} neighbor candidates, got {order.size}"
         )
-    if anchor in order:
-        raise ValueError("anchor must not appear in its own neighbor pool")
+    n = embeddings.shape[0]
+    if not 0 <= anchor < n or np.any((order < 0) | (order >= n) | (order == anchor)):
+        raise ValueError(f"indices must lie in [0, {n}), the anchor not in its own pool")
     members, sizes = _scan_pools(embeddings, np.array([anchor]), order[None, :], config)
     return _fit_planes(embeddings, members, sizes, config.dim)[0]
 
@@ -557,10 +557,7 @@ def _fit_planes(
     vectors = np.empty((n, plane_dim, dim))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
-        points = embeddings[members[rows, :size]]
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points contain non-finite entries")
-        vectors[rows] = linalg._pca_vectors_batch(points, plane_dim)[0]
+        vectors[rows] = linalg._pca_vectors_batch(embeddings[members[rows, :size]], plane_dim)[0]
     width = int(sizes.max())
     padded = np.where(np.arange(width) < sizes[:, None], members[:, :width], -1)
     return Neighborhoods(padded, sizes, linalg._fix_signs(vectors))
@@ -590,7 +587,7 @@ def fit_all_neighborhoods(
     ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
     caller already holds it, as the first columns of a longer list are;
     like fit_neighborhood, it rejects an index outside [0, n) or an anchor
-    in its own pool.
+    in its own pool. Non-finite points are rejected before any scan.
 
     From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
     SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
@@ -601,6 +598,8 @@ def fit_all_neighborhoods(
     thread.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("points contain non-finite entries")
     n = embeddings.shape[0]
     check_pool_size(n, config)
     if pools is None:

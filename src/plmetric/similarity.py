@@ -235,13 +235,6 @@ def _directed_grads(diffs, coords, inplane_vec, ovec, p, o, a, b, config, frame_
     return ds_ddiff, plane_part - orth_part
 
 
-def _proxy_dims(embeddings, point_bases, proxies):
-    (n, dim), (n_prox, plane_dim, _) = embeddings.shape, proxies.frames.shape
-    if point_bases.shape != (n, plane_dim, dim):
-        raise ValueError(f"point_bases shape {point_bases.shape} is not {(n, plane_dim, dim)}")
-    return n, n_prox, plane_dim, dim
-
-
 @dataclass(frozen=True)
 class ProxyPass:
     """One batch's point-proxy similarities and what their pullback reuses.
@@ -310,7 +303,9 @@ def proxy_pass(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
-    n, n_prox, plane_dim, dim = _proxy_dims(embeddings, point_bases, proxies)
+    (n, dim), (n_prox, plane_dim, _) = embeddings.shape, proxies.frames.shape
+    if point_bases.shape != (n, plane_dim, dim):
+        raise ValueError(f"point_bases shape {point_bases.shape} is not {(n, plane_dim, dim)}")
     values = np.zeros((n, n_prox))
     if config.binary:
         values[np.arange(n), nearest_proxy_indices(embeddings, proxies.locations)] = 1.0

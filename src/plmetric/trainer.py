@@ -279,10 +279,7 @@ def neighborhood_loss(
         d_cos = -2.0 * resid / count
         d_sim[blk] = np.sum(2.0 * resid / count, axis=-1)
         # d cos / d psi = P_i psi / cos, with the zero-cosine subgradient 0.
-        inv_cos = np.zeros_like(cosines)
-        nz = cosines > 0.0
-        inv_cos[nz] = 1.0 / cosines[nz]
-        scale = (d_cos * inv_cos).reshape(-1, n_prox * plane_dim, 1)
+        scale = (d_cos * similarity._inv_or_zero(cosines)).reshape(-1, n_prox * plane_dim, 1)
         pulls = scale * np.matmul(coords, bases[blk])
         for pull in pulls.reshape(-1, n_prox, plane_dim, dim):
             grad_frames += pull
@@ -484,10 +481,9 @@ class Trainer:
             if on_epoch_end is not None:
                 on_epoch_end(self)
 
-    def embed(self, features: np.ndarray, averaged: bool = False) -> np.ndarray:
-        """Embed arbitrary features with the trained (or averaged) network."""
-        params = self.pair.averaged if averaged else self.pair.trained
-        return embedder.forward(params, np.asarray(features, dtype=np.float64))
+    def embed(self, features: np.ndarray) -> np.ndarray:
+        """Embed arbitrary features with the trained network."""
+        return embedder.forward(self.pair.trained, np.asarray(features, dtype=np.float64))
 
 
 # -- checkpoint serialization ---------------------------------------------

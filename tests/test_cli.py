@@ -421,6 +421,28 @@ class TestErrorPaths:
         assert err.startswith("error: cannot ") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda tmp, ds: (["gen", "--out", str(tmp / "missing" / "x.plmf")], tmp / "missing"),
+            lambda tmp, ds: (["eval", "--checkpoint", str(tmp), "--dataset", ds], tmp),
+            lambda tmp, ds: (["diagnose", "--dataset", str(tmp)], tmp),
+            lambda tmp, ds: (_train_args(ds, ds), ds),
+        ],
+        ids=["gen-out-in-missing-dir", "eval-checkpoint-is-dir", "diagnose-dataset-is-dir",
+             "train-out-dir-is-file"],
+    )
+    def test_unreadable_or_unwritable_file_is_a_one_line_user_error(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        argv, named = case(tmp_path, _gen(tmp_path))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(named) in err
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["train", "--bogus"]) == 1
         assert "error:" in capsys.readouterr().err

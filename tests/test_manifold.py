@@ -151,6 +151,28 @@ class TestFitNeighborhood:
         with pytest.raises(ValueError, match="anchor"):
             manifold.fit_neighborhood(np.eye(3), 0, [0, 1], cfg)
 
+    @pytest.mark.parametrize(
+        "anchor, entry", [(0, 12), (0, -5), (12, 3), (-1, 3)],
+        ids=["candidate-n", "candidate-negative", "anchor-n", "anchor-negative"],
+    )
+    def test_index_outside_the_points_raises(self, anchor, entry):
+        # fit_all_neighborhoods' rule for given pools. Unchecked, a
+        # candidate n read the accept test's padding row, a negative index
+        # wrapped around, and anchor n raised a bare IndexError.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        with pytest.raises(ValueError, match=r"in \[0, 12\)"):
+            manifold.fit_neighborhood(pts, anchor, [1, 2, 4, entry], cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_raise(self, bad):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        order = manifold.neighbor_lists(pts, 4)[0]
+        pts[order[1], 0] = bad
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
+            manifold.fit_neighborhood(pts, 0, order, cfg)
+
 
 class TestNeighborLists:
     def test_matches_brute_force(self):
@@ -343,6 +365,17 @@ class TestFitAllNeighborhoods:
         pools = manifold.neighbor_lists(pts, cfg.pool_size)
         pools[row, -1] = entry
         with pytest.raises(ValueError, match=r"pools must hold indices in \[0, 12\)"):
+            manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_with_given_pools_raise(self, bad):
+        # With pools given no k-NN runs, so the fit itself must reject the
+        # point before the accept test meets it.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = manifold.neighbor_lists(pts, cfg.pool_size)
+        pts[5, 2] = bad
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
             manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
 
     def test_one_accept_call_per_pool_position(self):

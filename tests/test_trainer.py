@@ -408,7 +408,7 @@ class TestTrainer:
         batch = ds.features[:20]
         assert run.loss_values(batch) == run.step_gradients(batch)[0]
         cfg = run.config
-        anchor = run.embed(batch, averaged=True)
+        anchor = embedder.forward(run.pair.averaged, batch)
         nbhds = manifold.fit_all_neighborhoods(anchor, cfg.manifold)
         psim = similarity.proxy_similarity_batch(anchor, nbhds.bases, run.proxies, cfg.similarity)
         trained = run.embed(batch)
@@ -497,7 +497,7 @@ def test_hot_path_builds_no_per_anchor_objects(monkeypatch, recipe):
     # take no row view of the record.
     dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
     run = Trainer.initialize(dataset, recipe(5))
-    pools = manifold.neighbor_lists(run.embed(dataset.features, averaged=True), 9)
+    pools = manifold.neighbor_lists(embedder.forward(run.pair.averaged, dataset.features), 9)
     batch = sample_batch(pools, run.config.sampler, run.rng_sampler)
     built = []
 
@@ -539,7 +539,7 @@ def test_step_splits_each_plane_block_once(monkeypatch, recipe):
     # route) are not counted.
     dataset = generate_synthetic(SyntheticSpec(n_classes=3, points_per_class=50, seed=2))
     run = Trainer.initialize(dataset, recipe(5))
-    pools = manifold.neighbor_lists(run.embed(dataset.features, averaged=True), 9)
+    pools = manifold.neighbor_lists(embedder.forward(run.pair.averaged, dataset.features), 9)
     batch = sample_batch(pools, run.config.sampler, run.rng_sampler)
     original_split, original_fit = linalg.plane_split, manifold.fit_all_neighborhoods
     fitting, split_planes = [], []
