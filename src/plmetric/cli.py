@@ -124,7 +124,7 @@ _DEFAULTS = dataclasses.asdict(RunConfig())
 
 
 def _checked(key: str, value):
-    """``value`` when it has the JSON type of ``key``'s default; floats take ints."""
+    """``value`` when it has ``key``'s JSON type (floats take ints) and a run setting's range."""
     default = _DEFAULTS[key]
     if isinstance(default, bool):
         kind, ok = "a boolean", isinstance(value, bool)
@@ -138,6 +138,10 @@ def _checked(key: str, value):
         kind, ok = "a string or null", value is None or isinstance(value, str)
     if not ok:
         raise UserError(f"{key} expects {kind}, got {value!r}")
+    if key in ("checkpoint_every", "eval_every") and value < 0:
+        raise UserError(f"{key} must be at least 0, got {value}")
+    if key == "recall_ks" and not (value and min(value) > 0):
+        raise UserError(f"recall_ks must be a non-empty list of positive integers, got {value!r}")
     return value
 
 
@@ -255,6 +259,8 @@ def cmd_train(args) -> int:
         raise UserError("no dataset given (config `dataset` key or --dataset flag)")
     dataset = data.load_dataset(config.dataset)
     train_config = config.train_config()
+    out_dir = Path(config.out_dir) if config.out_dir else Path.cwd()
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.resume:
         try:
             run = trainer.trainer_from_checkpoint(args.resume, dataset)
@@ -267,8 +273,6 @@ def cmd_train(args) -> int:
             run = Trainer.initialize(dataset, train_config)
         except ValueError as exc:
             raise UserError(str(exc)) from None
-    out_dir = Path(config.out_dir) if config.out_dir else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
     # The run's own config: on resume the checkpoint's, not the requested one.
     config = config.with_train_config(run.config)
     (out_dir / "config.json").write_text(config.to_json() + "\n")

@@ -290,11 +290,14 @@ def fit_neighborhood(
     are never revisited. With ``knn_only`` the whole pool is accepted and no
     fit test runs. This is the one-anchor case of the scan that
     fit_all_neighborhoods runs. An index outside [0, n), the anchor in its
-    own pool, or a non-finite point raises ValueError.
+    own pool, a non-finite point or a plane dim above the embedding
+    dimension raises ValueError.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("points contain non-finite entries")
+    if config.dim > embeddings.shape[1]:
+        raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {embeddings.shape[1]}")
     order = np.asarray(neighbor_order, dtype=np.int64)
     if order.size < config.dim:
         raise ValueError(
@@ -397,17 +400,17 @@ def _batched_accepts(
     A gap lambda_p - lambda_p+1 of at most EIGEN_TIE_TOL * lambda_1 is a
     tie. When lambda_m and lambda_m+1 are not tied, the plane is the top m
     eigenvectors and the set is decided by its worst quality. When they
-    are, the plane is not determined, and the set is judged on the widest
-    untied flat inside it (top p <= m, down to the centroid alone) and the
-    narrowest untied space around it (top p' >= m, up to the whole space),
-    whose worst qualities bound that of any plane between them. A set goes
-    to the exact route (_exact_accepts: linalg._pca_vectors_batch plus
+    are, the plane is not determined, and the set is scored on the widest
+    untied flat inside it (top p < m, down to the centroid alone): every
+    plane that holds the flat fits each member at least as well, so the
+    flat can accept the set but never reject it. A set goes to the exact
+    route (_exact_accepts: linalg._pca_vectors_batch plus
     reconstruction_quality, one call per set size) when
       - its worst quality is within QUALITY_MARGIN of the threshold, or,
-        with lambda_m tied, neither the inner flat accepts it nor the outer
-        space rejects it by more than QUALITY_MARGIN. That takes every tie
-        that could matter, sets of rank below m among them, where the exact
-        route completes the plane with axes;
+        with lambda_m tied, the inner flat does not accept it by more than
+        QUALITY_MARGIN. That takes every tie that could matter, sets of
+        rank below m among them, where the exact route completes the plane
+        with axes;
       - a member lies within rounding of the centroid but not on it,
         0 < |x - c| <= CENTROID_TOL * (|c| + max |x - c|), the set's reach
         from the origin, which bounds the rounding of the centring.
@@ -419,17 +422,20 @@ def _batched_accepts(
     each route's top-p flat within E / gap < S * min(S, d) * 2.2e-11 of the
     exact one in projector norm, and keeps the lifted or eigh directions
     orthonormal to the same order. The exact route's plane holds its top-p
-    flat and lies in its top-p' space, so its residual for a member lies
-    between this route's two, up to that multiple of the member's distance
-    from the centroid; its quality, residual over that distance, lies
-    between this route's two up to that amount: about 2e-9 at S = 21, d = 4
-    and 3e-9 at S = 11, d = 32, nearly three orders of magnitude below
-    QUALITY_MARGIN. A direction the exact route keeps inside a tie, with an
-    eigenvalue down to its rank tolerance, is orthogonal to the others to
-    about sqrt(eps / max(size, d)) < 1e-8, still two orders below it. Only
-    a boolean leaves this function, and linalg.pca_top_m refits each final
-    plane, so the scan's member lists, and every bit that depends on them,
-    are those of the exact route.
+    flat, and is that flat when p = m, so its residual for a member is at
+    most this route's, and equal to it when lambda_m is untied, up to that
+    multiple of the member's distance from the centroid. So its quality,
+    residual over that distance, is at least this route's, and equal to it
+    untied, up to that amount: about 2e-9 at S = 21, d = 4 and 3e-9 at
+    S = 11, d = 32, nearly three orders of magnitude below QUALITY_MARGIN.
+    A direction the exact route keeps inside a tie, with an eigenvalue down
+    to its rank tolerance, is orthogonal to the others to about
+    sqrt(eps / max(size, d)) < 1e-8, still two orders below it. So this
+    route accepts only sets the exact route accepts and rejects only untied
+    sets it rejects; every tied set it does not accept gets the exact
+    route's own decision. Only a boolean leaves this function, and
+    linalg.pca_top_m refits each final plane, so the scan's member lists,
+    and every bit that depends on them, are those of the exact route.
     """
     member = trial >= 0
     sizes = member.sum(axis=1)
@@ -446,59 +452,36 @@ def _batched_accepts(
         matrix = np.matmul(centered.transpose(0, 2, 1), centered)
     evals, evecs = np.linalg.eigh(matrix)
     n_dirs = evals.shape[1]
-    # The descending spectrum continued with zeros; wide[:, p - 1] says the
-    # top p eigenvectors are split from the rest by more than a tie.
-    spectrum = np.concatenate(
-        [evals[:, ::-1], np.zeros((n_sets, max(1, n_components + 1 - n_dirs)))], axis=1
-    )
+    # The descending spectrum and one zero; wide[:, p - 1] says the top p
+    # eigenvectors are split from the rest by more than a tie. n_dirs >= m:
+    # a Gram set has more than m members, and the fits reject m > d.
+    spectrum = np.concatenate([evals[:, ::-1], np.zeros((n_sets, 1))], axis=1)
     wide = spectrum[:, :-1] - spectrum[:, 1:] > EIGEN_TIE_TOL * np.maximum(spectrum[:, :1], 0.0)
-    counts = np.arange(1, wide.shape[1] + 1)
-    inner = np.max(np.where(wide[:, :n_components], counts[:n_components], 0), axis=1)
-    outer = np.min(
-        np.where(wide[:, n_components - 1 :], counts[n_components - 1 :], n_dirs), axis=1
-    )
+    counts = np.arange(1, n_components + 1)
+    inner = np.max(np.where(wide[:, :n_components], counts, 0), axis=1)
     if gram_route:
-        def residual(top):
-            # Squared, against the top eigenvectors lifted from the Gram
-            # matrix. The whole space (top == n_dirs) holds every member;
-            # its lift would take in eigenvectors of rounding-level
-            # eigenvalues.
-            whole = top == n_dirs
-            top = np.where(whole, 0, top)
-            used = max(int(top.max()), 1)
-            keep = np.arange(used) >= used - top[:, None]
-            lead = evals[:, n_dirs - used :]
-            scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, lead, 1.0)), 0.0)
-            u = evecs[:, :, n_dirs - used :] * scale[:, None, :]
-            coords = np.matmul(matrix, u)
-            lifted = np.matmul(u.transpose(0, 2, 1), centered)
-            resid = centered - np.matmul(coords, lifted)
-            return np.where(whole[:, None], 0.0, np.einsum("ksd,ksd->ks", resid, resid))
+        # Squared residuals against the top inner eigenvectors lifted from
+        # the Gram matrix.
+        used = max(int(inner.max()), 1)
+        keep = np.arange(used) >= used - inner[:, None]
+        lead = evals[:, n_dirs - used :]
+        scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, lead, 1.0)), 0.0)
+        u = evecs[:, :, n_dirs - used :] * scale[:, None, :]
+        coords = np.matmul(matrix, u)
+        lifted = np.matmul(u.transpose(0, 2, 1), centered)
+        resid = centered - np.matmul(coords, lifted)
+        resid2 = np.einsum("ksd,ksd->ks", resid, resid)
     else:
-        squares = np.matmul(centered, evecs) ** 2
+        # Squared: the coordinates along the eigenvectors below the top inner ones.
+        below = (np.arange(n_dirs) < n_dirs - inner[:, None]).astype(np.float64)
+        resid2 = np.matmul(np.matmul(centered, evecs) ** 2, below[:, :, None])[:, :, 0]
 
-        def residual(top):
-            # Squared: the coordinates along the eigenvectors below the top ones.
-            below = (np.arange(n_dirs) < n_dirs - top[:, None]).astype(np.float64)
-            return np.matmul(squares, below[:, :, None])[:, :, 0]
-
+    # Each set's worst quality on its inner flat, the plane itself where
+    # lambda_m is untied; a member on the centroid scores 1.
     nz = member & (base2 > 0.0)
-    safe = np.where(nz, base2, 1.0)
-
-    def worst(resid2):
-        # Each set's worst quality, from squared residuals and distances; a
-        # member on the centroid scores 1.
-        return 1.0 - np.sqrt(np.max(np.where(nz, resid2 / safe, 0.0), axis=1))
-
-    # Each set's worst quality is at least worst_inner and at most
-    # worst_outer; they differ only where lambda_m is tied, and matter only
-    # for a tied set the inner flat does not accept.
-    worst_inner = worst(residual(inner))
-    accept = worst_inner > threshold + QUALITY_MARGIN
-    worst_outer = worst_inner
-    if np.any((inner != outer) & ~accept):
-        worst_outer = worst(residual(outer))
-    decided = accept | (worst_outer < threshold - QUALITY_MARGIN)
+    worst = 1.0 - np.sqrt(np.max(np.where(nz, resid2 / np.where(nz, base2, 1.0), 0.0), axis=1))
+    accept = worst > threshold + QUALITY_MARGIN
+    decided = accept | ((inner == n_components) & (worst < threshold - QUALITY_MARGIN))
     reach = np.sqrt(np.einsum("kd,kd->k", centroid, centroid)) + np.sqrt(np.max(base2, axis=1))
     near = np.any(nz & (base2 <= (CENTROID_TOL * reach[:, None]) ** 2), axis=1)
     exact = np.flatnonzero(~decided | near)
@@ -587,7 +570,8 @@ def fit_all_neighborhoods(
     ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
     caller already holds it, as the first columns of a longer list are;
     like fit_neighborhood, it rejects an index outside [0, n) or an anchor
-    in its own pool. Non-finite points are rejected before any scan.
+    in its own pool. Non-finite points, and a plane dim above the embedding
+    dimension, are rejected before any scan.
 
     From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
     SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
@@ -600,6 +584,8 @@ def fit_all_neighborhoods(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("points contain non-finite entries")
+    if config.dim > embeddings.shape[1]:
+        raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {embeddings.shape[1]}")
     n = embeddings.shape[0]
     check_pool_size(n, config)
     if pools is None:

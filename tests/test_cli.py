@@ -11,7 +11,7 @@ import pytest
 from plmetric import data, evaluation
 from plmetric.cli import RunConfig, UserError, main
 from plmetric.data import SyntheticSpec
-from plmetric.trainer import TrainConfig
+from plmetric.trainer import TrainConfig, Trainer
 
 from test_trainer import _rewrite_manifest
 
@@ -251,6 +251,51 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["file", "set"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("checkpoint_every", -3),
+            ("eval_every", -2),
+            ("recall_ks", [0]),
+            ("recall_ks", [1, -4]),
+            ("recall_ks", []),
+        ],
+        ids=["checkpoint_every", "eval_every", "recall_ks-zero", "recall_ks-negative", "recall_ks-empty"],
+    )
+    def test_out_of_range_run_setting_is_a_one_line_user_error(
+        self, tmp_path, capsys, key, value, source
+    ):
+        # Unchecked, train wrote these into config.json, and diagnose failed
+        # on the recall_ks only when it read that file.
+        dataset = _gen(tmp_path)
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({key: value}))
+            argv = _train_args(dataset, tmp_path / "run") + ["--config", str(path)]
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv = _train_args(dataset, tmp_path / "run", f"{key}={text}")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_unmakeable_out_dir_fails_before_setup(self, tmp_path, capsys, monkeypatch):
+        # The output directory is made before the k-NN pools, the initial
+        # fit and the proxies are set up, so a bad --out-dir fails at once.
+        dataset = _gen(tmp_path)
+
+        def refuse(*args):
+            raise AssertionError("Trainer.initialize ran before the output directory was made")
+
+        monkeypatch.setattr(Trainer, "initialize", refuse)
+        capsys.readouterr()
+        assert main(_train_args(dataset, dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and dataset in err
 
     @pytest.mark.parametrize("raw", [{"lr": 1}, {"quality_threshold": 60}], ids=["lr", "T"])
     def test_config_file_int_for_float_key_is_accepted(self, tmp_path, raw):

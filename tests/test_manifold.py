@@ -378,6 +378,20 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError, match="points contain non-finite entries"):
             manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
 
+    def test_plane_dim_above_the_embedding_dim_raises(self):
+        # Unchecked, a 3-plane in 2 dims failed deep in linalg's axis
+        # completion; a plane as wide as the embedding still fits.
+        pts = np.random.default_rng(2).standard_normal((12, 2))
+        order = manifold.neighbor_lists(pts, 4)[0]
+        cfg = ManifoldConfig(dim=3, pool_size=4)
+        with pytest.raises(ValueError, match="plane dim=3 exceeds the embedding dimension 2"):
+            manifold.fit_all_neighborhoods(pts, cfg)
+        with pytest.raises(ValueError, match="plane dim=3 exceeds the embedding dimension 2"):
+            manifold.fit_neighborhood(pts, 0, order, cfg)
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        assert manifold.fit_neighborhood(pts, 0, order, cfg).basis.vectors.shape == (2, 2)
+        assert manifold.fit_all_neighborhoods(pts, cfg).bases.shape == (12, 2, 2)
+
     def test_one_accept_call_per_pool_position(self):
         # Trial sets of several sizes at each position still take one call.
         rng = np.random.default_rng(23)
@@ -588,14 +602,22 @@ class TestBatchedAccepts:
             emb[:3] = 0.1
             assert np.any(emb[:3].mean(axis=0) != emb[0])
             return emb, np.arange(3), 2
+        if case == "tied":
+            # Eigenvalues (10, 1, 1, 0.5): lambda_2 is tied with lambda_3,
+            # the 1-flat does not accept the set and the 3-space around
+            # its plane would reject it, but only the exact route decides.
+            scales = np.sqrt([5.0, 0.5, 0.5, 0.25])
+            turn, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            emb[:8] = (np.concatenate([np.diag(scales), -np.diag(scales)]) + 2.0) @ turn
+            return emb, np.arange(8), 2
         return emb, rng.choice(40, 6, replace=False), 3
 
     def test_rank_deficient_sets_raise_no_floating_point_error(self):
         # Sets of rank below the plane dim, all Gram sized: their eigenvalues
         # past the rank are rounding, and dividing by their square roots
         # would raise here. The last set is a line plus a member 1e-4 off
-        # it beside the centroid: the line does not accept it, and the
-        # whole space is the only untied space around its plane.
+        # it beside the centroid: lambda_2 is tied with lambda_3, and the
+        # line, the widest untied flat in its plane, does not accept it.
         rng = np.random.default_rng(43)
         emb = rng.standard_normal((45, 8))
         emb[:20] = emb[0] + rng.standard_normal((20, 1)) * rng.standard_normal(8)
@@ -611,7 +633,7 @@ class TestBatchedAccepts:
             got = manifold._batched_accepts(emb, self._padded(rows), 3, 0.95)
         np.testing.assert_array_equal(got, worst >= 0.95)
 
-    @pytest.mark.parametrize("case", ["grid", "threshold", "identical"])
+    @pytest.mark.parametrize("case", ["grid", "threshold", "identical", "tied"])
     def test_undecided_sets_reach_the_exact_route(self, case):
         rng = np.random.default_rng(41)
         emb, special, dim = self._special_set(case, rng)
