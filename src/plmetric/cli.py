@@ -9,23 +9,23 @@ environment set it. It caps BLAS threads only: a large evaluation also runs
 on manifold.WORKERS threads, with the same bits for any count when BLAS has
 one thread (a BLAS dot product splits its sum by BLAS thread count).
 
-``train`` and ``diagnose`` read a flat JSON run configuration (RunConfig):
+``train`` and ``diagnose`` read a run configuration, one flat table:
 TrainConfig's field names, with ``manifold_dim`` and ``binary_similarity``
-for ``manifold.dim`` and ``similarity.binary``, plus five run settings. Each
-value, from the file or parsed from ``--set key=value``, must have the JSON
-type of its key's default.
+for ``manifold.dim`` and ``similarity.binary``, plus five run settings. The
+defaults come first, then the ``--config`` JSON file, then each ``--set
+key=value`` in order, then ``--dataset`` and ``--out-dir``. Each value, from
+the file or parsed from ``--set``, must have the JSON type of its key's
+default. ``train`` writes the table the run used to ``config.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import data, embedder, evaluation, trainer
@@ -37,9 +37,10 @@ class UserError(Exception):
     """Invalid input from the operator; reported without a traceback."""
 
 
-# Where each training key of RunConfig lives in TrainConfig: (section, name),
-# section None for TrainConfig's own fields. The key is the field's own name
-# but for the two below; these keys are the config file's format.
+# Where each training key of the run configuration lives in TrainConfig:
+# (section, name), section None for TrainConfig's own fields. The key is the
+# field's own name but for the two below; these keys are the config file's
+# format.
 _FLAT_NAMES = {("manifold", "dim"): "manifold_dim", ("similarity", "binary"): "binary_similarity"}
 _TRAIN_FIELDS = {
     _FLAT_NAMES.get((section, f.name), f.name): (section, f.name)
@@ -58,85 +59,22 @@ def _flatten(config: TrainConfig) -> dict:
     return values
 
 
-@dataclass
-class _RunSettings:
-    """The CLI's own settings; RunConfig adds TrainConfig's fields to them."""
-
-    dataset: str | None = None
-    out_dir: str | None = None
-    checkpoint_every: int = 0
-    eval_every: int = 0
-    recall_ks: list = field(default_factory=lambda: list(evaluation.RECALL_KS))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> RunConfig:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise UserError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise UserError(f"config {path} is not a table")
-        unknown = set(raw) - set(_DEFAULTS)
-        if unknown:
-            raise UserError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**{key: _checked(key, value) for key, value in raw.items()})
-
-    def apply_overrides(self, overrides: list[str]) -> None:
-        """Apply repeated ``--set key=value`` flags, parsed by the key's type."""
-        for item in overrides:
-            if "=" not in item:
-                raise UserError(f"--set expects key=value, got {item!r}")
-            key, _, text = item.partition("=")
-            key = key.strip()
-            if key not in _DEFAULTS:
-                raise UserError(f"unknown config key {key!r}")
-            setattr(self, key, _checked(key, _parse_text(_DEFAULTS[key], text.strip())))
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    def train_config(self) -> TrainConfig:
-        nested: dict = {name: {} for name in _SECTIONS}
-        for key, (section, name) in _TRAIN_FIELDS.items():
-            (nested if section is None else nested[section])[name] = getattr(self, key)
-        try:
-            return trainer.config_from_dict(nested)
-        except ValueError as exc:
-            raise UserError(f"invalid configuration: {exc}") from None
-
-    def with_train_config(self, config: TrainConfig) -> RunConfig:
-        """A copy whose training fields are read from ``config``."""
-        return dataclasses.replace(self, **_flatten(config))
-
-
-# The flat run configuration: the CLI's own settings plus every training key,
-# whose default, and so its value type, is TrainConfig's.
-RunConfig = dataclasses.make_dataclass(
-    "RunConfig",
-    [
-        (key, type(value), field(default_factory=lambda value=value: copy.copy(value)))
-        for key, value in _flatten(TrainConfig()).items()
-    ],
-    bases=(_RunSettings,),
-    namespace={"__module__": __name__},
-)
-_DEFAULTS = dataclasses.asdict(RunConfig())
+# The run configuration's keys and defaults: the CLI's five run settings plus
+# every training key, whose default, and so whose JSON type, is TrainConfig's.
+_DEFAULTS = {
+    "dataset": None,
+    "out_dir": None,
+    "checkpoint_every": 0,
+    "eval_every": 0,
+    "recall_ks": list(evaluation.RECALL_KS),
+    **_flatten(TrainConfig()),
+}
 
 
 def _checked(key: str, value):
     """``value`` when it has ``key``'s JSON type (floats take ints) and a run setting's range."""
-    default = _DEFAULTS[key]
-    if isinstance(default, bool):
-        kind, ok = "a boolean", isinstance(value, bool)
-    elif isinstance(default, int):
-        kind, ok = "an integer", type(value) is int
-    elif isinstance(default, float):
-        kind, ok = "a number", type(value) in (int, float)
-    elif isinstance(default, list):
-        kind, ok = "a list of integers", type(value) is list and all(type(v) is int for v in value)
-    else:
-        kind, ok = "a string or null", value is None or isinstance(value, str)
-    if not ok:
+    kind = trainer.mismatched_type(_DEFAULTS[key], value)
+    if kind:
         raise UserError(f"{key} expects {kind}, got {value!r}")
     if key in ("checkpoint_every", "eval_every") and value < 0:
         raise UserError(f"{key} must be at least 0, got {value}")
@@ -223,14 +161,42 @@ def _limit_threads(threads: int) -> None:
     threadpool_limits(limits=threads)
 
 
-def _load_run_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    config.apply_overrides(args.set)
-    if getattr(args, "dataset", None):
-        config.dataset = args.dataset
-    if getattr(args, "out_dir", None):
-        config.out_dir = args.out_dir
+def _load_run_config(args) -> dict:
+    """The run table: defaults, the --config file, each --set in order, then --dataset/--out-dir."""
+    config = dict(_DEFAULTS)
+    if args.config:
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise UserError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise UserError(f"config {args.config} is not a table")
+        unknown = set(raw) - set(_DEFAULTS)
+        if unknown:
+            raise UserError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        config.update({key: _checked(key, value) for key, value in raw.items()})
+    for item in args.set:
+        if "=" not in item:
+            raise UserError(f"--set expects key=value, got {item!r}")
+        key, _, text = item.partition("=")
+        key = key.strip()
+        if key not in _DEFAULTS:
+            raise UserError(f"unknown config key {key!r}")
+        config[key] = _checked(key, _parse_text(_DEFAULTS[key], text.strip()))
+    for key in ("dataset", "out_dir"):
+        if getattr(args, key, None):
+            config[key] = getattr(args, key)
     return config
+
+
+def _train_config(config: dict) -> TrainConfig:
+    nested: dict = {name: {} for name in _SECTIONS}
+    for key, (section, name) in _TRAIN_FIELDS.items():
+        (nested if section is None else nested[section])[name] = config[key]
+    try:
+        return trainer.config_from_dict(nested)
+    except ValueError as exc:
+        raise UserError(f"invalid configuration: {exc}") from None
 
 
 def _log_step(metrics) -> None:
@@ -255,11 +221,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
-    if config.dataset is None:
+    if config["dataset"] is None:
         raise UserError("no dataset given (config `dataset` key or --dataset flag)")
-    dataset = data.load_dataset(config.dataset)
-    train_config = config.train_config()
-    out_dir = Path(config.out_dir) if config.out_dir else Path.cwd()
+    dataset = data.load_dataset(config["dataset"])
+    train_config = _train_config(config)
+    out_dir = Path(config["out_dir"]) if config["out_dir"] else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.resume:
         try:
@@ -274,18 +240,18 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise UserError(str(exc)) from None
     # The run's own config: on resume the checkpoint's, not the requested one.
-    config = config.with_train_config(run.config)
-    (out_dir / "config.json").write_text(config.to_json() + "\n")
+    config.update(_flatten(run.config))
+    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
     def on_epoch_end(state: Trainer) -> None:
-        if config.eval_every > 0 and dataset.labels is not None:
-            if state.epoch % config.eval_every == 0 or state.epoch == state.config.epochs:
+        if config["eval_every"] > 0 and dataset.labels is not None:
+            if state.epoch % config["eval_every"] == 0 or state.epoch == state.config.epochs:
                 embeds = state.embed(dataset.features)
                 recall = evaluation.recall_at_k(embeds, dataset.labels, [1])
                 record = {"kind": "eval", "epoch": state.epoch, "recall@1": recall[1]}
                 state.history.append(record)
                 print(f"epoch={state.epoch} eval recall@1={recall[1]:.4f}")
-        if config.checkpoint_every > 0 and state.epoch % config.checkpoint_every == 0:
+        if config["checkpoint_every"] > 0 and state.epoch % config["checkpoint_every"] == 0:
             trainer.save_checkpoint(state, out_dir / f"checkpoint_epoch{state.epoch}.plck")
 
     run.run(log_fn=_log_step, on_epoch_end=on_epoch_end)
@@ -327,11 +293,11 @@ def cmd_diagnose(args) -> int:
     dataset = data.load_dataset(args.dataset)
     if dataset.labels is None:
         raise UserError("diagnose requires a labeled dataset")
-    train_config = config.train_config()
+    train_config = _train_config(config)
     layer_sizes = (dataset.dim, *train_config.hidden_sizes, train_config.embed_dim)
-    frozen = embedder.MLPParams.initialize(layer_sizes, config.seed, gain=train_config.init_gain)
+    frozen = embedder.MLPParams.initialize(layer_sizes, config["seed"], gain=train_config.init_gain)
     embeds = embedder.forward(frozen, dataset.features)
-    report = _evaluate(embeds, dataset.labels, train_config, config.recall_ks)
+    report = _evaluate(embeds, dataset.labels, train_config, config["recall_ks"])
     print(f"{'metric':<26}{'ours':>12}{'kmeans':>12}")
     print(f"{'label_purity':<26}{report.neighborhood_purity:>12.4f}{report.kmeans_purity:>12.4f}")
     print(

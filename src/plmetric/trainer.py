@@ -103,6 +103,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(type(h) is int for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be integers, got {self.hidden_sizes!r}")
         if self.embed_dim < 1 or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("network sizes must be positive")
         if self.embed_dim <= self.manifold.dim:
@@ -119,7 +121,7 @@ class TrainConfig:
             raise ValueError("init_gain must be finite and positive")
         if self.sampler.batch_size <= self.manifold.pool_size:
             raise ValueError("batch_size must exceed the neighborhood pool_size")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
 
 # The nested config class of each TrainConfig section; checkpoints read it.
@@ -489,11 +491,30 @@ class Trainer:
 # -- checkpoint serialization ---------------------------------------------
 
 
+def mismatched_type(default, value) -> str | None:
+    """None when ``value`` has ``default``'s JSON type, else that type's name.
+
+    A number takes an integer, an integer is not a boolean, a list or tuple
+    takes a list or tuple of integers, and anything else a string or None.
+    """
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if type(value) is int else "an integer"
+    if isinstance(default, float):
+        return None if type(value) in (int, float) else "a number"
+    if isinstance(default, (list, tuple)):
+        ok = type(value) in (list, tuple) and all(type(v) is int for v in value)
+        return None if ok else "a list of integers"
+    return None if value is None or isinstance(value, str) else "a string or null"
+
+
 def config_from_dict(raw: dict) -> TrainConfig:
     """Build a TrainConfig from its ``asdict`` form, one table per section.
 
-    Raises ValueError when a table lacks a field or holds one that the
-    config does not have, besides what the configs' own checks raise.
+    Raises ValueError when a table lacks a field, holds one that the config
+    does not have or holds a value whose JSON type is not its default's
+    (``mismatched_type``), besides what the configs' own checks raise.
     """
 
     def build(cls, values, where=""):
@@ -505,6 +526,13 @@ def config_from_dict(raw: dict) -> TrainConfig:
                 f"config{where}: unknown fields {sorted(set(values) - names)}, "
                 f"missing fields {sorted(names - set(values))}"
             )
+        for f in dataclasses.fields(cls):
+            # The sections have no plain default: they are tables, built below.
+            if f.default is dataclasses.MISSING:
+                continue
+            kind = mismatched_type(f.default, values[f.name])
+            if kind:
+                raise ValueError(f"config{where}.{f.name} expects {kind}, got {values[f.name]!r}")
         if cls is TrainConfig:
             nested = {s: build(sub, values[s], f".{s}") for s, sub in CONFIG_SECTIONS.items()}
             values = {**values, **nested}
@@ -580,8 +608,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
     a required key, a counter that is not a non-negative int, a history
     that is not a list, an RNG state that numpy rejects, a tensor entry
     without a name or a list of non-negative int dimensions, a name stored
-    twice, or a config that config_from_dict rejects. Tensor names and
-    shapes are checked against the config by trainer_from_checkpoint.
+    twice, a tensor with a NaN or infinite entry, or a config that
+    config_from_dict rejects. Tensor names and shapes are checked against
+    the config by trainer_from_checkpoint.
     """
     blob = Path(path).read_bytes()
     header = 4 + struct.calcsize("<HQ")
@@ -635,11 +664,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict]:
         nbytes = size * 8
         if len(blob) < offset + nbytes:
             raise CheckpointFormatError(f"{path}: truncated tensor {entry['name']}")
-        tensors[entry["name"]] = (
-            np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        tensor = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+        if not np.isfinite(tensor).all():
+            raise CheckpointFormatError(f"{path}: tensor {entry['name']} has non-finite entries")
+        tensors[entry["name"]] = tensor.astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - offset} trailing bytes")

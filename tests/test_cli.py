@@ -4,16 +4,17 @@ import inspect
 import json
 import struct
 import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
 from plmetric import data, evaluation
-from plmetric.cli import RunConfig, UserError, main
+from plmetric.cli import _DEFAULTS, UserError, _flatten, _load_run_config, _train_config, main
 from plmetric.data import SyntheticSpec
 from plmetric.trainer import TrainConfig, Trainer
 
-from test_trainer import _rewrite_manifest
+from test_trainer import _overwrite_entry, _rewrite_manifest
 
 
 def _gen(tmp_path, name="bench.plmf", **kwargs) -> str:
@@ -50,34 +51,35 @@ def _train_args(dataset, out_dir, *sets):
     return args
 
 
+def _run_config(*sets, config=None) -> dict:
+    return _load_run_config(Namespace(config=config, set=list(sets), dataset=None, out_dir=None))
+
+
 class TestRunConfig:
     def test_round_trips_through_json(self, tmp_path):
-        config = RunConfig(epochs=7, hidden_sizes=[64, 32])
+        config = {**_DEFAULTS, "epochs": 7, "hidden_sizes": [64, 32]}
         path = tmp_path / "cfg.json"
-        path.write_text(config.to_json())
-        back = RunConfig.from_file(path)
-        assert back == config
+        path.write_text(json.dumps(config, indent=2, sort_keys=True))
+        assert _run_config(config=str(path)) == config
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))
         with pytest.raises(UserError, match="unknown config keys"):
-            RunConfig.from_file(path)
+            _run_config(config=str(path))
 
     def test_set_overrides_with_types(self):
-        config = RunConfig()
-        config.apply_overrides(["epochs=5", "lr=0.01", "knn_only=true", "hidden_sizes=64,32"])
-        assert config.epochs == 5
-        assert config.lr == 0.01
-        assert config.knn_only is True
-        assert config.hidden_sizes == [64, 32]
+        config = _run_config("epochs=5", "lr=0.01", "knn_only=true", "hidden_sizes=64,32")
+        assert config["epochs"] == 5
+        assert config["lr"] == 0.01
+        assert config["knn_only"] is True
+        assert config["hidden_sizes"] == [64, 32]
 
     def test_bad_override_is_user_error(self):
-        config = RunConfig()
         with pytest.raises(UserError, match="expects an integer"):
-            config.apply_overrides(["epochs=soon"])
+            _run_config("epochs=soon")
         with pytest.raises(UserError, match="unknown config key"):
-            config.apply_overrides(["learning_rate=0.1"])
+            _run_config("learning_rate=0.1")
 
     def test_train_config_round_trips(self):
         # Every key of the config file by name and off its default, so a
@@ -96,22 +98,41 @@ class TestRunConfig:
             init_gain=2.0, momentum=0.9, lr=1e-3, proxy_lr_scale=10.0,
             n_proxies=12, epochs=3, seed=9,
         )
-        config = RunConfig(**run, **train)
-        defaults = RunConfig()
-        assert [k for k, v in {**run, **train}.items() if getattr(defaults, k) == v] == []
-        assert sorted(json.loads(config.to_json())) == sorted([*run, *train])
-        assert RunConfig(**run).with_train_config(config.train_config()) == config
-        assert RunConfig().train_config() == TrainConfig()
+        config = {**run, **train}
+        assert [k for k, v in config.items() if _DEFAULTS[k] == v] == []
+        assert sorted(_DEFAULTS) == sorted(config)
+        assert {**run, **_flatten(_train_config(config))} == config
+        assert _train_config(_DEFAULTS) == TrainConfig()
 
     def test_recall_default_is_the_library_default(self):
-        assert RunConfig().recall_ks == list(evaluation.RECALL_KS)
+        assert _DEFAULTS["recall_ks"] == list(evaluation.RECALL_KS)
         default = inspect.signature(evaluation.evaluate_embeddings).parameters["recall_ks"].default
         assert default == evaluation.RECALL_KS
 
     def test_invalid_combination_is_user_error(self):
-        config = RunConfig(batch_size=10, pool_size=10)
         with pytest.raises(UserError, match="invalid configuration"):
-            config.train_config()
+            _train_config({**_DEFAULTS, "batch_size": 10, "pool_size": 10})
+
+    def test_precedence_defaults_file_sets_flags(self, tmp_path):
+        # Defaults < config file < each --set in order < --dataset/--out-dir,
+        # as train records the table in config.json.
+        dataset = _gen(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "epochs": 3, "seed": 5, "lr": 0.002,
+            "dataset": "elsewhere.plmf", "out_dir": "elsewhere",
+        }))
+        out_dir = tmp_path / "run"
+        argv = _train_args(dataset, out_dir, "epochs=1", "seed=6", "seed=7")
+        assert main(argv + ["--config", str(path)]) == 0
+        recorded = json.loads((out_dir / "config.json").read_text())
+        assert recorded == {
+            **_DEFAULTS,
+            "dataset": dataset, "out_dir": str(out_dir), "lr": 0.002,
+            "batch_size": 20, "n_seeds": 4, "pool_size": 4, "manifold_dim": 2,
+            "hidden_sizes": [16], "embed_dim": 6, "n_proxies": 8, "quality_threshold": 60.0,
+            "epochs": 1, "seed": 7,
+        }
 
 
 class TestGen:
@@ -425,6 +446,27 @@ class TestDiagnose:
         assert "labeled" in capsys.readouterr().err
 
 
+def _load_error(tmp_path, capsys, command, corrupt) -> str:
+    # Train one epoch, apply ``corrupt`` to its checkpoint file, then resume
+    # it (train) or evaluate it (eval); the one-line error, exit code 1.
+    dataset = _gen(tmp_path)
+    assert main(_train_args(dataset, tmp_path / "run", "epochs=1")) == 0
+    ckpt = tmp_path / "run" / "checkpoint.plck"
+    corrupt(ckpt)
+    if command == "train":
+        argv = _train_args(dataset, tmp_path / "more", "epochs=2") + ["--resume", str(ckpt)]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", dataset]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    prefix = "cannot resume" if command == "train" else "cannot load checkpoint"
+    assert err.startswith(f"error: {prefix}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
@@ -441,30 +483,40 @@ class TestErrorPaths:
             (lambda m: m.update(adam_encoder_steps=-3), "adam_encoder_steps -3 is not a count"),
             (lambda m: m.update(rng_sampler=5), "bad rng_sampler state"),
             (lambda m: m.update(history="abc"), "history is not a list"),
+            (
+                lambda m: m["config"].update(n_proxies=10.5),
+                "bad config: config.n_proxies expects an integer, got 10.5",
+            ),
+            (lambda m: m["config"].update(epochs=1.5), "config.epochs expects an integer, got 1.5"),
+            (lambda m: m["config"].update(seed=True), "config.seed expects an integer, got True"),
         ],
         ids=[
             "hidden_sizes", "embed_dim", "n_proxies", "manifold_dim", "transposed",
             "extra", "renamed", "epoch", "adam_steps", "rng", "history",
+            "n_proxies-float", "epochs-float", "seed-bool",
         ],
     )
     def test_malformed_checkpoint_is_a_one_line_user_error(
         self, tmp_path, capsys, monkeypatch, command, edit, named
     ):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        dataset = _gen(tmp_path)
-        assert main(_train_args(dataset, tmp_path / "run", "epochs=1")) == 0
-        ckpt = tmp_path / "run" / "checkpoint.plck"
-        _rewrite_manifest(ckpt, edit)
-        if command == "train":
-            argv = _train_args(dataset, tmp_path / "more", "epochs=2") + ["--resume", str(ckpt)]
-        else:
-            argv = ["eval", "--checkpoint", str(ckpt), "--dataset", dataset]
-        capsys.readouterr()
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: cannot ") and named in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        err = _load_error(tmp_path, capsys, command, lambda path: _rewrite_manifest(path, edit))
+        assert named in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_checkpoint_tensor_is_a_one_line_user_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Unchecked, eval failed on the NaN as a dataset error and resume
+        # exited 2 with a traceback.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+        def poison(path):
+            for name in ("trained.0", "averaged.0"):
+                _overwrite_entry(path, name, np.nan)
+
+        err = _load_error(tmp_path, capsys, command, poison)
+        assert "tensor trained.0 has non-finite entries" in err
 
     @pytest.mark.parametrize(
         "case",

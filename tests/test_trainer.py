@@ -260,6 +260,14 @@ class TestSamplerConfig:
         assert SamplerConfig(batch_size=100, n_seeds=10).group_size == 10
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("sizes", [(64.7,), (16, 8.0), (True,)])
+    def test_hidden_sizes_must_be_integers(self, sizes):
+        # Refused, not truncated: (64.7,) once became (64,).
+        with pytest.raises(ValueError, match="hidden_sizes must be integers"):
+            TrainConfig(hidden_sizes=sizes)
+
+
 class TestSampleBatch:
     def test_batch_is_seeds_plus_neighbor_groups(self):
         rng = np.random.default_rng(0)
@@ -715,6 +723,22 @@ def _rewrite_manifest(path, edit) -> None:
     path.write_bytes(blob[:4] + struct.pack("<HQ", version, len(text)) + text + blob[header + length :])
 
 
+def _overwrite_entry(path, name, value) -> None:
+    # Write ``value`` over the first entry of tensor ``name`` in a valid
+    # checkpoint file, in place.
+    blob = bytearray(path.read_bytes())
+    header = 4 + struct.calcsize("<HQ")
+    _, length = struct.unpack_from("<HQ", blob, 4)
+    offset = header + length
+    for entry in json.loads(blob[header:offset])["tensors"]:
+        if entry["name"] == name:
+            struct.pack_into("<d", blob, offset, value)
+            path.write_bytes(bytes(blob))
+            return
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
 def _set_shape(manifest, shape):
     manifest["tensors"][0]["shape"] = shape
 
@@ -772,6 +796,21 @@ class TestMalformedCheckpoints:
             (lambda m: m["config"].update(lr=float("nan")), "bad config: learning rates"),
             (lambda m: m["config"].update(momentum=float("nan")), "bad config: momentum"),
             (
+                lambda m: m["config"].update(n_proxies=10.5),
+                "bad config: config.n_proxies expects an integer, got 10.5",
+            ),
+            (lambda m: m["config"].update(epochs=1.5), "config.epochs expects an integer, got 1.5"),
+            (lambda m: m["config"].update(seed=True), "config.seed expects an integer, got True"),
+            (
+                lambda m: m["config"].update(hidden_sizes=[64.7]),
+                r"config.hidden_sizes expects a list of integers, got \[64.7\]",
+            ),
+            (lambda m: m["config"].update(lr="0.1"), "config.lr expects a number"),
+            (
+                lambda m: m["config"]["manifold"].update(knn_only="no"),
+                "config.manifold.knn_only expects a boolean",
+            ),
+            (
                 lambda m: m["config"]["loss"].update(distance_scale=float("inf")),
                 "bad config: distance_scale",
             ),
@@ -792,6 +831,19 @@ class TestMalformedCheckpoints:
         path = tmp_path / "bad.plck"
         save_checkpoint(Trainer.initialize(ds, _tiny_config()), path)
         _rewrite_manifest(path, edit)
+        with pytest.raises(trainer.CheckpointFormatError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(trainer.CheckpointFormatError, match=message):
+            trainer_from_checkpoint(path, ds)
+
+    @pytest.mark.parametrize("name", ["trained.0", "proxies.frames"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        ds = _tiny_dataset(seed=10)
+        path = tmp_path / "bad.plck"
+        save_checkpoint(Trainer.initialize(ds, _tiny_config()), path)
+        _overwrite_entry(path, name, value)
+        message = f"tensor {name} has non-finite entries"
         with pytest.raises(trainer.CheckpointFormatError, match=message):
             load_checkpoint(path)
         with pytest.raises(trainer.CheckpointFormatError, match=message):
