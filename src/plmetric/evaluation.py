@@ -31,6 +31,7 @@ from .linalg import squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
+    as_indices,
     check_pool_size,
     fit_all_neighborhoods,
     neighbor_lists,
@@ -87,8 +88,8 @@ def recall_at_k(
     from its own candidates, ties broken toward the lower index. A caller
     that already holds neighbor_lists(embeddings, k) for some k >= max(K)
     passes it as ``neighbors``; its first max(K) columns are the list this
-    would compute. Its entries must lie in [0, n), none the query's own
-    index. Returns {K: percentage}.
+    would compute, in any integer array-like. Its entries must be integers
+    in [0, n), none the query's own index. Returns {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -99,8 +100,10 @@ def recall_at_k(
         neighbors = neighbor_lists(embeddings, depth)
     elif np.ndim(neighbors) != 2 or len(neighbors) != n or np.shape(neighbors)[1] < depth:
         raise ValueError(f"neighbors shape {np.shape(neighbors)} is not ({n}, >= {depth})")
-    elif np.any((neighbors < 0) | (neighbors >= n) | (neighbors == np.arange(n)[:, None])):
-        raise ValueError(f"neighbors must hold indices in [0, {n}), no query its own neighbor")
+    else:
+        neighbors = as_indices(neighbors, "neighbors")
+        if np.any((neighbors < 0) | (neighbors >= n) | (neighbors == np.arange(n)[:, None])):
+            raise ValueError(f"neighbors must hold indices in [0, {n}), no query its own neighbor")
     match = labels[neighbors[:, :depth]] == labels[:, None]
     out = {}
     for k in sorted(k_values):

@@ -288,26 +288,10 @@ def fit_neighborhood(
     enlarged set and the candidate is kept only if every member then has
     reconstruction quality >= quality_threshold / 100. Rejected candidates
     are never revisited. With ``knn_only`` the whole pool is accepted and no
-    fit test runs. This is the one-anchor case of the scan that
-    fit_all_neighborhoods runs. An index outside [0, n), the anchor in its
-    own pool, a non-finite point or a plane dim above the embedding
-    dimension raises ValueError.
+    fit test runs. This is the one-anchor case of fit_all_neighborhoods,
+    whose checks raise ValueError here too.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if not np.all(np.isfinite(embeddings)):
-        raise ValueError("points contain non-finite entries")
-    if config.dim > embeddings.shape[1]:
-        raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {embeddings.shape[1]}")
-    order = np.asarray(neighbor_order, dtype=np.int64)
-    if order.size < config.dim:
-        raise ValueError(
-            f"need at least dim={config.dim} neighbor candidates, got {order.size}"
-        )
-    n = embeddings.shape[0]
-    if not 0 <= anchor < n or np.any((order < 0) | (order >= n) | (order == anchor)):
-        raise ValueError(f"indices must lie in [0, {n}), the anchor not in its own pool")
-    members, sizes = _scan_pools(embeddings, np.array([anchor]), order[None, :], config)
-    return _fit_planes(embeddings, members, sizes, config.dim)[0]
+    return _fit_pools(embeddings, [anchor], [neighbor_order], config)[0]
 
 
 def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -568,10 +552,10 @@ def fit_all_neighborhoods(
     linalg.pca_top_m of its members bit for bit.
 
     ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
-    caller already holds it, as the first columns of a longer list are;
-    like fit_neighborhood, it rejects an index outside [0, n) or an anchor
-    in its own pool. Non-finite points, and a plane dim above the embedding
-    dimension, are rejected before any scan.
+    caller already holds it, as the first columns of a longer list are, in
+    any integer array-like. A non-integer index or one outside [0, n), an
+    anchor in its own pool, a non-finite point and a plane dim above the
+    embedding dimension raise ValueError before any scan.
 
     From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
     SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
@@ -581,30 +565,50 @@ def fit_all_neighborhoods(
     share a padded call. The final planes are fitted once, on the calling
     thread.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if not np.all(np.isfinite(embeddings)):
-        raise ValueError("points contain non-finite entries")
-    if config.dim > embeddings.shape[1]:
-        raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {embeddings.shape[1]}")
-    n = embeddings.shape[0]
+    n = len(embeddings)
     check_pool_size(n, config)
     if pools is None:
         pools = neighbor_lists(embeddings, config.pool_size)
     elif np.shape(pools) != (n, config.pool_size):
         raise ValueError(f"pools shape {np.shape(pools)} is not {(n, config.pool_size)}")
-    elif np.any((pools < 0) | (pools >= n) | (pools == np.arange(n)[:, None])):
-        raise ValueError(f"pools must hold indices in [0, {n}), no anchor in its own pool")
-    anchors = np.arange(n)
-    members = np.empty((n, config.pool_size + 1), dtype=np.int64)
-    sizes = np.empty(n, dtype=np.int64)
+    return _fit_pools(embeddings, np.arange(n), pools, config)
+
+
+def as_indices(values, what: str) -> np.ndarray:
+    """Integer array-like ``values`` as int64; floats or booleans raise ValueError."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{what} must be integer indices, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
+def _fit_pools(embeddings, anchors, pools, config: ManifoldConfig) -> Neighborhoods:
+    # The body of both fits: anchors[i]'s plane grown from pools[i], after
+    # the checks both share, with the scan split as fit_all_neighborhoods
+    # describes (one anchor is one share, on the calling thread).
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("points contain non-finite entries")
+    n, dim = embeddings.shape
+    if config.dim > dim:
+        raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {dim}")
+    anchors, pools = as_indices(anchors, "anchors"), as_indices(pools, "pools")
+    count, width = pools.shape
+    if width < config.dim:
+        raise ValueError(f"need at least dim={config.dim} neighbor candidates, got {width}")
+    bad = (pools < 0) | (pools >= n) | (pools == anchors[:, None])
+    if np.any(bad) or np.any((anchors < 0) | (anchors >= n)):
+        raise ValueError(f"anchors and pools must hold indices in [0, {n}), no anchor in its own pool")
+    members = np.empty((count, width + 1), dtype=np.int64)
+    sizes = np.empty(count, dtype=np.int64)
 
     def scan(share: slice) -> None:
         members[share], sizes[share] = _scan_pools(
             embeddings, anchors[share], pools[share], config
         )
 
-    n_shares = max(1, n // SCAN_SHARE)
-    edges = [n * k // n_shares for k in range(n_shares + 1)]
+    n_shares = max(1, count // SCAN_SHARE)
+    edges = [count * k // n_shares for k in range(n_shares + 1)]
     _run_blocks(scan, (slice(lo, hi) for lo, hi in zip(edges, edges[1:])))
     return _fit_planes(embeddings, members, sizes, config.dim)
 

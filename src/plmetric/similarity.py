@@ -114,7 +114,9 @@ def pairwise_similarity_matrix(
         # anchors at a time.
         for blk in stack_blocks(n, n * embeddings.shape[1]):
             diffs = embeddings - embeddings[blk, None, :]
-            directed[:, blk] = _directed(diffs, neighborhoods.bases[blk], config, False, False)[0].T
+            p, o = linalg.plane_split(diffs, neighborhoods.bases[blk])[3:]
+            a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
+            directed[:, blk] = (a * b).T
     return (directed + directed.T) / 2.0
 
 
@@ -202,37 +204,12 @@ def _decays(o, p, orth_exponent: float, inplane_exponent: float):
     return (1.0 + o / 2.0) ** (-orth_exponent), (1.0 + p) ** (-inplane_exponent)
 
 
-def _directed(
-    diffs: np.ndarray, frame: np.ndarray, config: SimilarityConfig, grads: bool, frame_grads: bool
-):
-    # Directed similarities of (..., n, d) differences seen from (..., m, d)
-    # frames, one frame per leading index; with grads also d s / d diff
-    # (..., n, d) and, with frame_grads, d s / d frame (..., n, m, d). The
-    # parts not asked for are None. Every product keeps the per-frame shape
-    # of the unstacked call, so a stack gives the bits of a loop over it.
-    coords, inplane_vec, ovec, p, o = linalg.plane_split(diffs, frame)
-    a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
-    if not grads:
-        return a * b, None, None
-    return a * b, *_directed_grads(diffs, coords, inplane_vec, ovec, p, o, a, b, config, frame_grads)
-
-
-def _directed_grads(diffs, coords, inplane_vec, ovec, p, o, a, b, config, frame_grads):
-    # d s / d diff and, with frame_grads, d s / d frame (else None), from
-    # one plane split of diffs and its decays a, b.
+def _slopes(o, p, a, b, config: SimilarityConfig):
+    # The weights of the residual and of the in-plane vector in d s / d diff
+    # of the directed similarity s = a * b, a and b the decays of o and p.
     da = -(config.orth_exponent / 2.0) * (1.0 + o / 2.0) ** (-config.orth_exponent - 1.0)
     db = -config.inplane_exponent * (1.0 + p) ** (-config.inplane_exponent - 1.0)
-    w_orth = da * b * _inv_or_zero(o)
-    w_plane = a * db * _inv_or_zero(p)
-    ds_ddiff = w_orth[..., None] * ovec + w_plane[..., None] * inplane_vec
-    if not frame_grads:
-        return ds_ddiff, None
-    # d s / d psi_k splits across the two decay factors: the in-plane
-    # distance varies along the full difference vector, the orthogonal
-    # distance only along the off-plane residual.
-    plane_part = np.einsum("...nk,...nd->...nkd", coords * w_plane[..., None], diffs)
-    orth_part = np.einsum("...nk,...nd->...nkd", coords * w_orth[..., None], ovec)
-    return ds_ddiff, plane_part - orth_part
+    return da * b * _inv_or_zero(o), a * db * _inv_or_zero(p)
 
 
 @dataclass(frozen=True)
@@ -271,11 +248,16 @@ class ProxyPass:
         for blk, coords, p, o, a, b in self.forward:
             diffs = embeddings - proxies.locations[blk, None, :]
             inplane_vec = np.matmul(coords, proxies.frames[blk])
-            ds_ddiff, frame_part = _directed_grads(
-                diffs, coords, inplane_vec, diffs - inplane_vec, p, o, a, b, config, True
-            )
+            ovec = diffs - inplane_vec
+            w_orth, w_plane = _slopes(o, p, a, b, config)
+            ds_ddiff = w_orth[..., None] * ovec + w_plane[..., None] * inplane_vec
             # Per proxy: (n, d) and (n, m, d), d s_ij / d rho_j and d psi_j.
             loc_part = self.reverse[:, blk].swapaxes(0, 1) - 0.5 * ds_ddiff
+            # d s / d psi_k splits across the two decay factors: the
+            # in-plane distance varies along the full difference vector,
+            # the orthogonal distance only along the off-plane residual.
+            frame_part = np.einsum("pnk,pnd->pnkd", coords * w_plane[..., None], diffs)
+            frame_part -= np.einsum("pnk,pnd->pnkd", coords * w_orth[..., None], ovec)
             frame_part *= 0.5
             for w, loc, frames in zip(weights[:, :, blk], grad_loc[:, blk], grad_frames[:, blk]):
                 loc[...] = np.einsum("np,pnd->pd", w, loc_part)
@@ -318,8 +300,11 @@ def proxy_pass(
     reverse = np.empty((n, n_prox, dim))
     for blk in stack_blocks(n, n_prox * dim):
         diffs = proxies.locations - embeddings[blk, None, :]
-        values[blk], ds_ddiff, _ = _directed(diffs, point_bases[blk], config, True, False)
-        reverse[blk] = 0.5 * ds_ddiff
+        _, inplane_vec, ovec, p, o = linalg.plane_split(diffs, point_bases[blk])
+        a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
+        w_orth, w_plane = _slopes(o, p, a, b, config)
+        values[blk] = a * b
+        reverse[blk] = 0.5 * (w_orth[..., None] * ovec + w_plane[..., None] * inplane_vec)
 
     # Forward direction: a block of proxy planes, each seeing the whole
     # batch. The sum with the reverse value is the same either way round.

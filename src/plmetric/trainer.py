@@ -103,8 +103,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(type(h) is int for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be integers, got {self.hidden_sizes!r}")
+        # A stored config's type rule, so that every run saves and loads.
+        _check_types(TrainConfig, vars(self))
+        for name, cls in CONFIG_SECTIONS.items():
+            _check_types(cls, vars(getattr(self, name)), f".{name}")
         if self.embed_dim < 1 or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("network sizes must be positive")
         if self.embed_dim <= self.manifold.dim:
@@ -494,19 +496,30 @@ class Trainer:
 def mismatched_type(default, value) -> str | None:
     """None when ``value`` has ``default``'s JSON type, else that type's name.
 
-    A number takes an integer, an integer is not a boolean, a list or tuple
-    takes a list or tuple of integers, and anything else a string or None.
+    A number takes an integer or a float (numpy's float64 among them), an
+    integer is not a boolean, a list or tuple takes a list or tuple of
+    integers, and anything else a string or None.
     """
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "a boolean"
     if isinstance(default, int):
         return None if type(value) is int else "an integer"
     if isinstance(default, float):
-        return None if type(value) in (int, float) else "a number"
+        return None if type(value) is int or isinstance(value, float) else "a number"
     if isinstance(default, (list, tuple)):
         ok = type(value) in (list, tuple) and all(type(v) is int for v in value)
         return None if ok else "a list of integers"
     return None if value is None or isinstance(value, str) else "a string or null"
+
+
+def _check_types(cls, values: dict, where: str = "") -> None:
+    """Raise ValueError for the first field of config class ``cls`` whose
+    value in ``values`` has not its default's JSON type (mismatched_type)."""
+    for f in dataclasses.fields(cls):
+        # The sections have no plain default: they are tables, checked apart.
+        kind = f.default is not dataclasses.MISSING and mismatched_type(f.default, values[f.name])
+        if kind:
+            raise ValueError(f"config{where}.{f.name} expects {kind}, got {values[f.name]!r}")
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -526,13 +539,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
                 f"config{where}: unknown fields {sorted(set(values) - names)}, "
                 f"missing fields {sorted(names - set(values))}"
             )
-        for f in dataclasses.fields(cls):
-            # The sections have no plain default: they are tables, built below.
-            if f.default is dataclasses.MISSING:
-                continue
-            kind = mismatched_type(f.default, values[f.name])
-            if kind:
-                raise ValueError(f"config{where}.{f.name} expects {kind}, got {values[f.name]!r}")
+        _check_types(cls, values, where)
         if cls is TrainConfig:
             nested = {s: build(sub, values[s], f".{s}") for s, sub in CONFIG_SECTIONS.items()}
             values = {**values, **nested}

@@ -12,8 +12,10 @@ must equal the first three bit for bit, set by set. The full-sort nearest
 neighbour lists are the reference of the library's blocked top-k. The loops
 over anchors, proxies and points that the library's stacked similarity and
 neighbourhood-loss routes replaced are kept as their bit-for-bit references,
-and so is the greedy scan that ran one accept test per pool position and
-member count, the reference of the library's padded scan.
+on one per-plane directed similarity with its partials (directed_one_plane,
+built from the library's split, decays and slopes), and so is the greedy
+scan that ran one accept test per pool position and member count, the
+reference of the library's padded scan.
 """
 
 from __future__ import annotations
@@ -350,13 +352,31 @@ def pearson_two_pass(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(dx * dy) / denom)
 
 
+def directed_one_plane(diffs: np.ndarray, frame: np.ndarray, config):
+    """Directed similarities of (n, d) differences seen from one (m, d) frame.
+
+    Returns (s, d s / d diff, d s / d frame) of shapes (n,), (n, d) and
+    (n, m, d), from the library's plane split, decays and slopes: the
+    per-plane route that its stacked similarity routes must match bit for
+    bit.
+    """
+    from plmetric.linalg import plane_split
+    from plmetric.similarity import _decays, _slopes
+
+    coords, inplane_vec, ovec, p, o = plane_split(diffs, frame)
+    a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
+    w_orth, w_plane = _slopes(o, p, a, b, config)
+    ds_ddiff = w_orth[:, None] * ovec + w_plane[:, None] * inplane_vec
+    plane_part = np.einsum("nk,nd->nkd", coords * w_plane[:, None], diffs)
+    orth_part = np.einsum("nk,nd->nkd", coords * w_orth[:, None], ovec)
+    return a * b, ds_ddiff, plane_part - orth_part
+
+
 def pairwise_similarity_loop(embeddings: np.ndarray, neighborhoods, config) -> np.ndarray:
     """(n, n) symmetric similarity matrix, one anchor column at a time.
 
     The reference of ``similarity.pairwise_similarity_matrix``.
     """
-    from plmetric.similarity import _directed
-
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
     if len(neighborhoods) != n:
@@ -368,7 +388,7 @@ def pairwise_similarity_loop(embeddings: np.ndarray, neighborhoods, config) -> n
     else:
         for j, nbhd in enumerate(neighborhoods):
             diffs = embeddings - embeddings[j]
-            directed[:, j] = _directed(diffs, nbhd.basis.vectors, config, False, False)[0]
+            directed[:, j] = directed_one_plane(diffs, nbhd.basis.vectors, config)[0]
     return (directed + directed.T) / 2.0
 
 
@@ -381,7 +401,7 @@ def proxy_similarity_loop(embeddings, point_bases, proxies, config):
     values[i, j] w.r.t. proxy j's location, (n, P, d), and frame rows,
     (n, P, m, d); both are zero in binary mode.
     """
-    from plmetric.similarity import _directed, nearest_proxy_indices
+    from plmetric.similarity import nearest_proxy_indices
 
     embeddings = np.asarray(embeddings, dtype=np.float64)
     point_bases = np.asarray(point_bases, dtype=np.float64)
@@ -400,14 +420,14 @@ def proxy_similarity_loop(embeddings, point_bases, proxies, config):
         return values, d_loc, d_frames
     values = np.empty((n, n_prox))
     for j in range(n_prox):
-        values[:, j], ds_ddiff, d_frame = _directed(
-            embeddings - proxies.locations[j], proxies.frames[j], config, True, True
+        values[:, j], ds_ddiff, d_frame = directed_one_plane(
+            embeddings - proxies.locations[j], proxies.frames[j], config
         )
         d_loc[:, j, :] -= 0.5 * ds_ddiff
         d_frames[:, j, :, :] += 0.5 * d_frame
     for i in range(n):
-        value, ds_ddiff, _ = _directed(
-            proxies.locations - embeddings[i], point_bases[i], config, True, False
+        value, ds_ddiff, _ = directed_one_plane(
+            proxies.locations - embeddings[i], point_bases[i], config
         )
         values[i, :] = (values[i, :] + value) / 2.0
         d_loc[i, :, :] += 0.5 * ds_ddiff

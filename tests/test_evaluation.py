@@ -83,6 +83,21 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match=r"neighbors must hold indices in \[0, 10\)"):
             recall_at_k(pts, np.arange(10) % 2, [1, 2], neighbors=neighbors)
 
+    def test_neighbors_as_a_list(self):
+        # Once a bare TypeError from comparing a list with an int.
+        pts = np.random.default_rng(5).standard_normal((10, 3))
+        neighbors = manifold.neighbor_lists(pts, 3)
+        labels = np.arange(10) % 2
+        got = recall_at_k(pts, labels, [1, 2], neighbors=neighbors.tolist())
+        assert got == recall_at_k(pts, labels, [1, 2], neighbors=neighbors)
+
+    def test_float_neighbors_rejected(self):
+        # Once a bare IndexError from indexing the labels with floats.
+        pts = np.random.default_rng(5).standard_normal((10, 3))
+        neighbors = manifold.neighbor_lists(pts, 3).astype(np.float64)
+        with pytest.raises(ValueError, match="neighbors must be integer indices"):
+            recall_at_k(pts, np.arange(10) % 2, [1, 2], neighbors=neighbors)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_embeddings_rejected(self, bad):
         pts = np.random.default_rng(4).standard_normal((20, 3))

@@ -164,6 +164,17 @@ class TestFitNeighborhood:
         with pytest.raises(ValueError, match=r"in \[0, 12\)"):
             manifold.fit_neighborhood(pts, anchor, [1, 2, 4, entry], cfg)
 
+    @pytest.mark.parametrize(
+        "anchor, shift", [(0, 0.5), (0.5, 0.0)], ids=["float-candidates", "float-anchor"]
+    )
+    def test_non_integer_index_raises(self, anchor, shift):
+        # Once truncated to an integer without a word.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        order = manifold.neighbor_lists(pts, 4)[0]
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        with pytest.raises(ValueError, match="must be integer indices"):
+            manifold.fit_neighborhood(pts, anchor, order + shift, cfg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_raise(self, bad):
         pts = np.random.default_rng(2).standard_normal((12, 3))
@@ -367,6 +378,23 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError, match=r"pools must hold indices in \[0, 12\)"):
             manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
 
+    def test_pools_as_a_list(self):
+        # Once a bare TypeError from comparing a list with an int.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = manifold.neighbor_lists(pts, cfg.pool_size)
+        got = manifold.fit_all_neighborhoods(pts, cfg, pools=pools.tolist())
+        want = manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
+        assert same_bits(got.members, want.members) and same_bits(got.bases, want.bases)
+
+    def test_float_pools_rejected(self):
+        # Once truncated to integers without a word.
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = manifold.neighbor_lists(pts, cfg.pool_size) + 0.5
+        with pytest.raises(ValueError, match="pools must be integer indices"):
+            manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_with_given_pools_raise(self, bad):
         # With pools given no k-NN runs, so the fit itself must reject the
@@ -391,6 +419,36 @@ class TestFitAllNeighborhoods:
         cfg = ManifoldConfig(dim=2, pool_size=4)
         assert manifold.fit_neighborhood(pts, 0, order, cfg).basis.vectors.shape == (2, 2)
         assert manifold.fit_all_neighborhoods(pts, cfg).bases.shape == (12, 2, 2)
+
+    @pytest.mark.parametrize(
+        "case", ["non-finite", "plane-dim", "index-n", "index-negative", "anchor-in-pool"]
+    )
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda pts, pools, cfg: manifold.fit_neighborhood(pts, 5, pools[5], cfg),
+            lambda pts, pools, cfg: manifold.fit_all_neighborhoods(pts, cfg, pools=pools),
+        ],
+        ids=["fit_neighborhood", "fit_all_neighborhoods"],
+    )
+    def test_both_fits_share_one_rule(self, fit, case):
+        # One body checks both fits' input, so the same bad input gets the
+        # same words from each.
+        pts = np.random.default_rng(2).standard_normal((12, 2))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = manifold.neighbor_lists(pts, cfg.pool_size)
+        message = "anchors and pools must hold indices in [0, 12), no anchor in its own pool"
+        if case == "non-finite":
+            pts[pools[5, 1], 0] = np.nan
+            message = "points contain non-finite entries"
+        elif case == "plane-dim":
+            cfg = ManifoldConfig(dim=3, pool_size=4)
+            message = "plane dim=3 exceeds the embedding dimension 2"
+        else:
+            pools[5, -1] = {"index-n": 12, "index-negative": -1, "anchor-in-pool": 5}[case]
+        with pytest.raises(ValueError) as err:
+            fit(pts, pools, cfg)
+        assert str(err.value) == message
 
     def test_one_accept_call_per_pool_position(self):
         # Trial sets of several sizes at each position still take one call.

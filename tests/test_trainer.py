@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import threading
 from pathlib import Path
@@ -264,8 +265,35 @@ class TestTrainConfig:
     @pytest.mark.parametrize("sizes", [(64.7,), (16, 8.0), (True,)])
     def test_hidden_sizes_must_be_integers(self, sizes):
         # Refused, not truncated: (64.7,) once became (64,).
-        with pytest.raises(ValueError, match="hidden_sizes must be integers"):
+        with pytest.raises(ValueError, match="config.hidden_sizes expects a list of integers"):
             TrainConfig(hidden_sizes=sizes)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_proxies": 10.5}, "config.n_proxies expects an integer, got 10.5"),
+            ({"epochs": 1.5}, "config.epochs expects an integer, got 1.5"),
+            ({"seed": True}, "config.seed expects an integer, got True"),
+            ({"seed": np.int64(3)}, "config.seed expects an integer"),
+            (
+                {"manifold": ManifoldConfig(pool_size=10.0)},
+                "config.manifold.pool_size expects an integer, got 10.0",
+            ),
+        ],
+        ids=["float-proxies", "float-epochs", "bool-seed", "numpy-seed", "float-section-field"],
+    )
+    def test_mistyped_values_refused_when_made(self, overrides, message):
+        # Each was accepted, and then either made a checkpoint that
+        # load_checkpoint refuses or could not be saved at all.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**overrides)
+
+    def test_numpy_float_saves_and_loads(self, tmp_path):
+        # A float64 is a float: kept, since it saves and loads as one.
+        ds, cfg = _tiny_dataset(), _tiny_config(lr=np.float64(1e-3))
+        path = tmp_path / "run.plck"
+        save_checkpoint(Trainer.initialize(ds, cfg), path)
+        assert trainer_from_checkpoint(path, ds).config == cfg
 
 
 class TestSampleBatch:
