@@ -47,7 +47,8 @@ RECALL_KS = (1, 2, 4, 8)
 
 
 def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
-    k_values = [int(k) for k in k_values]
+    # Integers only, numpy's among them: a float K is refused, not truncated.
+    k_values = [int(k) for k in as_indices(k_values, "K values")]
     if not k_values or min(k_values) < 1:
         raise ValueError("K values must be positive")
     if n < max(k_values) + 1:
@@ -89,7 +90,9 @@ def recall_at_k(
     that already holds neighbor_lists(embeddings, k) for some k >= max(K)
     passes it as ``neighbors``; its first max(K) columns are the list this
     would compute, in any integer array-like. Its entries must be integers
-    in [0, n), none the query's own index. Returns {K: percentage}.
+    in [0, n), none the query's own index. Each K must be a positive
+    integer, a numpy one included; a float K raises ValueError. Returns
+    {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]

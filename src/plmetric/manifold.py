@@ -15,8 +15,12 @@ a preallocated output, so the result is the same bits for any WORKERS. The
 exact k-NN (neighbor_lists) of more than 512 points runs its query blocks
 that way, the greedy scan of at least 2 * SCAN_SHARE anchors is split into
 contiguous shares, and similarity.pair_similarities splits its pair chunks.
+The k-NN's split is fixed by n, never by WORKERS or by the rows asked for.
 Smaller sets run serially and start no thread: every training step's batch
-and, up to 512 training points, the initial fit and each epoch's pool k-NN.
+and, up to 512 training points, each epoch's pool k-NN and the set-up.
+
+Set-up (init_proxies) computes only the planes it reads: farthest-point
+sampling first, then the k-NN blocks and the scan of the chosen anchors.
 """
 
 from __future__ import annotations
@@ -294,8 +298,15 @@ def fit_neighborhood(
     return _fit_pools(embeddings, [anchor], [neighbor_order], config)[0]
 
 
-def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
-    """(n, n_neighbors) nearest-neighbor indices, ascending distance, self excluded.
+def neighbor_lists(
+    embeddings: np.ndarray, n_neighbors: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Nearest-neighbor indices, ascending distance, self excluded.
+
+    (n, n_neighbors) for every point, or with ``rows`` (a 1-d integer
+    array-like of indices in [0, n), in any order, repeats allowed) the
+    (len(rows), n_neighbors) lists of those points: row t is the full
+    call's row rows[t] bit for bit.
 
     Exact, and equal to the first columns of a stable sort of each row's
     squared distances, so equal distances break toward the lower index.
@@ -303,10 +314,11 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     not n^2. Up to n * n = NEIGHBOR_BLOCK_CELLS all rows are one block on
     the calling thread. Above it, blocks of NEIGHBOR_SPLIT_CELLS // n rows
     (at least two; a one-row tail joins the block before it) run on WORKERS
-    threads (_run_blocks). The split is fixed by n, never by WORKERS, so the
-    lists are the same for any WORKERS; but for n not a multiple of 8 a
-    distance's last bits can depend on its row's place in a block, so
-    another split may reorder exactly tied neighbors.
+    threads (_run_blocks). With ``rows`` only the blocks that hold a
+    requested row run, each whole. The split is fixed by n, never by
+    WORKERS or ``rows``, so the lists are the same for any of them; but for
+    n not a multiple of 8 a distance's last bits can depend on its row's
+    place in a block, so another split may reorder exactly tied neighbors.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
@@ -314,8 +326,22 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
         raise ValueError(f"n_neighbors={n_neighbors} out of range for {n} points")
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("points contain non-finite entries")
+    if rows is None:
+        rows = np.arange(n)
+    else:
+        rows = as_indices(rows, "rows")
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
+            raise ValueError(f"rows must be a 1-d array of indices in [0, {n})")
+    # A one-row tail joins the block before it: numpy runs a one-row
+    # product as gemv, whose last bits differ from gemm's.
+    rows_per_block = n if n * n <= NEIGHBOR_BLOCK_CELLS else max(2, NEIGHBOR_SPLIT_CELLS // n)
+    edges = [*range(0, n - 1, rows_per_block), n]
+    # The places in ``rows`` of the rows in [start, stop) are
+    # order[cut(start):cut(stop)], cut being a search in the sorted rows.
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
     sq = np.sum(embeddings**2, axis=1)
-    out = np.empty((n, n_neighbors), dtype=np.int64)
+    out = np.empty((rows.size, n_neighbors), dtype=np.int64)
 
     def query(start: int, stop: int) -> None:
         # A basic slice, never a gather: with one block the product is
@@ -330,15 +356,19 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
         product *= 2.0
         d2 -= product
         del product
-        rows = np.arange(stop - start)
-        d2[rows, start + rows] = np.inf
-        out[start:stop] = _smallest_stable(d2, n_neighbors)
+        local = np.arange(stop - start)
+        d2[local, start + local] = np.inf
+        places = order[np.searchsorted(ranked, start) : np.searchsorted(ranked, stop)]
+        picked = rows[places] - start
+        if picked.size < stop - start:
+            # Fewer requests than rows: sort those alone. A row's list
+            # depends on its own distances only.
+            d2, picked = d2[picked], slice(None)
+        out[places] = _smallest_stable(d2, n_neighbors)[picked]
 
-    # A one-row tail joins the block before it: numpy runs a one-row
-    # product as gemv, whose last bits differ from gemm's.
-    rows_per_block = n if n * n <= NEIGHBOR_BLOCK_CELLS else max(2, NEIGHBOR_SPLIT_CELLS // n)
-    edges = [*range(0, n - 1, rows_per_block), n]
-    _run_blocks(lambda edge: query(*edge), zip(edges, edges[1:]))
+    cuts = np.searchsorted(ranked, edges)
+    held = [edge for edge, lo, hi in zip(zip(edges, edges[1:]), cuts, cuts[1:]) if hi > lo]
+    _run_blocks(lambda edge: query(*edge), held)
     return out
 
 
@@ -539,23 +569,30 @@ def check_pool_size(n_points: int, config: ManifoldConfig) -> None:
 
 
 def fit_all_neighborhoods(
-    embeddings: np.ndarray, config: ManifoldConfig, *, pools: np.ndarray | None = None
+    embeddings: np.ndarray,
+    config: ManifoldConfig,
+    *,
+    pools: np.ndarray | None = None,
+    anchors: np.ndarray | None = None,
 ) -> Neighborhoods:
-    """Fit one plane per point, pools drawn from the same set.
+    """Fit one plane per anchor, every point by default, pools drawn from the same set.
 
-    Row i of the record is the plane around point i and matches calling
-    fit_neighborhood on point i exactly. The scans run in lockstep: at each
-    pool position, every anchor's trial set, whatever its size, goes
-    through one padded accept test (_batched_accepts), which hands the few
-    sets it cannot decide safely to the exact per-size PCA. So the scan
-    makes pool_size - dim + 1 accept calls. Each final plane equals
-    linalg.pca_top_m of its members bit for bit.
+    Row i of the record is the plane around anchors[i] (point i without
+    ``anchors``) and matches calling fit_neighborhood on that point exactly.
+    The scans run in lockstep: at each pool position, every anchor's trial
+    set, whatever its size, goes through one padded accept test
+    (_batched_accepts), which hands the few sets it cannot decide safely to
+    the exact per-size PCA. So the scan makes pool_size - dim + 1 accept
+    calls. Each final plane equals linalg.pca_top_m of its members bit for
+    bit, so a row does not depend on which other anchors are fitted.
 
-    ``pools`` is neighbor_lists(embeddings, config.pool_size) when the
-    caller already holds it, as the first columns of a longer list are, in
-    any integer array-like. A non-integer index or one outside [0, n), an
-    anchor in its own pool, a non-finite point and a plane dim above the
-    embedding dimension raise ValueError before any scan.
+    ``anchors`` is a 1-d integer array-like of point indices, in any order,
+    repeats allowed. ``pools`` is neighbor_lists(embeddings,
+    config.pool_size, rows=anchors) when the caller already holds it, as the
+    first columns of a longer list are, in any integer array-like. A
+    non-integer index or one outside [0, n), an anchor in its own pool, a
+    non-finite point and a plane dim above the embedding dimension raise
+    ValueError before any scan.
 
     From 2 * SCAN_SHARE anchors up, the scan runs in contiguous shares of
     SCAN_SHARE to 2 * SCAN_SHARE - 1 anchors, spread over WORKERS threads
@@ -567,11 +604,12 @@ def fit_all_neighborhoods(
     """
     n = len(embeddings)
     check_pool_size(n, config)
+    anchors = np.arange(n) if anchors is None else as_indices(anchors, "anchors")
     if pools is None:
-        pools = neighbor_lists(embeddings, config.pool_size)
-    elif np.shape(pools) != (n, config.pool_size):
-        raise ValueError(f"pools shape {np.shape(pools)} is not {(n, config.pool_size)}")
-    return _fit_pools(embeddings, np.arange(n), pools, config)
+        pools = neighbor_lists(embeddings, config.pool_size, rows=anchors)
+    elif np.shape(pools) != (len(anchors), config.pool_size):
+        raise ValueError(f"pools shape {np.shape(pools)} is not {(len(anchors), config.pool_size)}")
+    return _fit_pools(embeddings, anchors, pools, config)
 
 
 def as_indices(values, what: str) -> np.ndarray:
@@ -593,6 +631,8 @@ def _fit_pools(embeddings, anchors, pools, config: ManifoldConfig) -> Neighborho
     if config.dim > dim:
         raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {dim}")
     anchors, pools = as_indices(anchors, "anchors"), as_indices(pools, "pools")
+    if anchors.ndim != 1 or anchors.size < 1:
+        raise ValueError("anchors must be a non-empty 1-d array of indices")
     count, width = pools.shape
     if width < config.dim:
         raise ValueError(f"need at least dim={config.dim} neighbor candidates, got {width}")
@@ -665,7 +705,7 @@ class ProxySet:
 
 def init_proxies(
     embeddings: np.ndarray,
-    neighborhoods: Neighborhoods,
+    config: ManifoldConfig,
     n_proxies: int,
     seed: int | np.random.SeedSequence,
 ) -> ProxySet:
@@ -674,15 +714,15 @@ def init_proxies(
     The first proxy is a uniformly random point; each next proxy is the
     point maximizing the distance to the closest already-chosen one (ties to
     the lowest index). Every chosen point donates its embedding as the proxy
-    location and its fitted neighborhood frame as the proxy frame.
+    location and the frame of its plane, fitted with ``config`` from pools
+    drawn from the same set, as the proxy frame. Only the chosen points'
+    pools and planes are computed (fit_all_neighborhoods with ``anchors``),
+    and each frame is the one a fit of every point would give it.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
     if not 1 <= n_proxies <= n:
         raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
-    bases = neighborhoods.bases
-    if len(bases) != n:
-        raise ValueError("need exactly one neighborhood per point")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     chosen = [first]
@@ -692,5 +732,5 @@ def init_proxies(
         chosen.append(nxt)
         d2 = np.sum((embeddings - embeddings[nxt]) ** 2, axis=1)
         min_d2 = np.minimum(min_d2, d2)
-    locations = embeddings[chosen].copy()
-    return ProxySet(locations, bases[chosen])
+    neighborhoods = fit_all_neighborhoods(embeddings, config, anchors=chosen)
+    return ProxySet(embeddings[chosen], np.array(neighborhoods.bases))

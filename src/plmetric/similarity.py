@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .manifold import Neighborhoods, ProxySet, _run_blocks
+from .manifold import Neighborhoods, ProxySet, _run_blocks, as_indices
 
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
@@ -117,6 +117,8 @@ def pairwise_similarity_matrix(
             p, o = linalg.plane_split(diffs, neighborhoods.bases[blk])[3:]
             a, b = _decays(o, p, config.orth_exponent, config.inplane_exponent)
             directed[:, blk] = (a * b).T
+            # Freed before the next block allocates its own.
+            del diffs, p, o, a, b
     return (directed + directed.T) / 2.0
 
 
@@ -134,7 +136,8 @@ def pair_similarities(
     pairs at a time with no (n, n) array, so memory grows with the number
     of pairs, not with n^2. ``neighborhoods`` is as for
     pairwise_similarity_matrix. ``first`` and ``second`` must be
-    equal-length 1-d arrays of indices in [0, n). The chunks run on the
+    equal-length 1-d integer arrays of indices in [0, n); floats and
+    booleans raise ValueError, as manifold.as_indices. The chunks run on the
     calling thread plus up to manifold.WORKERS - 1 helpers, each writing
     its own slice of the output, so the bits do not depend on the count.
     """
@@ -142,8 +145,7 @@ def pair_similarities(
     n = embeddings.shape[0]
     if len(neighborhoods) != n:
         raise ValueError("need one neighborhood per embedding row")
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
+    first, second = as_indices(first, "pair indices"), as_indices(second, "pair indices")
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")
     if first.size and (min(first.min(), second.min()) < 0 or max(first.max(), second.max()) >= n):

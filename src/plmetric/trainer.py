@@ -364,8 +364,7 @@ class Trainer:
             layer_sizes, init_seq, momentum=config.momentum, gain=config.init_gain
         )
         start_embeds = embedder.forward(pair.averaged, dataset.features)
-        neighborhoods = manifold.fit_all_neighborhoods(start_embeds, config.manifold)
-        proxies = manifold.init_proxies(start_embeds, neighborhoods, config.n_proxies, proxy_seq)
+        proxies = manifold.init_proxies(start_embeds, config.manifold, config.n_proxies, proxy_seq)
         return cls(
             dataset,
             config,

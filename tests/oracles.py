@@ -15,7 +15,9 @@ neighbourhood-loss routes replaced are kept as their bit-for-bit references,
 on one per-plane directed similarity with its partials (directed_one_plane,
 built from the library's split, decays and slopes), and so is the greedy
 scan that ran one accept test per pool position and member count, the
-reference of the library's padded scan.
+reference of the library's padded scan. The proxy set-up that fitted every
+point and kept the chosen points' frames is the reference of the library's
+set-up, which fits the chosen points alone.
 """
 
 from __future__ import annotations
@@ -181,6 +183,25 @@ def neighbor_lists(embeddings: np.ndarray, n_neighbors: int) -> np.ndarray:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (e @ e.T)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
+
+
+def init_proxies(embeddings, neighborhoods, n_proxies: int, seed):
+    """Farthest-point sampling, each proxy's frame read from a fit of every point.
+
+    The set-up route the library's anchored fit replaced, kept as its
+    reference: ``neighborhoods`` holds one plane per point, and the chosen
+    points' locations and frames must equal the library's byte for byte.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    assert len(neighborhoods.bases) == n
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    min_d2 = np.sum((embeddings - embeddings[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < n_proxies:
+        chosen.append(int(np.argmax(min_d2)))
+        min_d2 = np.minimum(min_d2, np.sum((embeddings - embeddings[chosen[-1]]) ** 2, axis=1))
+    return SimpleNamespace(locations=embeddings[chosen], frames=neighborhoods.bases[chosen])
 
 
 def complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:

@@ -73,6 +73,24 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="neighbors shape"):
             recall_at_k(np.eye(4), np.arange(4), [2], neighbors=np.zeros((4, 1), dtype=np.int64))
 
+    def test_float_k_rejected(self):
+        # Once truncated: [1.9, 2.5] reported {1: ..., 2: ...}, K values
+        # nobody asked for.
+        pts = np.random.default_rng(5).standard_normal((20, 3))
+        labels = np.arange(20) % 2
+        with pytest.raises(ValueError, match="K values must be integer indices"):
+            recall_at_k(pts, labels, [1.9, 2.5])
+        with pytest.raises(ValueError, match="K values must be integer indices"):
+            evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=5), SimilarityConfig(), (1, 2.0))
+
+    def test_numpy_integer_k_accepted(self):
+        pts = np.random.default_rng(5).standard_normal((20, 3))
+        labels = np.arange(20) % 2
+        got = recall_at_k(pts, labels, [np.int64(1), np.int32(4)])
+        assert got == recall_at_k(pts, labels, [1, 4])
+        assert all(type(k) is int for k in got)
+        assert recall_at_k(pts, labels, np.array([1, 4])) == got
+
     @pytest.mark.parametrize("row, entry", [(0, 0), (3, -1), (5, 10)], ids=["self", "negative", "n"])
     def test_neighbors_with_bad_indices_rejected(self, row, entry):
         # Unchecked, -1 entries read the last label and misreported recall,

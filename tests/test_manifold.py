@@ -293,6 +293,73 @@ class TestNeighborLists:
             assert [stop - start for start, stop in seen] == rows
             np.testing.assert_array_equal(got, oracles.neighbor_lists(pts, 2))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_are_the_full_calls_rows(self, data):
+        # With rows, only the blocks holding a requested row run, each whole
+        # and split as the full call splits it, so every list is the full
+        # call's row to the bit: ties, duplicated points, repeated and
+        # unsorted rows included. Small n takes one block, or many with
+        # both limits patched down; n above 512 (not a multiple of 8) takes
+        # the real one-block limit with a small split.
+        n = data.draw(st.one_of(st.integers(2, 70), st.sampled_from([513, 517, 603])))
+        pts, _ = _knn_points(data, n, data.draw(st.integers(1, 5)))
+        k = data.draw(st.integers(1, min(n - 1, 12)))
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * min(n, 40)))
+        if n > 512:
+            patch = {"NEIGHBOR_SPLIT_CELLS": data.draw(st.sampled_from([1, 3 * n, 5 * n - 1, 40 * n]))}
+        else:
+            patch = data.draw(
+                st.sampled_from(
+                    [{"NEIGHBOR_BLOCK_CELLS": manifold.NEIGHBOR_BLOCK_CELLS},
+                     {"NEIGHBOR_BLOCK_CELLS": 1, "NEIGHBOR_SPLIT_CELLS": 1},
+                     {"NEIGHBOR_BLOCK_CELLS": 1, "NEIGHBOR_SPLIT_CELLS": 3 * n}]
+                )
+            )
+        with mock.patch.multiple(manifold, **patch):
+            full = manifold.neighbor_lists(pts, k)
+            got = manifold.neighbor_lists(pts, k, rows=np.array(rows, dtype=np.int64))
+            as_list = manifold.neighbor_lists(pts, k, rows=rows)
+        assert got.shape == (len(rows), k) and got.dtype == np.int64
+        assert same_bits(got, full[rows]) and same_bits(as_list, got)
+
+    def test_rows_run_only_their_blocks(self, monkeypatch):
+        # n = 10 in blocks of 3, 3, 4 rows: rows 9, 1 and 8 need the first
+        # and last blocks only.
+        pts = np.random.default_rng(10).integers(-3, 4, size=(10, 3)).astype(np.float64)
+        seen = []
+        run_blocks = manifold._run_blocks
+
+        def recorded(fn, blocks):
+            blocks = list(blocks)
+            seen.extend(blocks)
+            run_blocks(fn, blocks)
+
+        monkeypatch.setattr(manifold, "_run_blocks", recorded)
+        with mock.patch.multiple(manifold, NEIGHBOR_BLOCK_CELLS=1, NEIGHBOR_SPLIT_CELLS=30):
+            got = manifold.neighbor_lists(pts, 2, rows=[9, 1, 8])
+            assert seen == [(0, 3), (6, 10)]
+            seen.clear()
+            assert manifold.neighbor_lists(pts, 2, rows=[]).shape == (0, 2)
+            assert seen == []
+        np.testing.assert_array_equal(got, oracles.neighbor_lists(pts, 2)[[9, 1, 8]])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([0.0, 2.0], "rows must be integer indices"),
+            ([True, False], "rows must be integer indices"),
+            ([0, 12], r"rows must be a 1-d array of indices in \[0, 12\)"),
+            ([-1, 3], r"rows must be a 1-d array of indices in \[0, 12\)"),
+            ([[0, 1]], r"rows must be a 1-d array of indices in \[0, 12\)"),
+            (3, r"rows must be a 1-d array of indices in \[0, 12\)"),
+        ],
+    )
+    def test_rows_checked(self, rows, message):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        with pytest.raises(ValueError, match=message):
+            manifold.neighbor_lists(pts, 4, rows=rows)
+
     def test_one_block_calls_start_no_thread(self, monkeypatch):
         # Up to n * n = NEIGHBOR_BLOCK_CELLS (n = 512), the benchmark's
         # training k-NN among them, the call is one block on the caller;
@@ -449,6 +516,44 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError) as err:
             fit(pts, pools, cfg)
         assert str(err.value) == message
+
+    def test_anchors_fit_the_full_fits_rows(self):
+        # Row t of an anchored fit is row anchors[t] of the full fit, to the
+        # bit, for repeated and unsorted anchors and with or without pools;
+        # past 2 * SCAN_SHARE the full fit's scan runs in shares.
+        rng = np.random.default_rng(31)
+        n = 2 * manifold.SCAN_SHARE + 37
+        pts = rng.standard_normal((n, 5))
+        cfg = ManifoldConfig(dim=3, quality_threshold=80.0, pool_size=8)
+        full = manifold.fit_all_neighborhoods(pts, cfg)
+        anchors = [n - 1, 3, 3, 411, 0, 250]
+        pools = manifold.neighbor_lists(pts, cfg.pool_size)[anchors]
+        for got in (
+            manifold.fit_all_neighborhoods(pts, cfg, anchors=anchors),
+            manifold.fit_all_neighborhoods(pts, cfg, anchors=np.array(anchors), pools=pools),
+        ):
+            width = got.members.shape[1]
+            assert same_bits(got.sizes, full.sizes[anchors])
+            assert same_bits(got.members, full.members[anchors][:, :width])
+            assert np.all(full.members[anchors][:, width:] == -1)
+            assert same_bits(got.bases, full.bases[anchors])
+
+    @pytest.mark.parametrize(
+        "anchors, pool_rows, message",
+        [
+            ([0.0, 3.0], None, "anchors must be integer indices"),
+            ([0, 12], None, r"rows must be a 1-d array of indices in \[0, 12\)"),
+            ([], None, "anchors must be a non-empty 1-d array"),
+            ([[0, 1]], [0], "anchors must be a non-empty 1-d array"),
+            ([0, 1], [0], r"pools shape \(1, 4\) is not \(2, 4\)"),
+        ],
+    )
+    def test_anchors_checked(self, anchors, pool_rows, message):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        cfg = ManifoldConfig(dim=2, pool_size=4)
+        pools = None if pool_rows is None else manifold.neighbor_lists(pts, 4, rows=pool_rows)
+        with pytest.raises(ValueError, match=message):
+            manifold.fit_all_neighborhoods(pts, cfg, anchors=anchors, pools=pools)
 
     def test_one_accept_call_per_pool_position(self):
         # Trial sets of several sizes at each position still take one call.
@@ -975,13 +1080,12 @@ class TestProxies:
         rng = np.random.default_rng(seed)
         pts = _unit_rows(rng, n, d)
         cfg = ManifoldConfig(dim=2, quality_threshold=50.0, pool_size=6)
-        nbhds = manifold.fit_all_neighborhoods(pts, cfg)
-        return pts, nbhds
+        return pts, cfg
 
     def test_init_is_deterministic_and_valid(self):
-        pts, nbhds = self._setup()
-        a = manifold.init_proxies(pts, nbhds, 6, seed=3)
-        b = manifold.init_proxies(pts, nbhds, 6, seed=3)
+        pts, cfg = self._setup()
+        a = manifold.init_proxies(pts, cfg, 6, seed=3)
+        b = manifold.init_proxies(pts, cfg, 6, seed=3)
         assert np.array_equal(a.locations, b.locations)
         assert np.array_equal(a.frames, b.frames)
         a.validate()
@@ -989,8 +1093,8 @@ class TestProxies:
     def test_farthest_point_spread_beats_random(self):
         # FPS should cover the set: max distance from any point to its
         # nearest proxy is no worse than for the first-k choice.
-        pts, nbhds = self._setup(seed=5, n=60)
-        fps = manifold.init_proxies(pts, nbhds, 8, seed=1)
+        pts, cfg = self._setup(seed=5, n=60)
+        fps = manifold.init_proxies(pts, cfg, 8, seed=1)
         naive = pts[:8]
         def cover(centers):
             d = np.linalg.norm(pts[:, None] - centers[None], axis=2)
@@ -998,20 +1102,20 @@ class TestProxies:
         assert cover(fps.locations) <= cover(naive) + 1e-12
 
     def test_too_many_proxies_raises(self):
-        pts, nbhds = self._setup()
+        pts, cfg = self._setup()
         with pytest.raises(ValueError, match="n_proxies"):
-            manifold.init_proxies(pts, nbhds, len(pts) + 1, seed=0)
+            manifold.init_proxies(pts, cfg, len(pts) + 1, seed=0)
 
     def test_renormalize_restores_unit_norm(self):
-        pts, nbhds = self._setup()
-        proxies = manifold.init_proxies(pts, nbhds, 4, seed=2)
+        pts, cfg = self._setup()
+        proxies = manifold.init_proxies(pts, cfg, 4, seed=2)
         proxies.locations *= 1.01
         proxies.renormalize_locations()
         proxies.validate()
 
     def test_maintenance_skips_clean_state_bitwise(self):
-        pts, nbhds = self._setup()
-        proxies = manifold.init_proxies(pts, nbhds, 4, seed=2)
+        pts, cfg = self._setup()
+        proxies = manifold.init_proxies(pts, cfg, 4, seed=2)
         loc = proxies.locations.copy()
         frames = proxies.frames.copy()
         proxies.renormalize_locations()
@@ -1020,16 +1124,16 @@ class TestProxies:
         assert np.array_equal(proxies.frames, frames)
 
     def test_reorthonormalize_repairs_drift(self):
-        pts, nbhds = self._setup()
-        proxies = manifold.init_proxies(pts, nbhds, 4, seed=2)
+        pts, cfg = self._setup()
+        proxies = manifold.init_proxies(pts, cfg, 4, seed=2)
         rng = np.random.default_rng(9)
         proxies.frames += 1e-3 * rng.standard_normal(proxies.frames.shape)
         proxies.reorthonormalize_frames()
         proxies.validate()
 
     def test_repairs_only_drifted_frames_as_the_per_frame_route(self):
-        pts, nbhds = self._setup()
-        proxies = manifold.init_proxies(pts, nbhds, 6, seed=2)
+        pts, cfg = self._setup()
+        proxies = manifold.init_proxies(pts, cfg, 6, seed=2)
         rng = np.random.default_rng(10)
         proxies.frames[[1, 4]] += 1e-3 * rng.standard_normal((2, 2, 6))
         proxies.frames[3, 1] = proxies.frames[3, 0]
@@ -1040,8 +1144,8 @@ class TestProxies:
             assert np.array_equal(proxies.frames[j], expected)
 
     def test_validate_rejects_a_skewed_frame(self):
-        pts, nbhds = self._setup()
-        proxies = manifold.init_proxies(pts, nbhds, 4, seed=2)
+        pts, cfg = self._setup()
+        proxies = manifold.init_proxies(pts, cfg, 4, seed=2)
         proxies.frames[2, 1] += 1e-6 * proxies.frames[2, 0]
         with pytest.raises(ValueError, match="orthogonal"):
             proxies.validate()

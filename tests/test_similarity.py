@@ -34,7 +34,7 @@ def _embedded_scene(seed=0, n=20, d=6, plane_dim=2, n_proxies=4):
     pts = _unit_rows(rng, n, d)
     cfg = ManifoldConfig(dim=plane_dim, quality_threshold=50.0, pool_size=plane_dim + 3)
     nbhds = manifold.fit_all_neighborhoods(pts, cfg)
-    proxies = manifold.init_proxies(pts, nbhds, n_proxies, seed=seed + 1)
+    proxies = manifold.init_proxies(pts, cfg, n_proxies, seed=seed + 1)
     # Nudge the proxies off the data so distances are generic.
     proxies.locations[:] = _unit_rows(rng, n_proxies, d)
     proxies.reorthonormalize_frames()
@@ -218,6 +218,17 @@ class TestPointSimilarity:
             similarity.pair_similarities(
                 pts, nbhds, SimilarityConfig(binary=binary), np.array(first), np.array(second)
             )
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_pair_route_rejects_float_indices(self, binary):
+        # Once truncated without a word: pairs [0.9, 2.5], [1.2, 3.99]
+        # returned exactly the values of [0, 2], [1, 3].
+        pts, nbhds, _ = _embedded_scene(seed=9, n=20)
+        cfg = SimilarityConfig(binary=binary)
+        with pytest.raises(ValueError, match="pair indices must be integer indices"):
+            similarity.pair_similarities(pts, nbhds, cfg, np.array([0.9, 2.5]), np.array([1.2, 3.99]))
+        with pytest.raises(ValueError, match="pair indices must be integer indices"):
+            similarity.pair_similarities(pts, nbhds, cfg, [0, 2], [True, False])
 
     def test_pair_route_takes_no_pairs(self):
         pts, nbhds, _ = _embedded_scene(seed=9, n=20)

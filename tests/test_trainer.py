@@ -51,7 +51,7 @@ def _loss_scene(seed=0, n=8, d=6, plane_dim=2, n_proxies=3):
     cfg = ManifoldConfig(dim=plane_dim, quality_threshold=50.0, pool_size=plane_dim + 2)
     nbhds = manifold.fit_all_neighborhoods(anchor, cfg)
     bases = np.stack([nb.basis.vectors for nb in nbhds])
-    proxies = manifold.init_proxies(anchor, nbhds, n_proxies, seed=seed + 1)
+    proxies = manifold.init_proxies(anchor, cfg, n_proxies, seed=seed + 1)
     proxies.locations[:] = _unit_rows(rng, n_proxies, d)
     return anchor, trained, nbhds, bases, proxies
 
@@ -628,6 +628,25 @@ def test_training_starts_no_thread(monkeypatch, recipe, n_train):
     evaluation.evaluate_embeddings(
         run.embed(dataset.features[:300]), dataset.labels[:300], cfg.manifold, cfg.similarity
     )
+
+
+@pytest.mark.parametrize("n_train", [600, 2400])
+def test_setup_proxies_equal_the_full_fit(n_train):
+    # Set-up fits only the anchors farthest-point sampling chooses; each
+    # proxy is the one the full fit of every point gave, byte for byte.
+    # 600 points take the k-NN's split blocks; 2,400 (above 2 * SCAN_SHARE)
+    # also split the full fit's scan into shares, the chosen anchors' not.
+    assert 600 * 600 > manifold.NEIGHBOR_BLOCK_CELLS and 2400 >= 2 * manifold.SCAN_SHARE
+    dataset = generate_synthetic(SyntheticSpec(n_classes=6, points_per_class=n_train // 6, seed=3))
+    config = TrainConfig(seed=5)
+    run = Trainer.initialize(dataset, config)
+    start = embedder.forward(run.pair.averaged, dataset.features)
+    proxy_seq = np.random.SeedSequence(config.seed).spawn(4)[1]
+    full = manifold.fit_all_neighborhoods(start, config.manifold)
+    want = oracles.init_proxies(start, full, config.n_proxies, proxy_seq)
+    assert run.proxies.frames.tobytes() == want.frames.tobytes()
+    assert run.proxies.locations.tobytes() == want.locations.tobytes()
+    assert run.proxies.frames.flags.writeable and run.proxies.locations.flags.writeable
 
 
 class TestCheckpoints:
