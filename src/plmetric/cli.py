@@ -6,8 +6,7 @@ honor a global ``--threads`` flag; with ``--threads 1`` (the default) runs
 are bit reproducible for a fixed root seed. The cap is applied through
 ``threadpoolctl``; without it the CLI warns on stderr and leaves BLAS as the
 environment set it. It caps BLAS threads only: a large evaluation also runs
-on manifold.WORKERS threads, with the same bits for any count when BLAS has
-one thread (a BLAS dot product splits its sum by BLAS thread count).
+on manifold.WORKERS threads, with the same bits for any count.
 
 ``train`` and ``diagnose`` read a run configuration, one flat table:
 TrainConfig's field names, with ``manifold_dim`` and ``binary_similarity``

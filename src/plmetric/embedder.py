@@ -3,7 +3,10 @@
 The embedder is a small fully connected network (tanh hidden layers, linear
 output) whose rows are projected onto the unit sphere. Everything runs in
 float64 with a hand-written reverse pass, which keeps the whole gradient
-chain inspectable and bit-reproducible.
+chain inspectable and bit-reproducible. Each layer computes its output in
+place, so embedding (``forward``) holds at most two activations at a time;
+only ``forward_cached``, the training pass, keeps every layer's input for
+``backward``.
 
 A second parameter set tracks the trained one by exponential moving average;
 similarities are always computed from this slower twin so they act as
@@ -68,9 +71,8 @@ class MLPParams:
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Embed rows of x onto the unit sphere."""
-    out, _ = forward_cached(params, x)
-    return out
+    """Embed rows of x onto the unit sphere, keeping no layer inputs."""
+    return _run_layers(params, x, None)[0]
 
 
 def forward_cached(params: MLPParams, x: np.ndarray):
@@ -79,6 +81,18 @@ def forward_cached(params: MLPParams, x: np.ndarray):
     Returns:
         (y, cache): y is the (n, d_out) row-normalized embedding; cache holds
         the per-layer inputs, the pre-normalization output's row norms and y.
+    """
+    layer_inputs: list[np.ndarray] = []
+    y, norms = _run_layers(params, x, layer_inputs)
+    return y, {"layer_inputs": layer_inputs, "norms": norms, "y": y}
+
+
+def _run_layers(params: MLPParams, x: np.ndarray, layer_inputs: list | None):
+    """The layer loop of both passes: returns (y, row norms before normalization).
+
+    In-place ``z += b`` and ``tanh(z, out=z)`` run the ufuncs of
+    ``tanh(h @ w + b)`` on the same operands, so every bit is kept. Each
+    layer input is appended to ``layer_inputs`` when a list is given.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -89,19 +103,21 @@ def forward_cached(params: MLPParams, x: np.ndarray):
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("input batch contains non-finite entries")
-    layer_inputs = []
     h = x
     last = len(params.weights) - 1
     for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
-        layer_inputs.append(h)
-        z = h @ w + b
-        h = z if idx == last else np.tanh(z)
+        if layer_inputs is not None:
+            layer_inputs.append(h)
+        z = h @ w
+        z += b
+        if idx != last:
+            np.tanh(z, out=z)
+        h = z
     norms = np.linalg.norm(h, axis=1)
     if np.any(norms < NORM_FLOOR):
         raise FloatingPointError("embedding collapsed to the origin before normalization")
-    y = h / norms[:, None]
-    cache = {"layer_inputs": layer_inputs, "norms": norms, "y": y}
-    return y, cache
+    h /= norms[:, None]
+    return h, norms
 
 
 def backward(params: MLPParams, cache: dict, grad_y: np.ndarray) -> list[np.ndarray]:
@@ -120,10 +136,11 @@ def backward(params: MLPParams, cache: dict, grad_y: np.ndarray) -> list[np.ndar
     for idx in range(last, -1, -1):
         h_in = cache["layer_inputs"][idx]
         if idx != last:
-            # grad_z currently holds the gradient at this layer's tanh output,
-            # which was cached as the next layer's input.
-            activated = cache["layer_inputs"][idx + 1]
-            grad_z = grad_z * (1.0 - activated**2)
+            # grad_z holds the gradient at this layer's tanh output, cached
+            # as the next layer's input; scale it by 1 - tanh^2 in place.
+            slope = np.square(cache["layer_inputs"][idx + 1])
+            np.subtract(1.0, slope, out=slope)
+            grad_z *= slope
         grads.append(np.sum(grad_z, axis=0))
         grads.append(h_in.T @ grad_z)
         grad_z = grad_z @ params.weights[idx].T

@@ -263,10 +263,12 @@ def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray
         raise ValueError("need at least two pairs")
     x = np.subtract(values, np.mean(values, dtype=np.float64), dtype=np.float64)
     y = np.subtract(indicator, np.mean(indicator, dtype=np.float64), dtype=np.float64)
-    sxx, syy = np.dot(x, x), np.dot(y, y)
+    # einsum never calls BLAS, whose dot splits its sum by thread count, so
+    # the sums, and the report, are the same on any number of BLAS threads.
+    sxx, syy = np.einsum("i,i->", x, x), np.einsum("i,i->", y, y)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined: zero variance in similarities or labels")
-    return float(np.clip(np.dot(x, y) / (np.sqrt(sxx) * np.sqrt(syy)), -1.0, 1.0))
+    return float(np.clip(np.einsum("i,i->", x, y) / (np.sqrt(sxx) * np.sqrt(syy)), -1.0, 1.0))
 
 
 @dataclass

@@ -724,13 +724,17 @@ def init_proxies(
     if not 1 <= n_proxies <= n:
         raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
     rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
-    chosen = [first]
-    min_d2 = np.sum((embeddings - embeddings[first]) ** 2, axis=1)
+    chosen = [int(rng.integers(n))]
+    # One (n, d) buffer and one row of distances serve every iteration;
+    # min(inf, d2) is d2, so the first pass needs no case of its own.
+    diffs = np.empty_like(embeddings)
+    d2 = np.empty(n)
+    min_d2 = np.full(n, np.inf)
     while len(chosen) < n_proxies:
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        d2 = np.sum((embeddings - embeddings[nxt]) ** 2, axis=1)
-        min_d2 = np.minimum(min_d2, d2)
+        np.subtract(embeddings, embeddings[chosen[-1]], out=diffs)
+        np.square(diffs, out=diffs)
+        np.sum(diffs, axis=1, out=d2)
+        np.minimum(min_d2, d2, out=min_d2)
+        chosen.append(int(np.argmax(min_d2)))
     neighborhoods = fit_all_neighborhoods(embeddings, config, anchors=chosen)
     return ProxySet(embeddings[chosen], np.array(neighborhoods.bases))

@@ -17,7 +17,9 @@ built from the library's split, decays and slopes), and so is the greedy
 scan that ran one accept test per pool position and member count, the
 reference of the library's padded scan. The proxy set-up that fitted every
 point and kept the chosen points' frames is the reference of the library's
-set-up, which fits the chosen points alone.
+set-up, which fits the chosen points alone. The allocating layer loop and
+reverse pass of the embedding network are the references of its in-place
+ones.
 """
 
 from __future__ import annotations
@@ -202,6 +204,45 @@ def init_proxies(embeddings, neighborhoods, n_proxies: int, seed):
         chosen.append(int(np.argmax(min_d2)))
         min_d2 = np.minimum(min_d2, np.sum((embeddings - embeddings[chosen[-1]]) ** 2, axis=1))
     return SimpleNamespace(locations=embeddings[chosen], frames=neighborhoods.bases[chosen])
+
+
+def forward_reference(params, x: np.ndarray):
+    """The allocating layer loop the library's in-place one replaced.
+
+    Returns (y, cache) as ``embedder.forward_cached`` does: each layer is
+    ``h @ w + b`` with ``tanh`` on every layer but the last, every layer
+    input is kept, and the output rows are divided by their norms. The
+    library's ``forward``, ``forward_cached`` and ``backward`` must equal
+    this and ``backward_reference`` bit for bit.
+    """
+    layer_inputs = []
+    h = np.asarray(x, dtype=np.float64)
+    last = len(params.weights) - 1
+    for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
+        layer_inputs.append(h)
+        z = h @ w + b
+        h = z if idx == last else np.tanh(z)
+    norms = np.linalg.norm(h, axis=1)
+    y = h / norms[:, None]
+    return y, {"layer_inputs": layer_inputs, "norms": norms, "y": y}
+
+
+def backward_reference(params, cache: dict, grad_y: np.ndarray) -> list[np.ndarray]:
+    """Reverse pass of ``forward_reference``, the tanh slope made afresh per layer."""
+    y, norms = cache["y"], cache["norms"]
+    inner = np.sum(grad_y * y, axis=1, keepdims=True)
+    grad_z = (grad_y - inner * y) / norms[:, None]
+    grads = []
+    last = len(params.weights) - 1
+    for idx in range(last, -1, -1):
+        if idx != last:
+            activated = cache["layer_inputs"][idx + 1]
+            grad_z = grad_z * (1.0 - activated**2)
+        grads.append(np.sum(grad_z, axis=0))
+        grads.append(cache["layer_inputs"][idx].T @ grad_z)
+        grad_z = grad_z @ params.weights[idx].T
+    grads.reverse()
+    return grads
 
 
 def complete_with_axes(rows: list[np.ndarray], dim: int, target: int) -> list[np.ndarray]:

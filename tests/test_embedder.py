@@ -1,12 +1,25 @@
 """Tests for the embedding network, its reverse pass, EMA twin, and Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmetric import embedder
 from plmetric.embedder import AdamState, EmbedderPair, MLPParams
 
-from oracles import central_difference_gradient, relative_gradient_error
+from oracles import (
+    backward_reference,
+    central_difference_gradient,
+    forward_reference,
+    relative_gradient_error,
+    same_bits,
+)
+
+# The benchmark's eval-large probe: 32 inputs, six tanh layers of 64, 4 outputs.
+PROBE_SIZES = (32, 64, 64, 64, 64, 64, 64, 4)
 
 
 class TestInitialization:
@@ -61,6 +74,72 @@ class TestForward:
         params = MLPParams(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         with pytest.raises(FloatingPointError, match="collapsed"):
             embedder.forward(params, np.ones((1, 2)))
+
+
+class TestInPlaceLayers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.one_of(
+            st.sampled_from([(5, 3), (32, 4), PROBE_SIZES, (8, 256, 256, 4), (16, 256, 32)]),
+            st.lists(st.integers(1, 12), min_size=2, max_size=5).map(tuple),
+        ),
+        n=st.sampled_from([1, 2, 7, 40]),
+        gain=st.sampled_from([1.0, 12.0]),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_passes_equal_the_allocating_loop_bit_for_bit(self, sizes, n, gain, zeros, seed):
+        # Gain 12 saturates the tanh layers (slope 1 - tanh^2 rounds to 0);
+        # signed zeros in the input and the upstream gradient check that
+        # the in-place slope keeps every zero's sign.
+        rng = np.random.default_rng(seed)
+        params = MLPParams.initialize(sizes, seed=rng.integers(2**32), gain=gain)
+        for b in params.biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        x = rng.standard_normal((n, sizes[0]))
+        grad_y = rng.standard_normal((n, sizes[-1]))
+        if zeros:
+            x[rng.random(x.shape) < 0.3] = -0.0
+            grad_y[rng.random(grad_y.shape) < 0.3] = -0.0
+        x_before = x.copy()
+        want_y, want_cache = forward_reference(params, x)
+        if np.any(want_cache["norms"] < embedder.NORM_FLOOR):
+            with pytest.raises(FloatingPointError, match="collapsed"):
+                embedder.forward(params, x)
+            return
+        assert same_bits(embedder.forward(params, x), want_y)
+        y, cache = embedder.forward_cached(params, x)
+        assert same_bits(y, want_y) and same_bits(cache["y"], want_y)
+        assert same_bits(cache["norms"], want_cache["norms"])
+        grads = embedder.backward(params, cache, grad_y)
+        want_grads = backward_reference(params, want_cache, grad_y)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert same_bits(got, want)
+        # Neither pass writes into the cached layer inputs or the caller's x.
+        assert len(cache["layer_inputs"]) == len(want_cache["layer_inputs"])
+        for got, want in zip(cache["layer_inputs"], want_cache["layer_inputs"]):
+            assert same_bits(got, want)
+        assert same_bits(x, x_before)
+
+    def test_forward_holds_two_activations_and_no_cache(self):
+        # 2,400 x 32 points through the probe: one (2400, 64) activation is
+        # 1.17 MiB, so the layer's input and output fit in 3 MiB, while
+        # keeping every layer's input (as the training pass does) takes
+        # more than 8 MiB.
+        params = MLPParams.initialize(PROBE_SIZES, seed=1000, gain=10.0)
+        x = np.random.default_rng(0).standard_normal((2400, 32))
+        embedder.forward(params, x)
+        tracemalloc.start()
+        try:
+            y = embedder.forward(params, x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(y, np.ndarray) and y.shape == (2400, 4)
+        assert peak < 3 * 2**20
+        # Nothing but the embedding outlives the call.
+        assert held < y.nbytes + 2**16
 
 
 class TestBackward:

@@ -1,6 +1,9 @@
 """Tests for retrieval metrics, purity, correlation, and the k-means baseline."""
 
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -509,3 +512,31 @@ class TestEvaluateEmbeddings:
         finally:
             tracemalloc.stop()
         assert peak < n * n * np.dtype(np.float64).itemsize
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self):
+        # The benchmark's eval-large shape, above the all-pairs limit, so the
+        # correlation sums over 1M sampled pairs; each report field's repr
+        # must be the same under one BLAS thread and two.
+        script = (
+            "from dataclasses import asdict\n"
+            "from plmetric import data, embedder, evaluate_embeddings, ManifoldConfig, SimilarityConfig\n"
+            "ds = data.generate_synthetic(data.SyntheticSpec(n_classes=6, points_per_class=400, seed=0))\n"
+            "probe = embedder.MLPParams.initialize((ds.dim, *(64,) * 6, 4), seed=1000, gain=10.0)\n"
+            "emb = embedder.forward(probe, ds.features)\n"
+            "report = evaluate_embeddings(emb, ds.labels, ManifoldConfig(pool_size=20), SimilarityConfig())\n"
+            "for name, value in asdict(report).items():\n"
+            "    print(name, repr(value))\n"
+        )
+
+        def report(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.splitlines()
+
+        one, two = report(1), report(2)
+        assert len(one) == 7 and "None" not in "".join(one)
+        assert one == two

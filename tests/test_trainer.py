@@ -649,6 +649,23 @@ def test_setup_proxies_equal_the_full_fit(n_train):
     assert run.proxies.frames.flags.writeable and run.proxies.locations.flags.writeable
 
 
+def test_setup_proxies_on_duplicated_grid_rows():
+    # Integer grid rows, each present twice, give farthest-point sampling
+    # exact distance ties, which its argmax breaks to the lowest index, and
+    # once every distinct row is chosen the remaining picks are at distance
+    # 0; 640 points take the k-NN's split blocks.
+    rng = np.random.default_rng(11)
+    grid = rng.integers(-2, 3, size=(320, 4)).astype(np.float64)
+    points = np.repeat(grid, 2, axis=0)[rng.permutation(640)]
+    assert 640 * 640 > manifold.NEIGHBOR_BLOCK_CELLS
+    config = ManifoldConfig(pool_size=12)
+    full = manifold.fit_all_neighborhoods(points, config)
+    for n_proxies, seed in [(1, 0), (64, 3), (400, 7)]:
+        got = manifold.init_proxies(points, config, n_proxies, seed)
+        want = oracles.init_proxies(points, full, n_proxies, seed)
+        assert same_bits(got.locations, want.locations) and same_bits(got.frames, want.frames)
+
+
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = _tiny_dataset(seed=5)
