@@ -138,9 +138,7 @@ def backward(params: MLPParams, cache: dict, grad_y: np.ndarray) -> list[np.ndar
         if idx != last:
             # grad_z holds the gradient at this layer's tanh output, cached
             # as the next layer's input; scale it by 1 - tanh^2 in place.
-            slope = np.square(cache["layer_inputs"][idx + 1])
-            np.subtract(1.0, slope, out=slope)
-            grad_z *= slope
+            grad_z *= 1.0 - cache["layer_inputs"][idx + 1] ** 2
         grads.append(np.sum(grad_z, axis=0))
         grads.append(h_in.T @ grad_z)
         grad_z = grad_z @ params.weights[idx].T

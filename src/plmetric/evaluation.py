@@ -56,21 +56,20 @@ def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
     return k_values
 
 
-def _checked_labels(labels, n: int | None, what: str) -> np.ndarray:
-    # The rule FeatureDataset applies: a 1-d integer array of n (any
-    # number when n is None) non-negative labels.
+def _checked_labels(labels, n: int, what: str) -> np.ndarray:
+    # The rule FeatureDataset applies: a 1-d integer array of n
+    # non-negative labels.
     if labels is None:
         raise ValueError(f"{what} requires labels")
     labels = np.asarray(labels)
     if (
         labels.ndim != 1
-        or (n is not None and len(labels) != n)
+        or len(labels) != n
         or not np.issubdtype(labels.dtype, np.integer)
         or np.any(labels < 0)
     ):
-        want = "" if n is None else f"{n} "
         raise ValueError(
-            f"labels must be a 1-d array of {want}non-negative integers, "
+            f"labels must be a 1-d array of {n} non-negative integers, "
             f"got shape {labels.shape} of dtype {labels.dtype}"
         )
     return labels
@@ -116,7 +115,7 @@ def recall_at_k(
 
 def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
     """Mean majority-label fraction over groups of indices."""
-    labels = _checked_labels(labels, None, "purity")
+    labels = _checked_labels(labels, np.size(labels), "purity")
     if len(groups) == 0:
         raise ValueError("need at least one group")
     fractions = []
@@ -132,9 +131,11 @@ def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
 def neighborhood_purity(neighborhoods: Neighborhoods, labels: np.ndarray) -> float:
     """Purity of fitted neighborhoods: majority fraction, averaged over anchors.
 
-    Equals group_purity over the rows' member sets.
+    Equals group_purity over the rows' member sets, which lie in [0, n).
     """
     labels = _checked_labels(labels, len(neighborhoods), "purity")
+    if np.max(neighborhoods.members, initial=-1) >= len(labels):
+        raise ValueError(f"neighborhood members must lie in [0, {len(labels)})")
     held = neighborhoods.members >= 0
     member_labels = labels[neighborhoods.members]
     # Slot s of a row counts the members that share its label; the largest
@@ -278,10 +279,10 @@ class EvalReport:
     n_samples: int
     n_classes: int
     recall_at: dict[int, float]
-    neighborhood_purity: float | None = None
-    kmeans_purity: float | None = None
-    similarity_correlation: float | None = None
-    kmeans_correlation: float | None = None
+    neighborhood_purity: float
+    kmeans_purity: float
+    similarity_correlation: float
+    kmeans_correlation: float
 
     def __post_init__(self) -> None:
         ks = sorted(self.recall_at)
@@ -301,9 +302,7 @@ class EvalReport:
             "similarity_correlation",
             "kmeans_correlation",
         ):
-            value = getattr(self, name)
-            if value is not None:
-                lines.append(f"{name}={value:.6f}")
+            lines.append(f"{name}={getattr(self, name):.6f}")
         return "\n".join(lines)
 
 

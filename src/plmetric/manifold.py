@@ -144,13 +144,12 @@ class ManifoldConfig:
 class LinearNeighborhood:
     """A fitted plane around one anchor: one row of a Neighborhoods record.
 
-    ``member_indices`` keeps insertion order (anchor first, then accepted
-    neighbors in scan order). A record's rows are views of its arrays,
-    built on demand and not validated again; a row built directly is
-    validated here, its basis by OrthonormalBasis.
+    ``member_indices`` keeps insertion order: the anchor (``anchor_index``)
+    first, then accepted neighbors in scan order. A record's rows are views
+    of its arrays, built on demand and not validated again; a row built
+    directly is validated here, its basis by OrthonormalBasis.
     """
 
-    anchor_index: int
     member_indices: np.ndarray
     basis: OrthonormalBasis
 
@@ -158,10 +157,12 @@ class LinearNeighborhood:
         members = np.asarray(self.member_indices, dtype=np.int64)
         if members.ndim != 1 or members.size < 1:
             raise ValueError("member_indices must be a non-empty 1-d array")
-        if members[0] != self.anchor_index:
-            raise ValueError(f"anchor {self.anchor_index} is not the first member")
         members.setflags(write=False)
         object.__setattr__(self, "member_indices", members)
+
+    @property
+    def anchor_index(self) -> int:
+        return int(self.member_indices[0])
 
     @property
     def size(self) -> int:
@@ -238,11 +239,8 @@ class Neighborhoods:
 
     def __getitem__(self, index: int) -> LinearNeighborhood:
         i = range(len(self))[index]
-        members = self.members[i, : self.sizes[i]]
         basis = _view(OrthonormalBasis, vectors=self.bases[i])
-        return _view(
-            LinearNeighborhood, anchor_index=int(members[0]), member_indices=members, basis=basis
-        )
+        return _view(LinearNeighborhood, member_indices=self.members[i, : self.sizes[i]], basis=basis)
 
     def __iter__(self) -> Iterator[LinearNeighborhood]:
         return (self[i] for i in range(len(self)))
@@ -721,20 +719,16 @@ def init_proxies(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
+    if isinstance(n_proxies, bool) or not isinstance(n_proxies, (int, np.integer)):
+        raise ValueError(f"n_proxies must be an integer, got {n_proxies!r}")
     if not 1 <= n_proxies <= n:
         raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    # One (n, d) buffer and one row of distances serve every iteration;
     # min(inf, d2) is d2, so the first pass needs no case of its own.
-    diffs = np.empty_like(embeddings)
-    d2 = np.empty(n)
     min_d2 = np.full(n, np.inf)
     while len(chosen) < n_proxies:
-        np.subtract(embeddings, embeddings[chosen[-1]], out=diffs)
-        np.square(diffs, out=diffs)
-        np.sum(diffs, axis=1, out=d2)
-        np.minimum(min_d2, d2, out=min_d2)
+        min_d2 = np.minimum(min_d2, np.sum((embeddings - embeddings[chosen[-1]]) ** 2, axis=1))
         chosen.append(int(np.argmax(min_d2)))
     neighborhoods = fit_all_neighborhoods(embeddings, config, anchors=chosen)
     return ProxySet(embeddings[chosen], np.array(neighborhoods.bases))

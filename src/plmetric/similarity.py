@@ -98,12 +98,12 @@ def pairwise_similarity_matrix(
 ) -> np.ndarray:
     """(n, n) symmetric similarity matrix over one embedded point set.
 
-    ``neighborhoods`` holds the plane of each point, row j for point j.
+    ``neighborhoods`` holds point j's plane in row j, its members in [0, n).
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n:
-        raise ValueError("need one neighborhood per embedding row")
+    if len(neighborhoods) != n or np.max(neighborhoods.members, initial=-1) >= n:
+        raise ValueError(f"need one neighborhood per embedding row, members in [0, {n})")
     directed = np.zeros((n, n))
     if config.binary:
         # Column j marks the members of anchor j's neighborhood.
@@ -143,8 +143,8 @@ def pair_similarities(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n:
-        raise ValueError("need one neighborhood per embedding row")
+    if len(neighborhoods) != n or np.max(neighborhoods.members, initial=-1) >= n:
+        raise ValueError(f"need one neighborhood per embedding row, members in [0, {n})")
     first, second = as_indices(first, "pair indices"), as_indices(second, "pair indices")
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")

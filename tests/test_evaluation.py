@@ -166,6 +166,17 @@ class TestPurity:
         want = group_purity([nb.member_indices for nb in nbhds], labels)
         assert neighborhood_purity(nbhds, labels) == want
 
+    def test_neighborhood_purity_rejects_members_past_the_labels(self):
+        # A 12-point record with member 40 in row 3 once raised a bare
+        # IndexError from indexing the labels.
+        rng = np.random.default_rng(3)
+        nbhds = manifold.fit_all_neighborhoods(rng.standard_normal((12, 4)), ManifoldConfig(dim=2))
+        members = nbhds.members.copy()
+        members[3, 1] = 40
+        bad = manifold.Neighborhoods(members, nbhds.sizes, nbhds.bases)
+        with pytest.raises(ValueError, match=re.escape("members must lie in [0, 12)")):
+            neighborhood_purity(bad, np.arange(12) % 3)
+
 
 # Label arrays that break the rule at n = 60, and the shape each error names.
 _BAD_LABELS = {
@@ -367,14 +378,16 @@ class TestSimilarityCorrelation:
 class TestEvalReport:
     def test_recall_monotonicity_enforced(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            EvalReport(10, 2, {1: 50.0, 2: 40.0})
+            EvalReport(10, 2, {1: 50.0, 2: 40.0}, 0.9, 0.8, 0.5, 0.4)
 
     def test_text_rendering(self):
-        report = EvalReport(10, 2, {1: 50.0}, neighborhood_purity=0.9)
+        report = EvalReport(10, 2, {1: 50.0}, 0.9, 0.8, 0.5, 0.4)
         text = report.to_text()
         assert "recall@1=50.0000" in text
         assert "neighborhood_purity=0.900000" in text
-        assert "kmeans_purity" not in text
+        assert "kmeans_purity=0.800000" in text
+        assert "similarity_correlation=0.500000" in text
+        assert "kmeans_correlation=0.400000" in text
 
 
 class TestEvaluateEmbeddings:

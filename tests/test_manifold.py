@@ -818,13 +818,6 @@ class TestBatchedAccepts:
         assert seen == [tuple(special)]
 
 
-class TestLinearNeighborhood:
-    def test_anchor_must_be_member(self):
-        basis = linalg.OrthonormalBasis(np.eye(3)[:2])
-        with pytest.raises(ValueError, match="anchor"):
-            LinearNeighborhood(7, np.array([0, 1, 2]), basis)
-
-
 @st.composite
 def record_cases(draw):
     # scan_cases, sometimes under the knn_only ablation.
@@ -848,7 +841,7 @@ def _hand_rows(points, record, dim):
     for i in range(len(record)):
         members = record.members[i, : record.sizes[i]].tolist()
         basis, _ = linalg.pca_top_m(points[members], dim)
-        rows.append(LinearNeighborhood(members[0], np.array(members), basis))
+        rows.append(LinearNeighborhood(np.array(members), basis))
     return rows
 
 
@@ -1069,6 +1062,26 @@ class TestNeighborhoodsRecord:
         with pytest.raises(IndexError):
             record[len(record)]
 
+    @pytest.mark.parametrize("i", [0, 7, -1])
+    def test_replaced_row_stacks_as_the_edited_record(self, i):
+        # The row contract the benchmark's probes rely on: a row with new
+        # members has its first member as anchor, and stacking the rows
+        # gives the record with that row's members edited.
+        _, _, record = _fitted_record(seed=3)
+        members = record.members[i, : record.sizes[i]].copy()
+        members[1:] = members[:0:-1]
+        rows = list(record)
+        rows[i] = dataclasses.replace(record[i], member_indices=members)
+        assert rows[i].anchor_index == members[0] == record[i].anchor_index
+        edited = record.members.copy()
+        edited[i, : len(members)] = members
+        stacked = Neighborhoods.of(rows)
+        assert stacked.members.tobytes() == edited.tobytes()
+        for name in ("sizes", "bases"):
+            assert getattr(stacked, name).tobytes() == getattr(record, name).tobytes(), name
+        moved = dataclasses.replace(record[i], member_indices=members[::-1])
+        assert moved.anchor_index == members[-1]
+
 
 def _unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
@@ -1105,6 +1118,21 @@ class TestProxies:
         pts, cfg = self._setup()
         with pytest.raises(ValueError, match="n_proxies"):
             manifold.init_proxies(pts, cfg, len(pts) + 1, seed=0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(4.0)])
+    def test_non_integer_proxy_count_raises(self, count):
+        # A float count once gave ceil(count) proxies without a word.
+        pts, cfg = self._setup()
+        with pytest.raises(ValueError, match="n_proxies must be an integer"):
+            manifold.init_proxies(pts, cfg, count, seed=0)
+
+    def test_numpy_integer_proxy_count_is_an_int(self):
+        pts, cfg = self._setup()
+        want = manifold.init_proxies(pts, cfg, 5, seed=4)
+        for count in (np.int64(5), np.int32(5), np.uint8(5)):
+            got = manifold.init_proxies(pts, cfg, count, seed=4)
+            assert got.locations.tobytes() == want.locations.tobytes()
+            assert got.frames.tobytes() == want.frames.tobytes()
 
     def test_renormalize_restores_unit_norm(self):
         pts, cfg = self._setup()

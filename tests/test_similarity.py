@@ -1,5 +1,6 @@
 """Tests for decay curves, symmetric similarities, and the proxy pass."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -163,7 +164,7 @@ class TestPointSimilarity:
         first, second = np.r_[first, np.arange(n), 0], np.r_[second, np.arange(n), n - 1]
         nbhds = Neighborhoods.of(
             LinearNeighborhood(
-                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
+                np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
             )
             for j, frame in enumerate(bases)
         )
@@ -234,6 +235,24 @@ class TestPointSimilarity:
         pts, nbhds, _ = _embedded_scene(seed=9, n=20)
         got = similarity.pair_similarities(pts, nbhds, SimilarityConfig(), [], [])
         assert got.shape == (0,)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("reader", ["matrix", "pairs"])
+    def test_members_past_the_point_set_rejected(self, reader, binary):
+        # A 12-point record with member 40 in row 3: the binary matrix
+        # raised a bare IndexError and the binary pair route scored
+        # [0., 0.] without a word.
+        pts, nbhds, _ = _embedded_scene(seed=9, n=12)
+        members = nbhds.members.copy()
+        members[3, 1] = 40
+        bad = Neighborhoods(members, nbhds.sizes, nbhds.bases)
+        cfg = SimilarityConfig(binary=binary)
+        calls = {
+            "matrix": lambda: similarity.pairwise_similarity_matrix(pts, bad, cfg),
+            "pairs": lambda: similarity.pair_similarities(pts, bad, cfg, [3, 0], [0, 3]),
+        }
+        with pytest.raises(ValueError, match=re.escape("members in [0, 12)")):
+            calls[reader]()
 
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)
@@ -463,11 +482,11 @@ class TestStackedRoutesMatchLoops:
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
         n = len(embeddings)
         rng = np.random.default_rng(n)
-        # Hand-built rows, anchor first as a row requires; the consumer
-        # stacks them into one record.
+        # Hand-built rows, anchor first; the consumer stacks them into one
+        # record.
         nbhds = [
             LinearNeighborhood(
-                j, np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
+                np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
             )
             for j, frame in enumerate(bases)
         ]
