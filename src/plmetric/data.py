@@ -4,7 +4,8 @@ Two interchangeable formats are supported: a packed binary layout (magic
 ``PLMF``) for fast round trips and a plain CSV layout for inspection. The
 synthetic generator places each class on its own low-dimensional linear patch
 inside a high-dimensional ambient space, which is the geometry the rest of
-the library is built to exploit.
+the library is built to exploit. checked_labels is the package's one label
+rule, which FeatureDataset and every labelled metric in evaluation apply.
 """
 
 from __future__ import annotations
@@ -31,9 +32,21 @@ class DatasetFormatError(Exception):
     """Raised when an on-disk dataset cannot be parsed."""
 
 
+def checked_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as an array if a 1-d integer array-like of n non-negative
+    labels, else (None included) one ValueError naming shape and dtype."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
+        raise ValueError(
+            f"labels must be a 1-d array of {n} non-negative integers, "
+            f"got shape {labels.shape} of dtype {labels.dtype}"
+        )
+    return labels
+
+
 @dataclass
 class FeatureDataset:
-    """In-memory dataset: float64 features with optional integer labels."""
+    """In-memory dataset: float64 features with optional labels (checked_labels), as int64."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
@@ -48,14 +61,7 @@ class FeatureDataset:
         self.features = feats
         n = feats.shape[0]
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (n,):
-                raise ValueError(f"labels shape {labels.shape} does not match {n} samples")
-            if not np.issubdtype(labels.dtype, np.integer):
-                raise ValueError("labels must be integers")
-            if np.any(labels < 0):
-                raise ValueError("labels must be non-negative")
-            self.labels = labels.astype(np.int64)
+            self.labels = checked_labels(self.labels, n).astype(np.int64)
         if self.ids is None:
             self.ids = np.arange(n, dtype=np.int64)
         else:

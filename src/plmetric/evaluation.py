@@ -5,12 +5,18 @@ neighbors from manifold.neighbor_lists, a blocked exact top-k whose memory
 grows with n, not n^2; a full evaluation runs that k-NN once, to the larger
 of max(K) and the pool size, and hands its first columns to recall and to
 the neighborhood fit's pools. Label purity is the mean majority fraction
-over groups, and the similarity correlation is Pearson's between continuous
-similarities and the binary same-class indicator, over all pairs up to
-ALL_PAIRS_LIMIT points (read from the similarity matrix) and over a seeded
-sample of pairs beyond it (scored a chunk of pairs at a time, without the
-n x n matrix). The k-means baseline (Lloyd with k-means++ seeding) lives
-here so comparisons never depend on an external implementation.
+over groups: group_purity and neighborhood_purity share one body, whose
+memory grows with the member count, not with the label values. The
+similarity correlation is Pearson's between continuous similarities and the
+binary same-class indicator, over all pairs up to ALL_PAIRS_LIMIT points
+(read from the similarity matrix) and over a seeded sample of pairs beyond
+it (scored a chunk of pairs at a time, without the n x n matrix). The
+k-means baseline (Lloyd with k-means++ seeding) lives here so comparisons
+never depend on an external implementation.
+
+Each kind of input has one rule, raising ValueError: data.checked_labels for
+labels, manifold.as_indices for indices and K, manifold.check_count for
+counts and Neighborhoods.checked_members for a record against its points.
 
 On large sets the k-NN, the neighborhood scan and the sampled-pair scoring
 run on every usable core (manifold.WORKERS threads, the caller included);
@@ -27,12 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import checked_labels
 from .linalg import squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
     as_indices,
-    check_pool_size,
+    check_count,
     fit_all_neighborhoods,
     neighbor_lists,
 )
@@ -56,25 +63,6 @@ def _checked_ks(k_values: Sequence[int], n: int) -> list[int]:
     return k_values
 
 
-def _checked_labels(labels, n: int, what: str) -> np.ndarray:
-    # The rule FeatureDataset applies: a 1-d integer array of n
-    # non-negative labels.
-    if labels is None:
-        raise ValueError(f"{what} requires labels")
-    labels = np.asarray(labels)
-    if (
-        labels.ndim != 1
-        or len(labels) != n
-        or not np.issubdtype(labels.dtype, np.integer)
-        or np.any(labels < 0)
-    ):
-        raise ValueError(
-            f"labels must be a 1-d array of {n} non-negative integers, "
-            f"got shape {labels.shape} of dtype {labels.dtype}"
-        )
-    return labels
-
-
 def recall_at_k(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -88,14 +76,14 @@ def recall_at_k(
     from its own candidates, ties broken toward the lower index. A caller
     that already holds neighbor_lists(embeddings, k) for some k >= max(K)
     passes it as ``neighbors``; its first max(K) columns are the list this
-    would compute, in any integer array-like. Its entries must be integers
-    in [0, n), none the query's own index. Each K must be a positive
-    integer, a numpy one included; a float K raises ValueError. Returns
-    {K: percentage}.
+    would compute, in any integer array-like. Its entries must be indices
+    in [0, n) (manifold.as_indices), none the query's own. Each K must be a
+    positive integer, a numpy one included; a float K raises ValueError.
+    ``labels`` follow data.checked_labels. Returns {K: percentage}.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    labels = _checked_labels(labels, n, "recall")
+    labels = checked_labels(labels, n)
     k_values = _checked_ks(k_values, n)
     depth = max(k_values)
     if neighbors is None:
@@ -103,9 +91,9 @@ def recall_at_k(
     elif np.ndim(neighbors) != 2 or len(neighbors) != n or np.shape(neighbors)[1] < depth:
         raise ValueError(f"neighbors shape {np.shape(neighbors)} is not ({n}, >= {depth})")
     else:
-        neighbors = as_indices(neighbors, "neighbors")
-        if np.any((neighbors < 0) | (neighbors >= n) | (neighbors == np.arange(n)[:, None])):
-            raise ValueError(f"neighbors must hold indices in [0, {n}), no query its own neighbor")
+        neighbors = as_indices(neighbors, "neighbors", n)
+        if np.any(neighbors == np.arange(n)[:, None]):
+            raise ValueError("neighbors must not hold the query's own index")
     match = labels[neighbors[:, :depth]] == labels[:, None]
     out = {}
     for k in sorted(k_values):
@@ -113,36 +101,41 @@ def recall_at_k(
     return out
 
 
+def _purity(members: np.ndarray, sizes: np.ndarray, labels: np.ndarray) -> float:
+    # Mean majority-label fraction of groups laid out one after another:
+    # group g is the next sizes[g] entries of ``members``. A member's key is
+    # g * n plus its label's rank among the n labels, so one sort counts each
+    # (group, label) pair, in memory that never grows with the label values.
+    firsts = np.arange(len(sizes)) * len(labels)
+    ranks = np.unique(labels, return_inverse=True)[1]
+    keys, counts = np.unique(np.repeat(firsts, sizes) + ranks[members], return_counts=True)
+    # Keys ascend, so group g's counts start at its first key, the first >= g * n.
+    majority = np.maximum.reduceat(counts, np.searchsorted(keys, firsts))
+    return float(np.mean(majority / sizes))
+
+
 def group_purity(groups: Sequence[np.ndarray], labels: np.ndarray) -> float:
-    """Mean majority-label fraction over groups of indices."""
-    labels = _checked_labels(labels, np.size(labels), "purity")
-    if len(groups) == 0:
-        raise ValueError("need at least one group")
-    fractions = []
-    for members in groups:
-        members = np.asarray(members, dtype=np.int64)
-        if members.size == 0:
-            raise ValueError("empty group")
-        counts = np.bincount(labels[members])
-        fractions.append(counts.max() / members.size)
-    return float(np.mean(fractions))
+    """Mean majority-label fraction over groups of indices into ``labels``.
+
+    Each group is a non-empty 1-d array-like of indices in [0, len(labels))
+    (manifold.as_indices); labels follow data.checked_labels at their own
+    length. Anything else raises ValueError.
+    """
+    labels = checked_labels(labels, np.size(labels))
+    groups = [as_indices(members, "group members", len(labels)) for members in groups]
+    if not groups or any(members.ndim != 1 or members.size == 0 for members in groups):
+        raise ValueError("need at least one group, each a non-empty 1-d array of indices")
+    return _purity(np.concatenate(groups), np.array([members.size for members in groups]), labels)
 
 
 def neighborhood_purity(neighborhoods: Neighborhoods, labels: np.ndarray) -> float:
-    """Purity of fitted neighborhoods: majority fraction, averaged over anchors.
+    """Purity of fitted neighborhoods: group_purity over the rows' member sets.
 
-    Equals group_purity over the rows' member sets, which lie in [0, n).
+    ``labels`` follow data.checked_labels with one label per row, and the
+    record must fit that many points (Neighborhoods.checked_members).
     """
-    labels = _checked_labels(labels, len(neighborhoods), "purity")
-    if np.max(neighborhoods.members, initial=-1) >= len(labels):
-        raise ValueError(f"neighborhood members must lie in [0, {len(labels)})")
-    held = neighborhoods.members >= 0
-    member_labels = labels[neighborhoods.members]
-    # Slot s of a row counts the members that share its label; the largest
-    # count over a row's members is its majority.
-    same = (member_labels[:, :, None] == member_labels[:, None, :]) & held[:, None, :]
-    majority = np.max(np.where(held, np.count_nonzero(same, axis=2), 0), axis=1)
-    return float(np.mean(majority / neighborhoods.sizes))
+    labels = checked_labels(labels, len(neighborhoods))
+    return _purity(neighborhoods.checked_members(len(labels)), neighborhoods.sizes, labels)
 
 
 @dataclass
@@ -185,8 +178,7 @@ def kmeans_baseline(
     """
     points = np.asarray(embeddings, dtype=np.float64)
     n = points.shape[0]
-    if not 1 <= n_clusters <= n:
-        raise ValueError(f"n_clusters={n_clusters} out of range for {n} points")
+    check_count(n_clusters, "n_clusters", n, n)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(points, n_clusters, rng)
     assignments = np.full(n, -1, dtype=np.int64)
@@ -324,13 +316,13 @@ def evaluate_embeddings(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    labels = _checked_labels(labels, n, "labeled evaluation")
+    labels = checked_labels(labels, n)
     classes = np.unique(labels)
     # Recall and the fit's pools read one k-NN: each list is the prefix of
     # the longest (neighbor_lists is a stable sort's first columns). Both
     # inputs are checked first, so a short set raises its own error.
     recall_ks = _checked_ks(recall_ks, n)
-    check_pool_size(n, manifold_config)
+    check_count(manifold_config.pool_size, "pool_size", n, n - 1)
     neighbors = neighbor_lists(embeddings, max(manifold_config.pool_size, *recall_ks))
     recall = recall_at_k(embeddings, labels, recall_ks, neighbors=neighbors)
     neighborhoods = fit_all_neighborhoods(

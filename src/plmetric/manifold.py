@@ -234,6 +234,13 @@ class Neighborhoods:
             members[i, : row.size] = row.member_indices
         return cls(members, sizes, np.stack([row.basis.vectors for row in rows]))
 
+    def checked_members(self, n: int) -> np.ndarray:
+        """Every row's members, row after row, if the record fits an n-point
+        set: one row per point, members in [0, n). Else ValueError."""
+        if len(self) != n:
+            raise ValueError(f"need one neighborhood per point, got {len(self)} for {n} points")
+        return as_indices(self.members[self.members >= 0], "neighborhood members", n)
+
     def __len__(self) -> int:
         return len(self.sizes)
 
@@ -320,16 +327,15 @@ def neighbor_lists(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if not 1 <= n_neighbors <= n - 1:
-        raise ValueError(f"n_neighbors={n_neighbors} out of range for {n} points")
+    check_count(n_neighbors, "n_neighbors", n, n - 1)
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("points contain non-finite entries")
     if rows is None:
         rows = np.arange(n)
     else:
-        rows = as_indices(rows, "rows")
-        if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
-            raise ValueError(f"rows must be a 1-d array of indices in [0, {n})")
+        rows = as_indices(rows, "rows", n)
+        if rows.ndim != 1:
+            raise ValueError("rows must be a 1-d array of indices")
     # A one-row tail joins the block before it: numpy runs a one-row
     # product as gemv, whose last bits differ from gemm's.
     rows_per_block = n if n * n <= NEIGHBOR_BLOCK_CELLS else max(2, NEIGHBOR_SPLIT_CELLS // n)
@@ -558,14 +564,6 @@ def _fit_planes(
     return Neighborhoods(padded, sizes, linalg._fix_signs(vectors))
 
 
-def check_pool_size(n_points: int, config: ManifoldConfig) -> None:
-    """Raise unless n_points points leave every anchor a full pool."""
-    if n_points <= config.pool_size:
-        raise ValueError(
-            f"need more than pool_size={config.pool_size} points, got {n_points}"
-        )
-
-
 def fit_all_neighborhoods(
     embeddings: np.ndarray,
     config: ManifoldConfig,
@@ -601,8 +599,8 @@ def fit_all_neighborhoods(
     thread.
     """
     n = len(embeddings)
-    check_pool_size(n, config)
-    anchors = np.arange(n) if anchors is None else as_indices(anchors, "anchors")
+    check_count(config.pool_size, "pool_size", n, n - 1)
+    anchors = np.arange(n) if anchors is None else as_indices(anchors, "anchors", n)
     if pools is None:
         pools = neighbor_lists(embeddings, config.pool_size, rows=anchors)
     elif np.shape(pools) != (len(anchors), config.pool_size):
@@ -610,12 +608,26 @@ def fit_all_neighborhoods(
     return _fit_pools(embeddings, anchors, pools, config)
 
 
-def as_indices(values, what: str) -> np.ndarray:
-    """Integer array-like ``values`` as int64; floats or booleans raise ValueError."""
+def as_indices(values, what: str, n: int | None = None) -> np.ndarray:
+    """Integer array-like ``values`` as int64, the package's one index rule:
+    floats, booleans and, given a point count n, indices outside [0, n) raise."""
     values = np.asarray(values)
     if values.size and not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"{what} must be integer indices, got dtype {values.dtype}")
-    return values.astype(np.int64, copy=False)
+    # An unsigned index past the int64 range turns negative here, so it fails too.
+    values = values.astype(np.int64, copy=False)
+    if n is not None and values.size and (values.min() < 0 or values.max() >= n):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return values
+
+
+def check_count(value, what: str, n: int, most: int) -> None:
+    """Raise ValueError naming ``what`` unless ``value``, a count over n
+    points, is an integer (a numpy one included, a bool not) in [1, most]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= most:
+        raise ValueError(f"{what}={value} out of range [1, {most}] for {n} points")
 
 
 def _fit_pools(embeddings, anchors, pools, config: ManifoldConfig) -> Neighborhoods:
@@ -628,15 +640,14 @@ def _fit_pools(embeddings, anchors, pools, config: ManifoldConfig) -> Neighborho
     n, dim = embeddings.shape
     if config.dim > dim:
         raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {dim}")
-    anchors, pools = as_indices(anchors, "anchors"), as_indices(pools, "pools")
+    anchors, pools = as_indices(anchors, "anchors", n), as_indices(pools, "pools", n)
     if anchors.ndim != 1 or anchors.size < 1:
         raise ValueError("anchors must be a non-empty 1-d array of indices")
     count, width = pools.shape
     if width < config.dim:
         raise ValueError(f"need at least dim={config.dim} neighbor candidates, got {width}")
-    bad = (pools < 0) | (pools >= n) | (pools == anchors[:, None])
-    if np.any(bad) or np.any((anchors < 0) | (anchors >= n)):
-        raise ValueError(f"anchors and pools must hold indices in [0, {n}), no anchor in its own pool")
+    if np.any(pools == anchors[:, None]):
+        raise ValueError("pools must not hold their own anchor")
     members = np.empty((count, width + 1), dtype=np.int64)
     sizes = np.empty(count, dtype=np.int64)
 
@@ -719,10 +730,7 @@ def init_proxies(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if isinstance(n_proxies, bool) or not isinstance(n_proxies, (int, np.integer)):
-        raise ValueError(f"n_proxies must be an integer, got {n_proxies!r}")
-    if not 1 <= n_proxies <= n:
-        raise ValueError(f"n_proxies={n_proxies} out of range for {n} points")
+    check_count(n_proxies, "n_proxies", n, n)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     # min(inf, d2) is d2, so the first pass needs no case of its own.

@@ -98,17 +98,15 @@ def pairwise_similarity_matrix(
 ) -> np.ndarray:
     """(n, n) symmetric similarity matrix over one embedded point set.
 
-    ``neighborhoods`` holds point j's plane in row j, its members in [0, n).
+    ``neighborhoods`` holds point j's plane in row j (Neighborhoods.checked_members).
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n or np.max(neighborhoods.members, initial=-1) >= n:
-        raise ValueError(f"need one neighborhood per embedding row, members in [0, {n})")
+    members = neighborhoods.checked_members(n)
     directed = np.zeros((n, n))
     if config.binary:
         # Column j marks the members of anchor j's neighborhood.
-        held = neighborhoods.members >= 0
-        directed[neighborhoods.members[held], np.nonzero(held)[0]] = 1.0
+        directed[members, np.repeat(np.arange(n), neighborhoods.sizes)] = 1.0
     else:
         # Column j is every point seen from anchor j's plane, a block of
         # anchors at a time.
@@ -136,20 +134,17 @@ def pair_similarities(
     pairs at a time with no (n, n) array, so memory grows with the number
     of pairs, not with n^2. ``neighborhoods`` is as for
     pairwise_similarity_matrix. ``first`` and ``second`` must be
-    equal-length 1-d integer arrays of indices in [0, n); floats and
-    booleans raise ValueError, as manifold.as_indices. The chunks run on the
-    calling thread plus up to manifold.WORKERS - 1 helpers, each writing
-    its own slice of the output, so the bits do not depend on the count.
+    equal-length 1-d integer arrays of indices in [0, n) (manifold.as_indices);
+    anything else raises ValueError. The chunks run on the calling thread
+    plus up to manifold.WORKERS - 1 helpers, each writing its own slice of
+    the output, so the bits do not depend on the count.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n or np.max(neighborhoods.members, initial=-1) >= n:
-        raise ValueError(f"need one neighborhood per embedding row, members in [0, {n})")
-    first, second = as_indices(first, "pair indices"), as_indices(second, "pair indices")
+    neighborhoods.checked_members(n)
+    first, second = as_indices(first, "pair indices", n), as_indices(second, "pair indices", n)
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")
-    if first.size and (min(first.min(), second.min()) < 0 or max(first.max(), second.max()) >= n):
-        raise ValueError(f"pair indices must lie in [0, {n})")
     members, bases = neighborhoods.members, neighborhoods.bases
     out = np.empty(first.size)
 

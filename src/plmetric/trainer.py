@@ -355,8 +355,6 @@ class Trainer:
         proxy placement, batch sampling, and augmentation noise, so toggling
         one consumer never shifts another.
         """
-        if config.n_proxies > dataset.n_samples:
-            raise ValueError("n_proxies cannot exceed the dataset size")
         root = np.random.SeedSequence(config.seed)
         init_seq, proxy_seq, sampler_seq, augment_seq = root.spawn(4)
         layer_sizes = (dataset.dim, *config.hidden_sizes, config.embed_dim)

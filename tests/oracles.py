@@ -400,6 +400,20 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def group_purity_loop(groups, labels) -> float:
+    """Mean majority-label fraction, one group at a time.
+
+    The reference of the one purity body behind evaluation.group_purity and
+    neighborhood_purity: each group's label counts come from np.unique.
+    """
+    labels = np.asarray(labels)
+    fractions = []
+    for members in groups:
+        _, counts = np.unique(labels[np.asarray(members)], return_counts=True)
+        fractions.append(counts.max() / len(members))
+    return float(np.mean(fractions))
+
+
 def pearson_two_pass(x: np.ndarray, y: np.ndarray) -> float:
     """Textbook two-pass Pearson correlation, no shared code with the library."""
     x = np.asarray(x, dtype=np.float64)

@@ -26,7 +26,7 @@ class TestFeatureDataset:
             FeatureDataset(np.zeros((2, 2)), labels=np.array([0.0, 1.0]))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="labels shape"):
+        with pytest.raises(ValueError, match=re.escape("got shape (1,)")):
             FeatureDataset(np.zeros((2, 2)), labels=np.array([0]))
 
     def test_rejects_non_finite(self):

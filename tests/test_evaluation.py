@@ -27,7 +27,7 @@ from plmetric.evaluation import (
 from plmetric.manifold import ManifoldConfig
 from plmetric.similarity import SimilarityConfig
 
-from oracles import pearson_two_pass
+from oracles import group_purity_loop, pearson_two_pass, same_bits
 
 
 class TestRecallAtK:
@@ -94,14 +94,22 @@ class TestRecallAtK:
         assert all(type(k) is int for k in got)
         assert recall_at_k(pts, labels, np.array([1, 4])) == got
 
-    @pytest.mark.parametrize("row, entry", [(0, 0), (3, -1), (5, 10)], ids=["self", "negative", "n"])
-    def test_neighbors_with_bad_indices_rejected(self, row, entry):
+    @pytest.mark.parametrize(
+        "row, entry, message",
+        [
+            (0, 0, "neighbors must not hold the query's own index"),
+            (3, -1, r"neighbors must lie in \[0, 10\)"),
+            (5, 10, r"neighbors must lie in \[0, 10\)"),
+        ],
+        ids=["self", "negative", "n"],
+    )
+    def test_neighbors_with_bad_indices_rejected(self, row, entry, message):
         # Unchecked, -1 entries read the last label and misreported recall,
         # and an index of n raised a bare IndexError.
         pts = np.random.default_rng(5).standard_normal((10, 3))
         neighbors = manifold.neighbor_lists(pts, 3)
         neighbors[row, 0] = entry
-        with pytest.raises(ValueError, match=r"neighbors must hold indices in \[0, 10\)"):
+        with pytest.raises(ValueError, match=message):
             recall_at_k(pts, np.arange(10) % 2, [1, 2], neighbors=neighbors)
 
     def test_neighbors_as_a_list(self):
@@ -177,6 +185,74 @@ class TestPurity:
         with pytest.raises(ValueError, match=re.escape("members must lie in [0, 12)")):
             neighborhood_purity(bad, np.arange(12) % 3)
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([0, 3, -1], re.escape("group members must lie in [0, 12)")),
+            ([0.9, 3.5], "group members must be integer indices"),
+            ([0, 40], re.escape("group members must lie in [0, 12)")),
+        ],
+        ids=["negative", "float", "n"],
+    )
+    def test_group_indices_follow_the_index_rule(self, members, message):
+        # Unchecked, -1 read the last label (0.667), the floats were
+        # truncated to 0 and 3 (1.0), and 40 raised a bare IndexError.
+        with pytest.raises(ValueError, match=message):
+            group_purity([np.array(members)], np.arange(12) % 3)
+
+    @pytest.mark.parametrize("groups", [[], [np.arange(3), []], [np.zeros((2, 2), dtype=int)]])
+    def test_groups_must_be_non_empty_1d(self, groups):
+        with pytest.raises(ValueError, match="need at least one group, each a non-empty 1-d"):
+            group_purity(groups, np.arange(12) % 3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_the_group_loop(self, data):
+        # Few distinct labels make ties and mixed groups; single members,
+        # repeated members and labels up to 2**32 - 1 are drawn too.
+        n = data.draw(st.integers(1, 30), label="n")
+        values = data.draw(
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True), label="values"
+        )
+        labels = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+        if data.draw(st.booleans(), label="uint32"):
+            labels = labels.astype(np.uint32)
+        groups = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=12).map(np.array),
+                min_size=1,
+                max_size=8,
+            ),
+            label="groups",
+        )
+        assert group_purity(groups, labels) == group_purity_loop(groups, labels)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(1, 4))
+    def test_neighborhood_purity_equals_the_group_loop(self, seed, n_labels):
+        # Rows of a real record, of mixed sizes, against the loop over them.
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((40, 3))
+        cfg = ManifoldConfig(dim=2, quality_threshold=70.0, pool_size=8)
+        nbhds = manifold.fit_all_neighborhoods(pts, cfg)
+        labels = rng.integers(0, n_labels, size=40) * (2**32 - 1) // max(n_labels - 1, 1)
+        want = group_purity_loop([nb.member_indices for nb in nbhds], labels)
+        assert neighborhood_purity(nbhds, labels) == want
+
+    def test_huge_label_allocates_no_label_sized_table(self):
+        # A count per label value up to 10**7 would take 80 MB; the sort of
+        # (group, label) keys takes a few arrays of the member count.
+        labels = np.array([0, 10**7, 10**7, 5] * 3)
+        groups = [np.arange(12), np.array([1, 2, 3])]
+        tracemalloc.start()
+        try:
+            got = group_purity(groups, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == group_purity_loop(groups, labels) == 0.5 * (0.5 + 2 / 3)
+        assert peak < 64 * 1024
+
 
 # Label arrays that break the rule at n = 60, and the shape each error names.
 _BAD_LABELS = {
@@ -240,6 +316,21 @@ class TestKMeans:
         labels = rng.integers(0, 3, size=12)
         groups = [np.flatnonzero(result.assignments == c) for c in range(12)]
         assert group_purity(groups, labels) == 1.0
+
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+    def test_non_integer_cluster_count_raises(self, count):
+        # 2.5 and True once raised a bare TypeError inside the seeding.
+        pts = np.random.default_rng(4).standard_normal((12, 3))
+        with pytest.raises(ValueError, match="n_clusters must be an integer"):
+            kmeans_baseline(pts, count, 0)
+
+    def test_numpy_integer_cluster_count_accepted(self):
+        pts = np.random.default_rng(4).standard_normal((12, 3))
+        want = kmeans_baseline(pts, 3, 0)
+        for count in (np.int64(3), np.int32(3), np.uint8(3)):
+            got = kmeans_baseline(pts, count, 0)
+            assert same_bits(got.centers, want.centers)
+            assert same_bits(got.assignments, want.assignments)
 
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(5)
@@ -507,7 +598,7 @@ class TestEvaluateEmbeddings:
         # Checked before the shared k-NN, with the messages the CLI shows.
         pts = np.random.default_rng(5).standard_normal((9, 3))
         labels = np.arange(9) % 3
-        with pytest.raises(ValueError, match=r"need more than pool_size=10 points, got 9"):
+        with pytest.raises(ValueError, match=re.escape("pool_size=10 out of range [1, 8] for 9 points")):
             evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=10), SimilarityConfig(), (1,))
         with pytest.raises(ValueError, match=r"need at least max\(K\)\+1 = 10 points, got 9"):
             evaluate_embeddings(pts, labels, ManifoldConfig(pool_size=4), SimilarityConfig(), (9,))

@@ -205,6 +205,18 @@ class TestNeighborLists:
         with pytest.raises(ValueError, match="n_neighbors"):
             manifold.neighbor_lists(np.eye(3), 3)
 
+    @pytest.mark.parametrize("count", [2.0, True, np.float64(2.0)])
+    def test_non_integer_count_raises(self, count):
+        # 2.0 once raised a bare TypeError from the output's allocation.
+        with pytest.raises(ValueError, match="n_neighbors must be an integer"):
+            manifold.neighbor_lists(np.eye(4), count)
+
+    def test_numpy_integer_count_accepted(self):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        want = manifold.neighbor_lists(pts, 3)
+        for count in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert same_bits(manifold.neighbor_lists(pts, count), want)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_equals_full_sort(self, data):
@@ -349,10 +361,10 @@ class TestNeighborLists:
         [
             ([0.0, 2.0], "rows must be integer indices"),
             ([True, False], "rows must be integer indices"),
-            ([0, 12], r"rows must be a 1-d array of indices in \[0, 12\)"),
-            ([-1, 3], r"rows must be a 1-d array of indices in \[0, 12\)"),
-            ([[0, 1]], r"rows must be a 1-d array of indices in \[0, 12\)"),
-            (3, r"rows must be a 1-d array of indices in \[0, 12\)"),
+            ([0, 12], r"rows must lie in \[0, 12\)"),
+            ([-1, 3], r"rows must lie in \[0, 12\)"),
+            ([[0, 1]], "rows must be a 1-d array of indices"),
+            (3, "rows must be a 1-d array of indices"),
         ],
     )
     def test_rows_checked(self, rows, message):
@@ -433,8 +445,16 @@ class TestFitAllNeighborhoods:
         with pytest.raises(ValueError, match="pools shape"):
             manifold.fit_all_neighborhoods(pts, cfg, pools=manifold.neighbor_lists(pts, 5))
 
-    @pytest.mark.parametrize("row, entry", [(0, 0), (3, -1), (5, 12)], ids=["self", "negative", "n"])
-    def test_pools_with_bad_indices_rejected(self, row, entry):
+    @pytest.mark.parametrize(
+        "row, entry, message",
+        [
+            (0, 0, "pools must not hold their own anchor"),
+            (3, -1, r"pools must lie in \[0, 12\)"),
+            (5, 12, r"pools must lie in \[0, 12\)"),
+        ],
+        ids=["self", "negative", "n"],
+    )
+    def test_pools_with_bad_indices_rejected(self, row, entry, message):
         # fit_neighborhood's rule: no anchor in its own pool, every index
         # in [0, n). Unchecked, an anchor became its own duplicate member
         # and a negative index wrapped around.
@@ -442,7 +462,7 @@ class TestFitAllNeighborhoods:
         cfg = ManifoldConfig(dim=2, pool_size=4)
         pools = manifold.neighbor_lists(pts, cfg.pool_size)
         pools[row, -1] = entry
-        with pytest.raises(ValueError, match=r"pools must hold indices in \[0, 12\)"):
+        with pytest.raises(ValueError, match=message):
             manifold.fit_all_neighborhoods(pts, cfg, pools=pools)
 
     def test_pools_as_a_list(self):
@@ -504,15 +524,18 @@ class TestFitAllNeighborhoods:
         pts = np.random.default_rng(2).standard_normal((12, 2))
         cfg = ManifoldConfig(dim=2, pool_size=4)
         pools = manifold.neighbor_lists(pts, cfg.pool_size)
-        message = "anchors and pools must hold indices in [0, 12), no anchor in its own pool"
+        message = "pools must lie in [0, 12)"
         if case == "non-finite":
             pts[pools[5, 1], 0] = np.nan
             message = "points contain non-finite entries"
         elif case == "plane-dim":
             cfg = ManifoldConfig(dim=3, pool_size=4)
             message = "plane dim=3 exceeds the embedding dimension 2"
+        elif case == "anchor-in-pool":
+            pools[5, -1] = 5
+            message = "pools must not hold their own anchor"
         else:
-            pools[5, -1] = {"index-n": 12, "index-negative": -1, "anchor-in-pool": 5}[case]
+            pools[5, -1] = {"index-n": 12, "index-negative": -1}[case]
         with pytest.raises(ValueError) as err:
             fit(pts, pools, cfg)
         assert str(err.value) == message
@@ -542,7 +565,7 @@ class TestFitAllNeighborhoods:
         "anchors, pool_rows, message",
         [
             ([0.0, 3.0], None, "anchors must be integer indices"),
-            ([0, 12], None, r"rows must be a 1-d array of indices in \[0, 12\)"),
+            ([0, 12], None, r"anchors must lie in \[0, 12\)"),
             ([], None, "anchors must be a non-empty 1-d array"),
             ([[0, 1]], [0], "anchors must be a non-empty 1-d array"),
             ([0, 1], [0], r"pools shape \(1, 4\) is not \(2, 4\)"),

@@ -251,7 +251,7 @@ class TestPointSimilarity:
             "matrix": lambda: similarity.pairwise_similarity_matrix(pts, bad, cfg),
             "pairs": lambda: similarity.pair_similarities(pts, bad, cfg, [3, 0], [0, 3]),
         }
-        with pytest.raises(ValueError, match=re.escape("members in [0, 12)")):
+        with pytest.raises(ValueError, match=re.escape("neighborhood members must lie in [0, 12)")):
             calls[reader]()
 
     def test_binary_mode_uses_membership(self):
