@@ -272,16 +272,13 @@ def _evaluate(embeds, labels, config: TrainConfig, recall_ks) -> evaluation.Eval
 
 def cmd_eval(args) -> int:
     dataset = data.load_dataset(args.dataset)
+    if dataset.labels is None:
+        raise UserError("eval requires a labeled dataset")
     try:
         run = trainer.trainer_from_checkpoint(args.checkpoint, dataset)
     except (trainer.CheckpointFormatError, ValueError) as exc:
         raise UserError(f"cannot load checkpoint: {exc}") from None
     embeds = run.embed(dataset.features)
-    if dataset.labels is None:
-        print("neighborhood_purity: skipped (dataset has no labels)")
-        print("similarity_correlation: skipped (dataset has no labels)")
-        print("error: recall requires labels", file=sys.stderr)
-        return 1
     report = _evaluate(embeds, dataset.labels, run.config, args.recall_k)
     print(report.to_text())
     return 0

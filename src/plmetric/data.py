@@ -53,13 +53,8 @@ class FeatureDataset:
     ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValueError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain non-finite entries")
-        self.features = feats
-        n = feats.shape[0]
+        self.features = linalg.checked_points(self.features)
+        n = self.features.shape[0]
         if self.labels is not None:
             self.labels = checked_labels(self.labels, n).astype(np.int64)
         if self.ids is None:

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
+
 NORM_FLOOR = 1e-12
 # Adam's first and second moment decays and its denominator floor.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -94,15 +96,11 @@ def _run_layers(params: MLPParams, x: np.ndarray, layer_inputs: list | None):
     ``tanh(h @ w + b)`` on the same operands, so every bit is kept. Each
     layer input is appended to ``layer_inputs`` when a list is given.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-d input batch, got shape {x.shape}")
+    x = linalg.checked_points(x)
     if x.shape[1] != params.weights[0].shape[0]:
         raise ValueError(
             f"input dim {x.shape[1]} does not match network input {params.weights[0].shape[0]}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input batch contains non-finite entries")
     h = x
     last = len(params.weights) - 1
     for idx, (w, b) in enumerate(zip(params.weights, params.biases)):

@@ -16,7 +16,8 @@ never depend on an external implementation.
 
 Each kind of input has one rule, raising ValueError: data.checked_labels for
 labels, manifold.as_indices for indices and K, manifold.check_count for
-counts and Neighborhoods.checked_members for a record against its points.
+counts, linalg.checked_points for points and Neighborhoods.checked_members
+for a record against its points.
 
 On large sets the k-NN, the neighborhood scan and the sampled-pair scoring
 run on every usable core (manifold.WORKERS threads, the caller included);
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import checked_labels
-from .linalg import squared_distances
+from .linalg import checked_points, squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
@@ -176,7 +177,7 @@ def kmeans_baseline(
     stays empty. The within-cluster sum of squares is tracked every
     iteration and verified non-increasing.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
+    points = checked_points(embeddings)
     n = points.shape[0]
     check_count(n_clusters, "n_clusters", n, n)
     rng = np.random.default_rng(seed)
@@ -243,7 +244,7 @@ def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray
     """Pearson correlation between similarities and the same-class indicator.
 
     With a binary indicator this is the point-biserial correlation. Raises
-    when either side is constant, where the correlation is undefined.
+    when either side is non-finite, or constant: the correlation is undefined.
     Two passes: each side is centred once, and the same sums of squares
     give the zero-variance test and the denominator, so only the two
     centred copies are held besides the inputs.
@@ -254,6 +255,8 @@ def similarity_correlation(similarity_values: np.ndarray, same_class: np.ndarray
         raise ValueError("similarity values and indicators must be equal-length vectors")
     if values.size < 2:
         raise ValueError("need at least two pairs")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(indicator))):
+        raise ValueError("similarity values and indicators must be finite")
     x = np.subtract(values, np.mean(values, dtype=np.float64), dtype=np.float64)
     y = np.subtract(indicator, np.mean(indicator, dtype=np.float64), dtype=np.float64)
     # einsum never calls BLAS, whose dot splits its sum by thread count, so

@@ -62,6 +62,17 @@ def check_frames(frames: np.ndarray) -> None:
         raise ValueError(f"basis vectors are not orthogonal (max inner product {ortho_err:.3e})")
 
 
+def checked_points(points) -> np.ndarray:
+    """``points`` as a float64 array; ValueError unless it is a non-empty
+    2-d array of finite entries: the package's one rule for a point set."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError(f"points must be a non-empty 2-d array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain non-finite entries")
+    return pts
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic orientation: largest-magnitude coordinate made positive,
     # first occurrence winning ties. Rows are the last two axes, so a stack
@@ -171,11 +182,7 @@ def pca_top_m(points: np.ndarray, n_components: int) -> tuple[OrthonormalBasis, 
     so the result always has exactly n_components rows. Each row's sign is
     fixed so its largest-magnitude coordinate is positive.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must be a non-empty 2-d array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite entries")
+    pts = checked_points(points)
     dim = pts.shape[1]
     if not 1 <= n_components <= dim:
         raise ValueError(f"n_components={n_components} out of range for ambient dim {dim}")

@@ -25,10 +25,11 @@ sampling first, then the k-NN blocks and the scan of the chosen anchors.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,6 +133,7 @@ class ManifoldConfig:
     knn_only: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if not 0.0 < self.quality_threshold <= 100.0:
@@ -145,18 +147,17 @@ class LinearNeighborhood:
     """A fitted plane around one anchor: one row of a Neighborhoods record.
 
     ``member_indices`` keeps insertion order: the anchor (``anchor_index``)
-    first, then accepted neighbors in scan order. A record's rows are views
-    of its arrays, built on demand and not validated again; a row built
-    directly is validated here, its basis by OrthonormalBasis.
+    first, then accepted neighbors in scan order. A row is checked as the
+    one-row record Neighborhoods.of stacks it into; it keeps its members as
+    a read-only int64 array, a view of the record's for an indexed row.
     """
 
     member_indices: np.ndarray
     basis: OrthonormalBasis
 
     def __post_init__(self) -> None:
-        members = np.asarray(self.member_indices, dtype=np.int64)
-        if members.ndim != 1 or members.size < 1:
-            raise ValueError("member_indices must be a non-empty 1-d array")
+        Neighborhoods.of([self])
+        members = as_indices(self.member_indices, "neighborhood members")
         members.setflags(write=False)
         object.__setattr__(self, "member_indices", members)
 
@@ -169,14 +170,6 @@ class LinearNeighborhood:
         return int(self.member_indices.size)
 
 
-def _view(cls, **fields):
-    # An instance of the frozen dataclass cls holding ``fields`` as given,
-    # without __post_init__: a Neighborhoods record validated them as a stack.
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True, eq=False)
 class Neighborhoods:
     """One fitted plane per anchor, stacked: what fit_all_neighborhoods returns.
@@ -187,11 +180,11 @@ class Neighborhoods:
         sizes: (n,) member counts.
         bases: (n, m, d) orthonormal plane frames, one per row.
 
-    Construction copies the arrays, validates them once (one
-    linalg.check_frames over the whole stack) and makes them read-only.
-    Consumers read the arrays; indexing and iteration give LinearNeighborhood
-    row views for code that wants one plane at a time, and Neighborhoods.of
-    stacks a plain sequence of rows into a record.
+    Construction copies the arrays, validates them once (members through
+    as_indices, one linalg.check_frames over the whole stack) and makes
+    them read-only. Consumers read the arrays; indexing (and so iteration)
+    builds LinearNeighborhood rows for code that wants one plane at a time,
+    and Neighborhoods.of stacks a plain sequence of rows into a record.
     """
 
     members: np.ndarray
@@ -200,7 +193,7 @@ class Neighborhoods:
 
     def __post_init__(self) -> None:
         arrays = {
-            "members": np.array(self.members, dtype=np.int64),
+            "members": np.array(as_indices(self.members, "neighborhood members")),
             "sizes": np.array(self.sizes, dtype=np.int64),
             "bases": np.array(self.bases, dtype=np.float64),
         }
@@ -228,11 +221,14 @@ class Neighborhoods:
         rows = list(neighborhoods)
         if not rows:
             raise ValueError("need at least one neighborhood")
-        sizes = np.array([row.size for row in rows], dtype=np.int64)
-        members = np.full((len(rows), int(sizes.max())), -1, dtype=np.int64)
-        for i, row in enumerate(rows):
-            members[i, : row.size] = row.member_indices
-        return cls(members, sizes, np.stack([row.basis.vectors for row in rows]))
+        members = [as_indices(row.member_indices, "neighborhood members") for row in rows]
+        if any(m.ndim != 1 for m in members):
+            raise ValueError("each row's members must be a 1-d array")
+        sizes = [m.size for m in members]
+        padded = np.full((len(rows), max(sizes)), -1, dtype=np.int64)
+        for i, m in enumerate(members):
+            padded[i, : m.size] = m
+        return cls(padded, sizes, np.stack([row.basis.vectors for row in rows]))
 
     def checked_members(self, n: int) -> np.ndarray:
         """Every row's members, row after row, if the record fits an n-point
@@ -246,11 +242,7 @@ class Neighborhoods:
 
     def __getitem__(self, index: int) -> LinearNeighborhood:
         i = range(len(self))[index]
-        basis = _view(OrthonormalBasis, vectors=self.bases[i])
-        return _view(LinearNeighborhood, member_indices=self.members[i, : self.sizes[i]], basis=basis)
-
-    def __iter__(self) -> Iterator[LinearNeighborhood]:
-        return (self[i] for i in range(len(self)))
+        return LinearNeighborhood(self.members[i, : self.sizes[i]], OrthonormalBasis(self.bases[i]))
 
 
 def reconstruction_quality(
@@ -325,11 +317,9 @@ def neighbor_lists(
     n not a multiple of 8 a distance's last bits can depend on its row's
     place in a block, so another split may reorder exactly tied neighbors.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = linalg.checked_points(embeddings)
     n = embeddings.shape[0]
     check_count(n_neighbors, "n_neighbors", n, n - 1)
-    if not np.all(np.isfinite(embeddings)):
-        raise ValueError("points contain non-finite entries")
     if rows is None:
         rows = np.arange(n)
     else:
@@ -630,13 +620,41 @@ def check_count(value, what: str, n: int, most: int) -> None:
         raise ValueError(f"{what}={value} out of range [1, {most}] for {n} points")
 
 
+def mismatched_type(default, value) -> str | None:
+    """None when ``value`` has ``default``'s JSON type, else that type's name.
+
+    A number takes an integer or a float (numpy's float64 among them), an
+    integer is not a boolean, a list or tuple takes a list or tuple of
+    integers, and anything else a string or None.
+    """
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if type(value) is int else "an integer"
+    if isinstance(default, float):
+        return None if type(value) is int or isinstance(value, float) else "a number"
+    if isinstance(default, (list, tuple)):
+        ok = type(value) in (list, tuple) and all(type(v) is int for v in value)
+        return None if ok else "a list of integers"
+    return None if value is None or isinstance(value, str) else "a string or null"
+
+
+def check_fields(config) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config``
+    whose value has not its default's type (mismatched_type), a numpy scalar
+    read as the Python value it holds, as check_count reads a count."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind = mismatched_type(f.default, value.item() if isinstance(value, np.generic) else value)
+        if kind:
+            raise ValueError(f"{f.name} expects {kind}, got {value!r}")
+
+
 def _fit_pools(embeddings, anchors, pools, config: ManifoldConfig) -> Neighborhoods:
     # The body of both fits: anchors[i]'s plane grown from pools[i], after
     # the checks both share, with the scan split as fit_all_neighborhoods
     # describes (one anchor is one share, on the calling thread).
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if not np.all(np.isfinite(embeddings)):
-        raise ValueError("points contain non-finite entries")
+    embeddings = linalg.checked_points(embeddings)
     n, dim = embeddings.shape
     if config.dim > dim:
         raise ValueError(f"plane dim={config.dim} exceeds the embedding dimension {dim}")

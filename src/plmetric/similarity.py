@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .manifold import Neighborhoods, ProxySet, _run_blocks, as_indices
+from .manifold import Neighborhoods, ProxySet, _run_blocks, as_indices, check_fields
 
 # Pairs scored at once by pair_similarities.
 PAIR_CHUNK = 1 << 13
@@ -51,6 +51,7 @@ class SimilarityConfig:
     binary: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         exponents = (self.orth_exponent, self.inplane_exponent)
         if not all(0.0 <= e < math.inf for e in exponents):
             raise ValueError("decay exponents must be finite and non-negative")
@@ -100,7 +101,7 @@ def pairwise_similarity_matrix(
 
     ``neighborhoods`` holds point j's plane in row j (Neighborhoods.checked_members).
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = linalg.checked_points(embeddings)
     n = embeddings.shape[0]
     members = neighborhoods.checked_members(n)
     directed = np.zeros((n, n))
@@ -139,7 +140,7 @@ def pair_similarities(
     plus up to manifold.WORKERS - 1 helpers, each writing its own slice of
     the output, so the bits do not depend on the count.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = linalg.checked_points(embeddings)
     n = embeddings.shape[0]
     neighborhoods.checked_members(n)
     first, second = as_indices(first, "pair indices", n), as_indices(second, "pair indices", n)

@@ -23,7 +23,7 @@ import numpy as np
 from . import embedder, linalg, manifold, similarity
 from .data import FeatureDataset
 from .embedder import AdamState, EmbedderPair
-from .manifold import ManifoldConfig, ProxySet
+from .manifold import ManifoldConfig, ProxySet, mismatched_type
 from .similarity import SimilarityConfig
 
 CHECKPOINT_MAGIC = b"PLCK"
@@ -193,8 +193,7 @@ def point_loss(
     d_dist = -2.0 * resid / count
     np.fill_diagonal(d_dist, 0.0)
     coef = d_dist + d_dist.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dist > 0.0, coef / np.where(dist > 0.0, dist, 1.0), 0.0)
+    ratio = np.where(dist > 0.0, coef / np.where(dist > 0.0, dist, 1.0), 0.0)
     grad = ratio.sum(axis=1)[:, None] * e - ratio @ e
     return value, grad
 
@@ -229,8 +228,7 @@ def proxy_loss(
     if not with_grads:
         return value, None, None, None
     d_dist = -2.0 * resid / count
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dist > 0.0, d_dist / np.where(dist > 0.0, dist, 1.0), 0.0)
+    ratio = np.where(dist > 0.0, d_dist / np.where(dist > 0.0, dist, 1.0), 0.0)
     grad_e = ratio.sum(axis=1)[:, None] * e - ratio @ locations
     grad_loc = ratio.sum(axis=0)[:, None] * locations - ratio.T @ e
     d_sim = -2.0 * config.distance_scale * resid / count
@@ -488,25 +486,6 @@ class Trainer:
 
 
 # -- checkpoint serialization ---------------------------------------------
-
-
-def mismatched_type(default, value) -> str | None:
-    """None when ``value`` has ``default``'s JSON type, else that type's name.
-
-    A number takes an integer or a float (numpy's float64 among them), an
-    integer is not a boolean, a list or tuple takes a list or tuple of
-    integers, and anything else a string or None.
-    """
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "a boolean"
-    if isinstance(default, int):
-        return None if type(value) is int else "an integer"
-    if isinstance(default, float):
-        return None if type(value) is int or isinstance(value, float) else "a number"
-    if isinstance(default, (list, tuple)):
-        ok = type(value) in (list, tuple) and all(type(v) is int for v in value)
-        return None if ok else "a list of integers"
-    return None if value is None or isinstance(value, str) else "a string or null"
 
 
 def _check_types(cls, values: dict, where: str = "") -> None:

@@ -349,14 +349,15 @@ def directed_similarity(x: np.ndarray, target: np.ndarray, vectors: np.ndarray, 
 
 def symmetric_similarity(i: int, j: int, embeddings: np.ndarray, neighborhoods, config) -> float:
     """Mean of the two directed similarities of points i and j, each seen
-    from the other's neighborhood plane; membership indicators in binary mode."""
+    from the other's neighborhood plane; membership indicators in binary mode.
+    Reads the arrays of the Neighborhoods record ``neighborhoods``."""
     if config.binary:
-        fwd = float(i in neighborhoods[j].member_indices)
-        rev = float(j in neighborhoods[i].member_indices)
+        fwd = float(i in neighborhoods.members[j, : neighborhoods.sizes[j]])
+        rev = float(j in neighborhoods.members[i, : neighborhoods.sizes[i]])
         return (fwd + rev) / 2.0
     e = np.asarray(embeddings, dtype=np.float64)
-    fwd = directed_similarity(e[i], e[j], neighborhoods[j].basis.vectors, config)
-    rev = directed_similarity(e[j], e[i], neighborhoods[i].basis.vectors, config)
+    fwd = directed_similarity(e[i], e[j], neighborhoods.bases[j], config)
+    rev = directed_similarity(e[j], e[i], neighborhoods.bases[i], config)
     return (fwd + rev) / 2.0
 
 
@@ -451,20 +452,20 @@ def directed_one_plane(diffs: np.ndarray, frame: np.ndarray, config):
 def pairwise_similarity_loop(embeddings: np.ndarray, neighborhoods, config) -> np.ndarray:
     """(n, n) symmetric similarity matrix, one anchor column at a time.
 
-    The reference of ``similarity.pairwise_similarity_matrix``.
+    The reference of ``similarity.pairwise_similarity_matrix``; reads the
+    arrays of the Neighborhoods record ``neighborhoods``.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(neighborhoods) != n:
+    if len(neighborhoods.sizes) != n:
         raise ValueError("need one neighborhood per embedding row")
     directed = np.zeros((n, n))
-    if config.binary:
-        for j, nbhd in enumerate(neighborhoods):
-            directed[nbhd.member_indices, j] = 1.0
-    else:
-        for j, nbhd in enumerate(neighborhoods):
+    for j in range(n):
+        if config.binary:
+            directed[neighborhoods.members[j, : neighborhoods.sizes[j]], j] = 1.0
+        else:
             diffs = embeddings - embeddings[j]
-            directed[:, j] = directed_one_plane(diffs, nbhd.basis.vectors, config)[0]
+            directed[:, j] = directed_one_plane(diffs, neighborhoods.bases[j], config)[0]
     return (directed + directed.T) / 2.0
 
 

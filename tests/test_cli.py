@@ -349,7 +349,13 @@ class TestEval:
         )
         assert report.to_text() + "\n" == printed
 
-    def test_unlabeled_dataset_skips_and_fails(self, tmp_path, capsys):
+    def test_unlabeled_dataset_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # Refused as diagnose refuses it: one error line, and the checkpoint
+        # is never loaded. It once embedded every row and printed two
+        # "skipped" lines first.
+        from plmetric import trainer
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         dataset_path = _gen(tmp_path)
         out_dir = tmp_path / "run"
         assert main(_train_args(dataset_path, out_dir)) == 0
@@ -357,12 +363,17 @@ class TestEval:
         unlabeled = tmp_path / "plain.plmf"
         data.save_dataset(data.FeatureDataset(ds.features), unlabeled)
         capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(trainer, "trainer_from_checkpoint", refuse)
         code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.plck"),
                      "--dataset", str(unlabeled)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "skipped" in captured.out
-        assert "recall requires labels" in captured.err
+        assert captured.out == ""
+        assert captured.err == "error: eval requires a labeled dataset\n"
 
     def test_malformed_manifest_is_a_one_line_user_error(self, tmp_path, capsys, monkeypatch):
         # A valid header whose manifest lacks every required key but one.

@@ -171,7 +171,8 @@ class TestPurity:
         cfg = ManifoldConfig(dim=2, quality_threshold=60.0, pool_size=9)
         nbhds = manifold.fit_all_neighborhoods(pts, cfg)
         labels = rng.integers(0, 2 + seed, size=60)
-        want = group_purity([nb.member_indices for nb in nbhds], labels)
+        rows = [nbhds.members[i, :size] for i, size in enumerate(nbhds.sizes)]
+        want = group_purity(rows, labels)
         assert neighborhood_purity(nbhds, labels) == want
 
     def test_neighborhood_purity_rejects_members_past_the_labels(self):
@@ -236,7 +237,8 @@ class TestPurity:
         cfg = ManifoldConfig(dim=2, quality_threshold=70.0, pool_size=8)
         nbhds = manifold.fit_all_neighborhoods(pts, cfg)
         labels = rng.integers(0, n_labels, size=40) * (2**32 - 1) // max(n_labels - 1, 1)
-        want = group_purity_loop([nb.member_indices for nb in nbhds], labels)
+        rows = [nbhds.members[i, :size] for i, size in enumerate(nbhds.sizes)]
+        want = group_purity_loop(rows, labels)
         assert neighborhood_purity(nbhds, labels) == want
 
     def test_huge_label_allocates_no_label_sized_table(self):
@@ -323,6 +325,13 @@ class TestKMeans:
         pts = np.random.default_rng(4).standard_normal((12, 3))
         with pytest.raises(ValueError, match="n_clusters must be an integer"):
             kmeans_baseline(pts, count, 0)
+
+    def test_non_finite_points_rejected(self):
+        # A NaN point once gave inertia=nan.
+        pts = np.random.default_rng(4).standard_normal((12, 3))
+        pts[7, 1] = np.nan
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
+            kmeans_baseline(pts, 3, 0)
 
     def test_numpy_integer_cluster_count_accepted(self):
         pts = np.random.default_rng(4).standard_normal((12, 3))
@@ -458,6 +467,16 @@ class TestSimilarityCorrelation:
         assert similarity_correlation(values, indicator) == pytest.approx(
             pearson_two_pass(values, indicator), abs=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # A NaN value once returned nan; an inf warned, then returned nan.
+        values = np.array([0.9, 0.8, bad, 0.2, 0.1, 0.3])
+        indicator = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            similarity_correlation(values, indicator)
+        with pytest.raises(ValueError, match="must be finite"):
+            similarity_correlation(indicator, values)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):

@@ -1,6 +1,7 @@
 """Tests for neighborhood fitting, k-NN pools, and proxy initialization."""
 
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -59,6 +60,29 @@ class TestManifoldConfig:
             ManifoldConfig(quality_threshold=0.0)
         with pytest.raises(ValueError, match="pool_size"):
             ManifoldConfig(dim=3, pool_size=2)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", 2.5, "dim expects an integer, got 2.5"),
+            ("pool_size", True, "pool_size expects an integer, got True"),
+            ("quality_threshold", "90", "quality_threshold expects a number, got '90'"),
+            ("quality_threshold", False, "quality_threshold expects a number, got False"),
+            ("knn_only", 1, "knn_only expects a boolean, got 1"),
+        ],
+    )
+    def test_mistyped_fields_refused_when_made(self, field, value, message):
+        # dim=2.5 was accepted and then raised a bare TypeError in the scan;
+        # quality_threshold="90" raised a bare TypeError from its range check.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ManifoldConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = ManifoldConfig(
+            dim=np.int64(2), quality_threshold=np.float32(80.0), pool_size=np.int32(4), knn_only=np.True_
+        )
+        points = np.random.default_rng(0).standard_normal((10, 3))
+        assert len(manifold.fit_all_neighborhoods(points, cfg)) == 10
 
 
 class TestReconstructionQuality:
@@ -1084,6 +1108,31 @@ class TestNeighborhoodsRecord:
         assert changed.basis is row.basis
         with pytest.raises(IndexError):
             record[len(record)]
+
+    def test_float_members_refused(self):
+        # Both were truncated without a word: the record stored [[0, 1], [1, 0]].
+        _, _, record = _fitted_record()
+        message = "neighborhood members must be integer indices, got dtype float64"
+        with pytest.raises(ValueError, match=message):
+            Neighborhoods(np.array([[0.0, 1.7], [1.0, 0.2]]), [2, 2], record.bases[:2])
+        with pytest.raises(ValueError, match=message):
+            LinearNeighborhood(np.array([0.0, 2.9]), record[0].basis)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(record[0], member_indices=np.array([0.0, 2.9]))
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([], "every row needs a member"),
+            ([[0, 1]], "1-d"),
+            ([0, -1], "non-negative indices"),
+            ([True, False], "integer indices"),
+        ],
+    )
+    def test_row_is_checked_as_its_one_row_record(self, members, message):
+        _, _, record = _fitted_record()
+        with pytest.raises(ValueError, match=message):
+            LinearNeighborhood(np.array(members), record[0].basis)
 
     @pytest.mark.parametrize("i", [0, 7, -1])
     def test_replaced_row_stacks_as_the_edited_record(self, i):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from plmetric import linalg, manifold, similarity
-from plmetric.linalg import OrthonormalBasis
-from plmetric.manifold import LinearNeighborhood, ManifoldConfig, Neighborhoods, ProxySet
+from plmetric.manifold import ManifoldConfig, Neighborhoods, ProxySet
 from plmetric.similarity import SimilarityConfig
 
 from oracles import (
@@ -27,6 +26,18 @@ from oracles import (
 def _unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _drawn_record(rng, bases):
+    """A record holding point j's plane bases[j] and, after j itself, the
+    other points among three drawn at random, sorted."""
+    n = len(bases)
+    rows = [np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)] for j in range(n)]
+    sizes = np.array([len(row) for row in rows])
+    members = np.full((n, sizes.max()), -1)
+    for j, row in enumerate(rows):
+        members[j, : len(row)] = row
+    return Neighborhoods(members, sizes, bases)
 
 
 def _embedded_scene(seed=0, n=20, d=6, plane_dim=2, n_proxies=4):
@@ -95,6 +106,25 @@ class TestSimilarityConfig:
         with pytest.raises(ValueError, match="non-negative"):
             SimilarityConfig(orth_exponent=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("binary", 1, "binary expects a boolean, got 1"),
+            ("orth_exponent", "4", "orth_exponent expects a number, got '4'"),
+            ("inplane_exponent", True, "inplane_exponent expects a number, got True"),
+        ],
+    )
+    def test_mistyped_fields_refused_when_made(self, field, value, message):
+        # binary=1 once ran as binary; a string exponent raised a bare TypeError.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimilarityConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SimilarityConfig(
+            orth_exponent=np.float64(4.0), inplane_exponent=np.int64(1), binary=np.False_
+        )
+        assert not cfg.binary
+
 
 class TestPointSimilarity:
     def test_identical_points_have_similarity_one(self):
@@ -162,12 +192,7 @@ class TestPointSimilarity:
             bases = linalg.reorthonormalize(rng.standard_normal((n, dim, dim)))[0]
         first, second = rng.integers(n, size=(2, data.draw(st.integers(1, 40), label="pairs")))
         first, second = np.r_[first, np.arange(n), 0], np.r_[second, np.arange(n), n - 1]
-        nbhds = Neighborhoods.of(
-            LinearNeighborhood(
-                np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
-            )
-            for j, frame in enumerate(bases)
-        )
+        nbhds = _drawn_record(rng, bases)
         for config in (SimilarityConfig(), SimilarityConfig(binary=True)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(similarity, "PAIR_CHUNK", 7)
@@ -254,6 +279,23 @@ class TestPointSimilarity:
         with pytest.raises(ValueError, match=re.escape("neighborhood members must lie in [0, 12)")):
             calls[reader]()
 
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("reader", ["matrix", "pairs"])
+    def test_non_finite_points_rejected(self, reader, binary):
+        # A record fitted on finite points still fits the points in count,
+        # so the points themselves are checked: a NaN row once gave NaN
+        # similarities without a word.
+        pts, nbhds, _ = _embedded_scene(seed=9, n=12)
+        pts = pts.copy()
+        pts[5] = np.nan
+        cfg = SimilarityConfig(binary=binary)
+        calls = {
+            "matrix": lambda: similarity.pairwise_similarity_matrix(pts, nbhds, cfg),
+            "pairs": lambda: similarity.pair_similarities(pts, nbhds, cfg, [5, 0], [0, 3]),
+        }
+        with pytest.raises(ValueError, match="points contain non-finite entries"):
+            calls[reader]()
+
     def test_binary_mode_uses_membership(self):
         pts, nbhds, _ = _embedded_scene(seed=6, n=15)
         cfg = SimilarityConfig(binary=True)
@@ -261,8 +303,8 @@ class TestPointSimilarity:
         assert set(np.unique(mat)).issubset({0.0, 0.5, 1.0})
         for i in range(15):
             for j in range(15):
-                fwd = float(i in nbhds[j].member_indices)
-                rev = float(j in nbhds[i].member_indices)
+                fwd = float(i in nbhds.members[j, : nbhds.sizes[j]])
+                rev = float(j in nbhds.members[i, : nbhds.sizes[i]])
                 assert mat[i, j] == (fwd + rev) / 2.0
 
     def test_far_points_have_low_similarity(self):
@@ -270,7 +312,7 @@ class TestPointSimilarity:
         pts, nbhds, _ = _embedded_scene(seed=7, n=20)
         cfg = SimilarityConfig()
         i = 0
-        near = nbhds[i].member_indices[1]
+        near = nbhds.members[i, 1]
         dists = np.linalg.norm(pts - pts[i], axis=1)
         far = int(np.argmax(dists))
         mat = similarity.pairwise_similarity_matrix(pts, nbhds, cfg)
@@ -286,7 +328,7 @@ class TestProxySimilarities:
         for i in range(len(pts)):
             for j in range(proxies.n_proxies):
                 fwd = directed_similarity(pts[i], proxies.locations[j], proxies.frames[j], cfg)
-                rev = directed_similarity(proxies.locations[j], pts[i], nbhds[i].basis.vectors, cfg)
+                rev = directed_similarity(proxies.locations[j], pts[i], nbhds.bases[i], cfg)
                 assert out[i, j] == pytest.approx((fwd + rev) / 2.0, abs=1e-12)
 
     @staticmethod
@@ -482,17 +524,10 @@ class TestStackedRoutesMatchLoops:
         config = SimilarityConfig(binary=data.draw(st.booleans(), label="binary"))
         n = len(embeddings)
         rng = np.random.default_rng(n)
-        # Hand-built rows, anchor first; the consumer stacks them into one
-        # record.
-        nbhds = [
-            LinearNeighborhood(
-                np.r_[j, np.setdiff1d(rng.integers(0, n, size=3), j)], OrthonormalBasis(frame)
-            )
-            for j, frame in enumerate(bases)
-        ]
+        nbhds = _drawn_record(rng, bases)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "STACK_CELLS", cells)
-            got = similarity.pairwise_similarity_matrix(embeddings, Neighborhoods.of(nbhds), config)
+            got = similarity.pairwise_similarity_matrix(embeddings, nbhds, config)
         assert same_bits(got, oracles.pairwise_similarity_loop(embeddings, nbhds, config))
 
     def test_blocks_cover_every_item_once(self, monkeypatch):

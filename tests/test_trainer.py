@@ -50,7 +50,7 @@ def _loss_scene(seed=0, n=8, d=6, plane_dim=2, n_proxies=3):
     trained = _unit_rows(rng, n, d)
     cfg = ManifoldConfig(dim=plane_dim, quality_threshold=50.0, pool_size=plane_dim + 2)
     nbhds = manifold.fit_all_neighborhoods(anchor, cfg)
-    bases = np.stack([nb.basis.vectors for nb in nbhds])
+    bases = nbhds.bases
     proxies = manifold.init_proxies(anchor, cfg, n_proxies, seed=seed + 1)
     proxies.locations[:] = _unit_rows(rng, n_proxies, d)
     return anchor, trained, nbhds, bases, proxies
@@ -276,8 +276,8 @@ class TestTrainConfig:
             ({"seed": True}, "config.seed expects an integer, got True"),
             ({"seed": np.int64(3)}, "config.seed expects an integer"),
             (
-                {"manifold": ManifoldConfig(pool_size=10.0)},
-                "config.manifold.pool_size expects an integer, got 10.0",
+                {"sampler": SamplerConfig(batch_size=100.0)},
+                "config.sampler.batch_size expects an integer, got 100.0",
             ),
         ],
         ids=["float-proxies", "float-epochs", "bool-seed", "numpy-seed", "float-section-field"],
@@ -560,7 +560,9 @@ def test_hot_path_builds_no_per_anchor_objects(monkeypatch, recipe):
     row = record[0]
     dataclasses.replace(row, member_indices=row.member_indices)
     linalg.pca_top_m(dataset.features[:5], 2)
-    assert built == ["Neighborhoods", "LinearNeighborhood", "OrthonormalBasis"]
+    assert built == [
+        "Neighborhoods", "OrthonormalBasis", "LinearNeighborhood", "LinearNeighborhood", "OrthonormalBasis"
+    ]
 
 
 @pytest.mark.parametrize(
