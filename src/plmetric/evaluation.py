@@ -15,7 +15,7 @@ k-means baseline (Lloyd with k-means++ seeding) lives here so comparisons
 never depend on an external implementation.
 
 Each kind of input has one rule, raising ValueError: data.checked_labels for
-labels, manifold.as_indices for indices and K, manifold.check_count for
+labels, manifold.as_indices for indices and K, linalg.check_count for
 counts, linalg.checked_points for points and Neighborhoods.checked_members
 for a record against its points.
 
@@ -35,12 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .data import checked_labels
-from .linalg import checked_points, squared_distances
+from .linalg import check_count, checked_points, squared_distances
 from .manifold import (
     ManifoldConfig,
     Neighborhoods,
     as_indices,
-    check_count,
     fit_all_neighborhoods,
     neighbor_lists,
 )
@@ -179,7 +178,7 @@ def kmeans_baseline(
     """
     points = checked_points(embeddings)
     n = points.shape[0]
-    check_count(n_clusters, "n_clusters", n, n)
+    check_count(n_clusters, "n_clusters", n, f"{n} points")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(points, n_clusters, rng)
     assignments = np.full(n, -1, dtype=np.int64)
@@ -325,7 +324,7 @@ def evaluate_embeddings(
     # the longest (neighbor_lists is a stable sort's first columns). Both
     # inputs are checked first, so a short set raises its own error.
     recall_ks = _checked_ks(recall_ks, n)
-    check_count(manifold_config.pool_size, "pool_size", n, n - 1)
+    check_count(manifold_config.pool_size, "pool_size", n - 1, f"{n} points")
     neighbors = neighbor_lists(embeddings, max(manifold_config.pool_size, *recall_ks))
     recall = recall_at_k(embeddings, labels, recall_ks, neighbors=neighbors)
     neighborhoods = fit_all_neighborhoods(

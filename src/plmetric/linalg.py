@@ -73,6 +73,15 @@ def checked_points(points) -> np.ndarray:
     return pts
 
 
+def check_count(value, what: str, most: int, bound: str) -> None:
+    """The package's one count rule: ValueError naming ``what`` unless ``value`` is an
+    integer (a numpy one, not a bool) in [1, most], as ``bound`` ("12 points") sets."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= most:
+        raise ValueError(f"{what}={value} out of range [1, {most}] for {bound}")
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic orientation: largest-magnitude coordinate made positive,
     # first occurrence winning ties. Rows are the last two axes, so a stack
@@ -162,6 +171,10 @@ def _pca_vectors_batch(points: np.ndarray, n_components: int) -> tuple[np.ndarra
     short = np.flatnonzero(counts < n_components)
     if short.size:
         vectors[short] = _complete_with_axes_batch(vectors[short], counts[short])
+    # Lifts just above the rank tolerance drift; redo only frames check_frames refuses.
+    drifted = np.flatnonzero(~(np.max(frame_drift(vectors), axis=(1, 2)) <= ORTHOGONALITY_TOL))
+    if drifted.size:
+        vectors[drifted] = reorthonormalize(vectors[drifted])[0]
     return vectors, centroid
 
 
@@ -183,9 +196,7 @@ def pca_top_m(points: np.ndarray, n_components: int) -> tuple[OrthonormalBasis, 
     fixed so its largest-magnitude coordinate is positive.
     """
     pts = checked_points(points)
-    dim = pts.shape[1]
-    if not 1 <= n_components <= dim:
-        raise ValueError(f"n_components={n_components} out of range for ambient dim {dim}")
+    check_count(n_components, "n_components", pts.shape[1], f"ambient dim {pts.shape[1]}")
     vectors, centroid = _pca_vectors_batch(pts[None], n_components)
     return OrthonormalBasis(_fix_signs(vectors[0])), centroid[0]
 

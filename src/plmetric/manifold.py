@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import OrthonormalBasis
+from .linalg import OrthonormalBasis, check_count
 
 # Frames whose Gram matrix is already this close to identity are left
 # untouched by maintenance passes, keeping no-op steps bit-stable.
@@ -194,7 +194,7 @@ class Neighborhoods:
     def __post_init__(self) -> None:
         arrays = {
             "members": np.array(as_indices(self.members, "neighborhood members")),
-            "sizes": np.array(self.sizes, dtype=np.int64),
+            "sizes": np.array(as_indices(self.sizes, "neighborhood sizes")),
             "bases": np.array(self.bases, dtype=np.float64),
         }
         members, sizes, bases = arrays.values()
@@ -319,7 +319,7 @@ def neighbor_lists(
     """
     embeddings = linalg.checked_points(embeddings)
     n = embeddings.shape[0]
-    check_count(n_neighbors, "n_neighbors", n, n - 1)
+    check_count(n_neighbors, "n_neighbors", n - 1, f"{n} points")
     if rows is None:
         rows = np.arange(n)
     else:
@@ -399,11 +399,12 @@ def _batched_accepts(
     Padding slots read a zero row, so a set's sum over the S slots divided
     by its own size is its unpadded mean to the bit (zeros after the last
     member change no partial sum); a mask zeroes the padding after
-    centring. One batched eigh follows, of the S x S Gram matrix when
-    S <= d and of the d x d scatter matrix otherwise. A member's residual
-    against the top p eigenvectors comes from the eigenpairs: on the scatter
-    route, its coordinates along the other eigenvectors; on the Gram route,
-    x less its projection on the lifted eigenvectors X^T u / sqrt(lambda).
+    centring. One batched eigh follows, of the S x S Gram matrix X X^T when
+    S <= d and of the d x d scatter matrix X^T X otherwise. A member's
+    squared residual r^2 against the top p eigenvectors is the sum of its
+    squared coordinates along the others, read from the eigenpairs: (x.v)^2
+    on the scatter route, lambda u_x^2 on the Gram route (X = U Sigma V^T
+    makes x.v = sqrt(lambda) u_x).
 
     A gap lambda_p - lambda_p+1 of at most EIGEN_TIE_TOL * lambda_1 is a
     tie. When lambda_m and lambda_m+1 are not tied, the plane is the top m
@@ -411,37 +412,40 @@ def _batched_accepts(
     are, the plane is not determined, and the set is scored on the widest
     untied flat inside it (top p < m, down to the centroid alone): every
     plane that holds the flat fits each member at least as well, so the
-    flat can accept the set but never reject it. A set goes to the exact
-    route (_exact_accepts: linalg._pca_vectors_batch plus
-    reconstruction_quality, one call per set size) when
-      - its worst quality is within QUALITY_MARGIN of the threshold, or,
-        with lambda_m tied, the inner flat does not accept it by more than
-        QUALITY_MARGIN. That takes every tie that could matter, sets of
-        rank below m among them, where the exact route completes the plane
-        with axes;
-      - a member lies within rounding of the centroid but not on it,
-        0 < |x - c| <= CENTROID_TOL * (|c| + max |x - c|), the set's reach
-        from the origin, which bounds the rounding of the centring.
+    flat can accept the set but never reject it.
 
-    Why every other set gets the exact route's decision. Both routes centre
-    the same bits. Each route's eigenvectors are those of a matrix within
-    E ~ S * min(S, d) * eps * lambda_1 of the set's scatter (forming the
-    matrix, then eigh). Across an untied gap, the Davis-Kahan theorem puts
-    each route's top-p flat within E / gap < S * min(S, d) * 2.2e-11 of the
-    exact one in projector norm, and keeps the lifted or eigh directions
-    orthonormal to the same order. The exact route's plane holds its top-p
-    flat, and is that flat when p = m, so its residual for a member is at
-    most this route's, and equal to it when lambda_m is untied, up to that
-    multiple of the member's distance from the centroid. So its quality,
-    residual over that distance, is at least this route's, and equal to it
-    untied, up to that amount: about 2e-9 at S = 21, d = 4 and 3e-9 at
-    S = 11, d = 32, nearly three orders of magnitude below QUALITY_MARGIN.
-    A direction the exact route keeps inside a tie, with an eigenvalue down
-    to its rank tolerance, is orthogonal to the others to about
-    sqrt(eps / max(size, d)) < 1e-8, still two orders below it. So this
-    route accepts only sets the exact route accepts and rejects only untied
-    sets it rejects; every tied set it does not accept gets the exact
-    route's own decision. Only a boolean leaves this function, and
+    The bound. Both routes centre the same bits X. The eigenpairs read
+    here are exact for A + E, A being X's exact matrix on this route:
+    forming A rounds sums of d (Gram) or at most S (scatter) products, and
+    eigh's backward error is about its order times eps lambda_1 (LAPACK
+    Users' Guide, 4.7), so |E| <= (S + d) eps tr(A). With L and L'
+    projecting on the eigenvectors of A and A + E below the top p and
+    t = lambda_p+1 / (lambda_p - lambda_p+1) (0 for p = 0), the Sylvester
+    equation behind the Davis-Kahan theorem bounds |(I - L) L'| by
+    |E| / gap and |A (I - L) L'| by |E| (1 + t). So the diagonal of
+    (A + E) L' (Gram) and x^T L' x (scatter) lie within 2 |E| (1 + 2 t) of
+    the exact r^2 = x^T L x, to first order in |E| / gap, at most
+    min(S, d) (S + d) eps / EIGEN_TIE_TOL (1e-8 at S = 11, d = 32), and
+      Delta = 4 (S + d) eps tr(A) (1 + 2 t),   tr(A) = the sum of |x|^2,
+    bounds each r^2 read here, with room for the second-order terms and
+    the rounding of the sums and of eigh's eigenvectors. A set is accepted
+    when its worst r^2 / |x|^2 plus Delta over its smallest |x|^2 (so each
+    member's quality from r^2 + Delta) clears the threshold by more than
+    QUALITY_MARGIN, and rejected, untied, when that ratio less the same
+    (its worst member's quality from r^2 - Delta) misses it by more. The
+    margin covers the exact route's error: its plane holds a top-p flat
+    within |E| / gap of the exact one, with rows orthonormal to
+    ORTHOGONALITY_TOL, so its qualities are off by at most their sum.
+
+    Every other set goes to the exact route (_exact_accepts:
+    linalg._pca_vectors_batch plus reconstruction_quality, one call per
+    set size): sets within the margin, ties that could matter (sets of
+    rank below m among them, where the exact route completes the plane
+    with axes), and sets with a member within rounding of the centroid but
+    not on it, 0 < |x - c| <= CENTROID_TOL * (|c| + max |x - c|), the set's
+    reach from the origin, which bounds the rounding of the centring. So
+    this route accepts only sets the exact route accepts and rejects only
+    untied sets it rejects. Only a boolean leaves this function, and
     linalg.pca_top_m refits each final plane, so the scan's member lists,
     and every bit that depends on them, are those of the exact route.
     """
@@ -450,49 +454,43 @@ def _batched_accepts(
     # Padding slots index a zero row appended to the embeddings.
     points = np.take(np.concatenate([embeddings, np.zeros((1, embeddings.shape[1]))]), trial, axis=0)
     centroid = points.sum(axis=1) / sizes[:, None]
-    centered = (points - centroid[:, None, :]) * member[..., None]
+    centered = np.subtract(points, centroid[:, None, :], out=points)
+    centered *= member[..., None]
     base2 = np.einsum("ksd,ksd->ks", centered, centered)
     n_sets, width, dim = centered.shape
-    gram_route = width <= dim
-    if gram_route:
-        matrix = np.matmul(centered, centered.transpose(0, 2, 1))
+    # Each member's squared coordinates along the eigenvectors, ascending.
+    if width <= dim:
+        evals, evecs = np.linalg.eigh(np.matmul(centered, centered.transpose(0, 2, 1)))
+        coords2 = np.maximum(evals, 0.0)[:, None, :] * evecs**2
     else:
-        matrix = np.matmul(centered.transpose(0, 2, 1), centered)
-    evals, evecs = np.linalg.eigh(matrix)
-    n_dirs = evals.shape[1]
-    # The descending spectrum and one zero; wide[:, p - 1] says the top p
-    # eigenvectors are split from the rest by more than a tie. n_dirs >= m:
-    # a Gram set has more than m members, and the fits reject m > d.
-    spectrum = np.concatenate([evals[:, ::-1], np.zeros((n_sets, 1))], axis=1)
-    wide = spectrum[:, :-1] - spectrum[:, 1:] > EIGEN_TIE_TOL * np.maximum(spectrum[:, :1], 0.0)
-    counts = np.arange(1, n_components + 1)
-    inner = np.max(np.where(wide[:, :n_components], counts, 0), axis=1)
-    if gram_route:
-        # Squared residuals against the top inner eigenvectors lifted from
-        # the Gram matrix.
-        used = max(int(inner.max()), 1)
-        keep = np.arange(used) >= used - inner[:, None]
-        lead = evals[:, n_dirs - used :]
-        scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, lead, 1.0)), 0.0)
-        u = evecs[:, :, n_dirs - used :] * scale[:, None, :]
-        coords = np.matmul(matrix, u)
-        lifted = np.matmul(u.transpose(0, 2, 1), centered)
-        resid = centered - np.matmul(coords, lifted)
-        resid2 = np.einsum("ksd,ksd->ks", resid, resid)
-    else:
-        # Squared: the coordinates along the eigenvectors below the top inner ones.
-        below = (np.arange(n_dirs) < n_dirs - inner[:, None]).astype(np.float64)
-        resid2 = np.matmul(np.matmul(centered, evecs) ** 2, below[:, :, None])[:, :, 0]
-
-    # Each set's worst quality on its inner flat, the plane itself where
-    # lambda_m is untied; a member on the centroid scores 1.
-    nz = member & (base2 > 0.0)
-    worst = 1.0 - np.sqrt(np.max(np.where(nz, resid2 / np.where(nz, base2, 1.0), 0.0), axis=1))
-    accept = worst > threshold + QUALITY_MARGIN
-    decided = accept | ((inner == n_components) & (worst < threshold - QUALITY_MARGIN))
+        evals, evecs = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered))
+        coords2 = np.matmul(centered, evecs) ** 2
+    # lambda_0 = inf, the descending spectrum (m values at least: a Gram set
+    # has more than m members, the fits reject m > d) and a zero; wide[:, p - 1]
+    # says the top p eigenvectors are split from the rest by more than a tie.
+    spectrum = np.concatenate([np.full((n_sets, 1), np.inf), evals[:, ::-1], np.zeros((n_sets, 1))], axis=1)
+    wide = spectrum[:, 1:-1] - spectrum[:, 2:] > EIGEN_TIE_TOL * np.maximum(spectrum[:, 1:2], 0.0)
+    inner = np.max(np.where(wide[:, :n_components], np.arange(1, n_components + 1), 0), axis=1)
+    # Squared residuals: the squared coordinates past the top inner (eigh ascends).
+    below = (np.arange(evals.shape[1])[::-1] >= inner[:, None]).astype(np.float64)
+    resid2 = np.matmul(coords2, below[:, :, None])[:, :, 0]
+    # Each set's Delta, from lambda_p and lambda_p+1 around its inner flat.
+    at = inner + np.arange(0, spectrum.size, spectrum.shape[1])
+    lam_p, lam_q = np.take(spectrum, at), np.take(spectrum, at + 1)
+    t = np.maximum(lam_q, 0.0) / (lam_p - lam_q)
+    delta = base2.sum(axis=1) * (1.0 + 2.0 * t) * (4.0 * (width + dim) * np.finfo(np.float64).eps)
+    # Quality 1 - r / |x| exceeds l exactly when r^2 / |x|^2 < max(1 - l, 0)^2
+    # (1 on the centroid). The inner flat's worst ratio moves by Delta over
+    # the smallest |x|^2; an overflow there leaves the set undecided.
+    held = np.where(base2 > 0.0, base2, np.inf)
+    worst, least = np.max(resid2 / held, axis=1), np.min(held, axis=1)
+    with np.errstate(over="ignore"):
+        spread = delta / least
+    accept = worst + spread < max(1.0 - threshold - QUALITY_MARGIN, 0.0) ** 2
+    rejected = (inner == n_components) & (worst - spread > (1.0 - threshold + QUALITY_MARGIN) ** 2)
     reach = np.sqrt(np.einsum("kd,kd->k", centroid, centroid)) + np.sqrt(np.max(base2, axis=1))
-    near = np.any(nz & (base2 <= (CENTROID_TOL * reach[:, None]) ** 2), axis=1)
-    exact = np.flatnonzero(~decided | near)
+    near = least <= (CENTROID_TOL * reach) ** 2
+    exact = np.flatnonzero(~(accept | rejected) | near)
     for size in np.unique(sizes[exact]):
         rows = exact[sizes[exact] == size]
         accept[rows] = _exact_accepts(embeddings, trial[rows, :size], n_components, threshold)
@@ -589,7 +587,7 @@ def fit_all_neighborhoods(
     thread.
     """
     n = len(embeddings)
-    check_count(config.pool_size, "pool_size", n, n - 1)
+    check_count(config.pool_size, "pool_size", n - 1, f"{n} points")
     anchors = np.arange(n) if anchors is None else as_indices(anchors, "anchors", n)
     if pools is None:
         pools = neighbor_lists(embeddings, config.pool_size, rows=anchors)
@@ -609,15 +607,6 @@ def as_indices(values, what: str, n: int | None = None) -> np.ndarray:
     if n is not None and values.size and (values.min() < 0 or values.max() >= n):
         raise ValueError(f"{what} must lie in [0, {n})")
     return values
-
-
-def check_count(value, what: str, n: int, most: int) -> None:
-    """Raise ValueError naming ``what`` unless ``value``, a count over n
-    points, is an integer (a numpy one included, a bool not) in [1, most]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if not 1 <= value <= most:
-        raise ValueError(f"{what}={value} out of range [1, {most}] for {n} points")
 
 
 def mismatched_type(default, value) -> str | None:
@@ -748,7 +737,7 @@ def init_proxies(
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    check_count(n_proxies, "n_proxies", n, n)
+    check_count(n_proxies, "n_proxies", n, f"{n} points")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     # min(inf, d2) is d2, so the first pass needs no case of its own.

@@ -4,6 +4,13 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, so a CI result
+# can be reproduced; hypothesis's per-example deadline is off, since example
+# times vary with the host. A test's own @settings override the rest.
+settings.register_profile("plmetric", derandomize=True, deadline=None)
+settings.load_profile("plmetric")
 
 # One BLAS thread unless the caller chose otherwise: OpenBLAS reads this when
 # numpy is first imported, which no test module has done yet, and it is the

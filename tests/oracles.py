@@ -273,7 +273,9 @@ def pca_vectors(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.n
     Sets with n <= d use the (n, n) Gram matrix and lift its eigenvectors
     with X^T u / sqrt(lambda). Directions stop at the first eigenvalue at or
     below max(n, d) * eps * lambda_max; the rest come from axis completion.
-    Signs are left as the eigensolver returns them.
+    A frame off orthonormal by more than 1e-9 (a lift just above that
+    tolerance) is re-orthonormalized by reorthonormalize_frame. Signs are
+    left as the eigensolver returns them.
     """
     pts = np.asarray(points, dtype=np.float64)
     n, dim = pts.shape
@@ -297,7 +299,44 @@ def pca_vectors(points: np.ndarray, n_components: int) -> tuple[np.ndarray, np.n
         else:
             direction = evecs[:, i]
         kept.append(direction / np.linalg.norm(direction))
-    return np.vstack(complete_with_axes(kept, dim, n_components)), centroid
+    frame = np.vstack(complete_with_axes(kept, dim, n_components))
+    if np.max(np.abs(frame @ frame.T - np.eye(n_components))) > 1e-9:
+        frame = reorthonormalize_frame(frame)[0]
+    return frame, centroid
+
+
+def nearly_flat_set(rng, kind: str, size: int, dim: int, m: int, ratio: float) -> np.ndarray:
+    """(size, dim) test points, size > m, whose lambda_m / lambda_1 is about ``ratio``.
+
+    ``kind`` is "spectrum" (eigenvalues 1 down to ratio geometrically over
+    the top m, then ratio times U[0, 1.5) each, along random directions),
+    "duplicate" (the same with its second half copying its first), "curve"
+    (t, a t^2 and b t^3 for t in [-1, 1], turned at random half the time)
+    or "rank" (m - 1 axis coordinates, the rest exactly zero: exact rank
+    loss). Every kind but "rank" sits off the origin by a random offset.
+    """
+    offset = rng.standard_normal(dim) * 10.0 ** rng.uniform(-1, 1)
+    if kind == "rank":
+        points = np.zeros((size, dim))
+        points[:, : m - 1] = rng.standard_normal((size, m - 1)) + offset[: m - 1]
+        return points
+    if kind == "curve":
+        t = np.sort(rng.uniform(-1.0, 1.0, size))
+        a = 10.0 ** rng.uniform(-1.5, 0.0)
+        points = np.zeros((size, dim))
+        points[:, :3] = np.stack([t, a * t**2, np.sqrt(ratio) * t**3], axis=1)
+        if rng.random() < 0.5:
+            points = points @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        return points + offset
+    rank = min(size - 1, dim)
+    evals = np.concatenate([ratio ** (np.arange(m) / (m - 1)), ratio * rng.uniform(0.0, 1.5, rank - m)])
+    coords = rng.standard_normal((size, rank))
+    coords = np.linalg.qr(coords - coords.mean(axis=0))[0]
+    directions = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    points = (coords * np.sqrt(evals)) @ directions.T + offset
+    if kind == "duplicate":
+        points[size // 2 :] = points[: size - size // 2]
+    return points
 
 
 def reorthonormalize_frame(vectors: np.ndarray) -> tuple[np.ndarray, bool]:

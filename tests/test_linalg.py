@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmetric import linalg
+from plmetric import evaluation, linalg, manifold
+from plmetric.manifold import ManifoldConfig
+from plmetric.similarity import SimilarityConfig
 
 import oracles
 from oracles import jacobi_eigh, top_subspace_projector
@@ -103,6 +105,13 @@ class TestPcaTopM:
         with pytest.raises(ValueError, match="non-finite"):
             linalg.pca_top_m(np.array([[np.nan, 0.0]]), 1)
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_component_counts_refused(self, count):
+        # Both raised a bare TypeError from inside the batched PCA.
+        pts = np.random.default_rng(2).standard_normal((12, 4))
+        with pytest.raises(ValueError, match=f"n_components must be an integer, got {count}"):
+            linalg.pca_top_m(pts, count)
+
 
 class TestPcaVectorsBatch:
     @pytest.mark.parametrize("layout", ["random", "duplicate", "collinear", "identical"])
@@ -141,6 +150,62 @@ class TestPcaVectorsBatch:
         ref_v, ref_c = oracles.pca_vectors(points, m)
         assert np.array_equal(basis.vectors, linalg._fix_signs(ref_v))
         assert np.array_equal(centroid, ref_c)
+
+
+class TestNearlyRankDeficientSets:
+    # A direction lifted from the Gram matrix as X^T u / sqrt(lambda), with
+    # lambda just above the rank tolerance, can lose orthogonality by more
+    # than check_frames allows; such frames are re-orthonormalized.
+
+    def test_reference_curve_passes_all_three_calls(self):
+        # 11 points on (t, 0.1 t^2, 1e-6 t^3) in 12 dims: lambda_3 / lambda_1
+        # is 9e-14, and each call raised "basis vectors are not orthogonal
+        # (max inner product 2.1e-09)". The points span the first three
+        # axes, so these are their exact top-3 space: every frame passes
+        # check_frames, and the span of its rows is that space to 1e-12.
+        t = np.linspace(-1.0, 1.0, 11)
+        points = np.zeros((11, 12))
+        points[:, :3] = np.stack([t, 0.1 * t**2, 1e-6 * t**3], axis=1)
+        config = ManifoldConfig(pool_size=10)
+        basis, _ = linalg.pca_top_m(points, 3)
+        record = manifold.fit_all_neighborhoods(points, config)
+        frames = np.concatenate([basis.vectors[None], record.bases])
+        linalg.check_frames(frames)
+        exact = np.diag(np.repeat([1.0, 0.0], [3, 9]))
+        spans = np.linalg.qr(np.swapaxes(frames, 1, 2))[0]
+        gaps = np.linalg.norm(spans @ np.swapaxes(spans, 1, 2) - exact, ord=2, axis=(1, 2))
+        assert np.max(gaps) <= 1e-12
+        report = evaluation.evaluate_embeddings(points, np.arange(11) % 2, config, SimilarityConfig())
+        assert report.n_samples == 11 and np.isfinite(report.similarity_correlation)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_frames_hold_the_top_space_across_the_band(self, data):
+        # lambda_m / lambda_1 from 1e-4 down to 1e-16, set size on both sides
+        # of d: the frame passes check_frames, equals the per-set oracle's
+        # bits and, for each p <= m with a clear gap lambda_p - lambda_p+1,
+        # the span of its rows holds the exact top-p space (from the SVD)
+        # to within slack / gap, slack = 10 (n + d) eps tr: the
+        # Davis-Kahan bound, with room for the SVD's own error.
+        dim = data.draw(st.sampled_from([4, 6, 12]))
+        m = data.draw(st.integers(2, 3))
+        size = data.draw(st.integers(m + 1, dim + 6))
+        kind = data.draw(st.sampled_from(["spectrum", "duplicate", "curve", "rank"]))
+        ratio = 10.0 ** -data.draw(st.floats(4.0, 16.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = oracles.nearly_flat_set(rng, kind, size, dim, m, ratio)
+        vectors, _ = linalg._pca_vectors_batch(points[None], m)
+        linalg.check_frames(vectors)
+        assert np.array_equal(vectors[0], oracles.pca_vectors(points, m)[0])
+        _, sv, vt = np.linalg.svd(points - points.mean(axis=0))
+        lam = np.concatenate([sv**2, np.zeros(m + 1)])
+        slack = 10 * (size + dim) * np.finfo(np.float64).eps * lam.sum()
+        span = np.linalg.qr(vectors[0].T)[0]
+        outside = np.eye(dim) - span @ span.T
+        for p in range(1, m + 1):
+            gap = lam[p - 1] - lam[p]
+            if gap > 100 * slack:
+                assert np.linalg.norm(outside @ vt[:p].T, ord=2) <= slack / gap
 
 
 class TestDecompose:

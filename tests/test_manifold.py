@@ -720,6 +720,36 @@ class TestScanAgainstLoop:
             np.testing.assert_array_equal(row[:size], ref[:size])
 
 
+@st.composite
+def accept_cases(draw):
+    # (embeddings, padded trial, plane dim m, threshold): sets from
+    # oracles.nearly_flat_set with lambda_m / lambda_1 from 1e-4 down to
+    # 1e-16, all no larger than d (the Gram route) or some larger (the
+    # scatter route, with sets on both sides of d). The threshold is random
+    # or one set's own exact worst quality, which that set must reach.
+    dim = draw(st.sampled_from([4, 6, 12]))
+    m = draw(st.integers(2, 3))
+    scatter = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(m + 1, dim + (7 if scatter else 1), size=draw(st.integers(1, 8)))
+    if scatter:
+        sizes[0] = max(sizes[0], dim + 1)
+    kinds = ["spectrum", "duplicate", "curve", "rank"]
+    sets = [
+        oracles.nearly_flat_set(rng, kinds[rng.integers(4)], size, dim, m, 10.0 ** -rng.uniform(4, 16))
+        for size in sizes
+    ]
+    trial = np.full((len(sets), max(sizes)), -1)
+    for i, size in enumerate(sizes):
+        trial[i, :size] = np.arange(size) + sizes[:i].sum()
+    embeddings = np.concatenate(sets)
+    if draw(st.booleans()):
+        return embeddings, trial, m, rng.uniform(0.3, 0.999)
+    points = embeddings[trial[0, : sizes[0]]]
+    vectors, centroid = linalg._pca_vectors_batch(points[None], m)
+    return embeddings, trial, m, float(np.min(manifold.reconstruction_quality(points, vectors[0], centroid[0])))
+
+
 class TestBatchedAccepts:
     @staticmethod
     def _batch(case):
@@ -842,6 +872,19 @@ class TestBatchedAccepts:
         with np.errstate(all="raise"):
             got = manifold._batched_accepts(emb, self._padded(rows), 3, 0.95)
         np.testing.assert_array_equal(got, worst >= 0.95)
+
+    @settings(max_examples=200)
+    @given(accept_cases())
+    def test_decides_as_the_exact_route_across_the_band(self, case):
+        # Nearly rank-deficient sets, near-collinear curves, duplicated
+        # points and exact rank loss, on both routes: every decision is the
+        # exact route's, whether the padded test or the exact route made it.
+        embeddings, trial, m, threshold = case
+        expected = [
+            manifold._exact_accepts(embeddings, row[None, row >= 0], m, threshold)[0] for row in trial
+        ]
+        got = manifold._batched_accepts(embeddings, trial, m, threshold)
+        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("case", ["grid", "threshold", "identical", "tied"])
     def test_undecided_sets_reach_the_exact_route(self, case):
@@ -1119,6 +1162,14 @@ class TestNeighborhoodsRecord:
             LinearNeighborhood(np.array([0.0, 2.9]), record[0].basis)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(record[0], member_indices=np.array([0.0, 2.9]))
+
+    def test_non_integer_sizes_refused(self):
+        # They were truncated without a word: sizes + 0.7 stored the sizes.
+        _, _, record = _fitted_record()
+        with pytest.raises(ValueError, match="neighborhood sizes must be integer indices"):
+            Neighborhoods(record.members, record.sizes + 0.7, record.bases)
+        with pytest.raises(ValueError, match="neighborhood sizes must be integer indices"):
+            Neighborhoods(record.members[:1], [True], record.bases[:1])
 
     @pytest.mark.parametrize(
         "members, message",
